@@ -18,6 +18,7 @@ readings and are reported, never suppressed.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -293,6 +294,15 @@ def _subsets(values: frozenset[str]) -> Iterable[tuple[str, ...]]:
         yield from combinations(ordered, size)
 
 
+def _active_rules(rules: Iterable[str]) -> tuple[str, ...]:
+    """The requested rules in canonical order, reading ``rules`` once."""
+    requested = set(rules)
+    unknown = requested - set(ALL_RULES)
+    if unknown:
+        raise RuleShapeError(f"unknown rules: {sorted(unknown)}")
+    return tuple(r for r in ALL_RULES if r in requested)
+
+
 def closure(
     premises: Iterable[AxiomStatement],
     universe: Iterable[str],
@@ -304,19 +314,23 @@ def closure(
     Conclusions are canonicalized before insertion, which keeps the space
     finite (two kinds times three roles per variable); the literal forms and
     any repairs live in the traces.
+
+    CIWI2 runs semi-naively: its premises are fixed by a split (X, Z1, Z2,
+    Y) of the universe, so each popped statement enumerates the subsets of
+    its Y and looks up the other two premises among the popped canonical
+    statements, indexed by (X, Z). That is at most 2·2^|Y| lookups per pop,
+    not a scan of all WI×CI (or WI×WI) pairs. Matches fire in that scan's
+    order, so the traces equal those of a naive evaluation.
     """
     u = _names(universe)
     if len(u) > max_universe:
         raise LimitError(f"universe of {len(u)} variables exceeds bound {max_universe}")
-    active = tuple(r for r in ALL_RULES if r in set(rules))
-    unknown = set(rules) - set(ALL_RULES)
-    if unknown:
-        raise RuleShapeError(f"unknown rules: {sorted(unknown)}")
+    active = _active_rules(rules)
 
     known: dict[tuple, AxiomStatement] = {}
     traces: list[DerivationTrace] = []
     derived_rules: dict[AxiomStatement, set[str]] = {}
-    worklist: list[AxiomStatement] = []
+    worklist: deque[AxiomStatement] = deque()
 
     def insert(
         literal: AxiomStatement,
@@ -347,8 +361,9 @@ def closure(
                 literal = apply_wi1(u, x, y)
                 insert(literal, RULE_WI1, (), (("X", x), ("Y", y)))
 
-    wi_stmts: list[AxiomStatement] = []
-    ci_stmts: list[AxiomStatement] = []
+    # (X, Z) -> (pop position, statement) for the popped canonical statements
+    wi_index: dict[tuple, tuple[int, AxiomStatement]] = {}
+    ci_index: dict[tuple, tuple[int, AxiomStatement]] = {}
 
     def fire_ciwi2(
         a: AxiomStatement, b: AxiomStatement, c: AxiomStatement
@@ -365,11 +380,12 @@ def closure(
         )
 
     while worklist:
-        current = worklist.pop(0)
+        current = worklist.popleft()
         if not current.canonical:
             continue
+        found: list[tuple[tuple, tuple]] = []  # (scan order, CIWI2 premises)
         if current.kind == WI:
-            wi_stmts.append(current)
+            wi_index[current.x, current.z] = (len(wi_index), current)
             if RULE_WI2 in active:
                 for w in _subsets(current.y):
                     first, second = apply_wi2(current, w)
@@ -390,20 +406,35 @@ def closure(
                     literal = apply_wi3(current, w)
                     insert(literal, RULE_WI3, (current,), (("W", w),))
             if RULE_CIWI2 in active:
-                for other in list(wi_stmts):
-                    for ci in list(ci_stmts):
-                        fire_ciwi2(current, other, ci)
-                        if other != current:
-                            fire_ciwi2(other, current, ci)
+                # The partner is WI(X, Z) for Z ⊆ Y: the second premise with
+                # CI(Z ⊥ current.z), or the first premise with CI(current.z ⊥ Z).
+                # Both share one CI premise only if Z = current.z = ∅, where
+                # the partner is current itself, so the sort keys are unique.
+                for w in _subsets(current.y):
+                    z = frozenset(w)
+                    if (current.x, z) not in wi_index:
+                        continue
+                    pos, other = wi_index[current.x, z]
+                    if (z, current.z) in ci_index:
+                        ci_pos, ci = ci_index[z, current.z]
+                        found.append(((pos, ci_pos), (current, other, ci)))
+                    if (current.z, z) in ci_index and other is not current:
+                        ci_pos, ci = ci_index[current.z, z]
+                        found.append(((pos, ci_pos), (other, current, ci)))
         else:
-            ci_stmts.append(current)
+            ci_index[current.x, current.z] = (len(ci_index), current)
             if RULE_CIWI1 in active:
                 literal = apply_ciwi1(current)
                 insert(literal, RULE_CIWI1, (current,), ())
             if RULE_CIWI2 in active:
-                for a in list(wi_stmts):
-                    for b in list(wi_stmts):
-                        fire_ciwi2(a, b, current)
+                for w in _subsets(current.y):
+                    x = frozenset(w)
+                    if (x, current.z) in wi_index and (x, current.x) in wi_index:
+                        pos_a, a = wi_index[x, current.z]
+                        pos_b, b = wi_index[x, current.x]
+                        found.append(((pos_a, pos_b), (a, b, current)))
+        for _, triple in sorted(found, key=lambda c: c[0]):
+            fire_ciwi2(*triple)
 
     return ClosureResult(
         u,
@@ -525,7 +556,7 @@ def soundness_probe(
     semantically (after the documented repair for tagged forms). The report
     is deterministic for a fixed seed.
     """
-    active = tuple(r for r in ALL_RULES if r in set(rules))
+    active = _active_rules(rules)
     rng = random.Random(seed)
     names = [chr(ord("A") + i) for i in range(variables)]
     evaluated = 0

@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from weakind import axioms
 from weakind.axioms import (
     AxiomStatement,
@@ -210,6 +213,83 @@ def test_closure_universe_bound():
 def test_closure_unknown_rule():
     with pytest.raises(RuleShapeError):
         closure([], U3, rules=("WI9",))
+    with pytest.raises(RuleShapeError):
+        closure([], U3, rules=(r for r in ("WI2", "WI9")))
+
+
+def test_closure_reads_rules_once():
+    premise = statement("WI", ("A",), ("B",), U4)
+    from_tuple = closure([premise], U4, rules=("WI2", "WI3"))
+    from_generator = closure([premise], U4, rules=(r for r in ("WI2", "WI3")))
+    assert len(from_tuple.statements) == 4
+    assert from_generator == from_tuple
+
+
+@st.composite
+def closure_inputs(draw):
+    """Premise sets over 3-5 variables, with a random subset of the rules.
+
+    Each premise with one variable in X, one in Z and the rest in Y is
+    drawn with even odds. Such dense sets chain through CIWI2 with several
+    matches per pop, which is where firing order shows. A few more premises
+    are any canonical role assignment (degenerate ones included) or
+    arbitrary, possibly overlapping or non-covering, variable sets, some
+    with the universe in reverse order.
+    """
+    names = tuple("ABCDE"[: draw(st.integers(3, 5))])
+    kinds = st.sampled_from(["CI", "WI"])
+    subsets = st.sets(st.sampled_from(names)).map(frozenset)
+    pairs = [
+        statement(kind, (x,), set(names) - {x, z}, names)
+        for kind in ("CI", "WI") for x in names for z in names if x != z
+    ]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    premises = [p for p, keep in zip(pairs, mask) if keep]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            roles = draw(st.lists(st.sampled_from("XZY"), min_size=len(names),
+                                  max_size=len(names)))
+            x, z, y = (frozenset(n for n, r in zip(names, roles) if r == role)
+                       for role in "XZY")
+        else:
+            x, z, y = draw(subsets), draw(subsets), draw(subsets)
+        universe = draw(st.sampled_from([names, names[::-1]]))
+        premises.append(AxiomStatement(draw(kinds), x, z, y, universe))
+    rules = tuple(draw(st.sets(st.sampled_from(axioms.ALL_RULES))))
+    return draw(st.permutations(premises)), names, rules
+
+
+@given(closure_inputs())
+@example((  # a WI statement that is its own CIWI2 partner
+    [statement("CI", (), U3, U3), statement("WI", ("A",), ("B", "C"), U3)],
+    U3,
+    axioms.ALL_RULES,
+))
+@settings(max_examples=150, deadline=None)
+def test_closure_matches_naive(case):
+    premises, names, rules = case
+    indexed = closure(premises, names, rules)
+    naive = oracles.naive_closure(premises, names, rules)
+    assert indexed == naive
+    assert indexed.to_json_dict() == naive.to_json_dict()
+
+
+def test_closure_at_max_universe():
+    # One variable in X, one in Z, the rest in Y: such premises combine
+    # through CIWI2, unlike uniformly random roles at this size.
+    rng = random.Random(8)
+    names = tuple("ABCDEFGH")
+    assert len(names) == axioms.MAX_UNIVERSE
+    kinds = ["CI"] * 32 + ["WI"] * 48
+    premises: dict[tuple, AxiomStatement] = {}
+    while len(premises) < len(kinds):
+        kind = kinds[len(premises)]
+        x, z, *y = rng.sample(names, len(names))
+        premises.setdefault((kind, x, z), statement(kind, (x,), y, names))
+    result = closure(premises.values(), names)
+    assert any(t.rule == "CIWI2" for t in result.traces)
+    assert all(replay_trace(t) for t in result.traces)
+    assert oracles.missing_conclusions(result.statements, names) == []
 
 
 def test_statement_json_round_trip():
@@ -247,3 +327,17 @@ def test_probe_reflexivity_only():
 def test_probe_augmentation_only():
     report = soundness_probe(3, 2, trials=100, seed=0, rules=("WI3",))
     assert report.violations == ()
+
+
+def test_probe_unknown_rule():
+    with pytest.raises(RuleShapeError):
+        soundness_probe(3, 2, trials=0, seed=0, rules=("WI9",))
+    generated = soundness_probe(3, 2, trials=4, seed=0, rules=(r for r in ("WI1", "WI3")))
+    assert generated == soundness_probe(3, 2, trials=4, seed=0, rules=("WI1", "WI3"))
+
+
+@pytest.mark.parametrize("variables, trials", [(3, 100), (4, 10)])
+def test_probe_same_with_naive_closure(monkeypatch, variables, trials):
+    indexed = soundness_probe(variables, 2, trials, 0).to_json_dict()
+    monkeypatch.setattr(axioms, "closure", oracles.naive_closure)
+    assert soundness_probe(variables, 2, trials, 0).to_json_dict() == indexed

@@ -147,3 +147,4 @@ def test_usage_errors_exit_2():
                "--context", "Y0", str(DATA / "cwi_cpt.json")).exit_code == 2
     assert run("nest", "--by", "NOPE", "--as", "B",
                str(DATA / "nest_demo.json")).exit_code == 2
+    assert run("probe", "--rules", "WI9").exit_code == 2
