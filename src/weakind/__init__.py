@@ -57,11 +57,9 @@ from .independence import (
     replay,
 )
 from .partitions import (
-    BinaryRelation,
     Partition,
     SupportSet,
     commutes,
-    compose,
     projected_domain,
     restrict_context,
     theta,

@@ -315,6 +315,14 @@ def closure(
     finite (two kinds times three roles per variable); the literal forms and
     any repairs live in the traces.
 
+    Two rules are evaluated in closed form because their repaired
+    conclusions are known in advance. Every WI1 literal WI(X, U - Y | Y)
+    with X ⊆ Y repairs to WI(∅, U - Y | Y), so only X = ∅ is applied, which
+    is the first X a full enumeration would insert. WI2 on a popped
+    canonical WI(X, Z | Y) gives WI(X, Z ∪ W | Y) and WI(X ∪ W, Z | Y) for
+    each W ⊆ Y, and both repair back to the popped statement, so WI2 only
+    adds its tag to that statement's derived rules.
+
     CIWI2 runs semi-naively: its premises are fixed by a split (X, Z1, Z2,
     Y) of the universe, so each popped statement enumerates the subsets of
     its Y and looks up the other two premises among the popped canonical
@@ -356,10 +364,9 @@ def closure(
             worklist.append(premise)
 
     if RULE_WI1 in active:
+        # Every X ⊆ Y repairs to WI(∅, U - Y | Y); X = ∅ comes first.
         for y in _subsets(frozenset(u)):
-            for x in _subsets(frozenset(y)):
-                literal = apply_wi1(u, x, y)
-                insert(literal, RULE_WI1, (), (("X", x), ("Y", y)))
+            insert(apply_wi1(u, (), y), RULE_WI1, (), (("X", ()), ("Y", y)))
 
     # (X, Z) -> (pop position, statement) for the popped canonical statements
     wi_index: dict[tuple, tuple[int, AxiomStatement]] = {}
@@ -387,20 +394,8 @@ def closure(
         if current.kind == WI:
             wi_index[current.x, current.z] = (len(wi_index), current)
             if RULE_WI2 in active:
-                for w in _subsets(current.y):
-                    first, second = apply_wi2(current, w)
-                    insert(
-                        first,
-                        RULE_WI2,
-                        (current,),
-                        (("W", w), ("branch", ("first",))),
-                    )
-                    insert(
-                        second,
-                        RULE_WI2,
-                        (current,),
-                        (("W", w), ("branch", ("second",))),
-                    )
+                # Both conclusions for every W ⊆ Y repair back to current.
+                derived_rules.setdefault(current, set()).add(RULE_WI2)
             if RULE_WI3 in active:
                 for w in _subsets(current.z):
                     literal = apply_wi3(current, w)
@@ -458,6 +453,10 @@ def statement_from_json(doc: Mapping) -> AxiomStatement:
     except (KeyError, TypeError) as exc:
         raise StatementError(f"malformed statement document: {exc}") from exc
     z = doc.get("Z")
+    fields = {"X": x, "Y": y, "universe": universe, "Z": [] if z is None else z}
+    for key, names in fields.items():
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise StatementError(f"statement field {key!r} must be a list of names")
     return statement(kind, x, y, universe, z)
 
 

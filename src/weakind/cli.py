@@ -93,7 +93,7 @@ def main() -> None:
 def validate(format_: str, assert_: bool, input: str) -> None:
     """Report every violated table invariant."""
     table = _load_table(input, format_, check=False)
-    report = table.validate("strict")
+    report = table.validate()
     doc = _envelope("validate", table)
     doc.update(report.to_json_dict())
     _emit(doc)
@@ -210,6 +210,8 @@ def derive(premises_: str | None, universe_: str, rules_: str) -> None:
     premises = []
     if premises_ is not None:
         docs = json.loads(_read(premises_))
+        if not isinstance(docs, list):
+            raise _Die("premise file must be a JSON list of statements")
         premises = [axioms.statement_from_json(d) for d in docs]
     rules = tuple(r.upper() for r in _split_list(rules_))
     result = axioms.closure(premises, universe, rules)

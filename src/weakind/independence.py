@@ -425,7 +425,8 @@ def _class_report(
     vacuous = len(z_values) < 2
     counterexample: ClassCounterexample | None = None
 
-    if table.kind == JOINT:
+    joint = table.kind == JOINT
+    if joint:
         zero = Fraction(0)
         mass_total = zero
         mass_x: dict[Config, Fraction] = {}
@@ -439,38 +440,28 @@ def _class_report(
             zv = support.project(i, z_pos)
             mass_x[xv] = mass_x.get(xv, zero) + value
             mass_z[zv] = mass_z.get(zv, zero) + value
-        for x_cfg in x_values:
-            x_map = dict(zip(x_vars, x_cfg))
-            expected = mass_x[x_cfg] / mass_total
-            baseline: tuple[Config, Fraction] | None = None
-            for z_cfg in z_values:
-                z_map = dict(zip(z_vars, z_cfg))
-                full = schema.merge(x_map, y_map, z_map)
-                value = table.value(full) / mass_z[z_cfg]
-                if baseline is None:
-                    baseline = (z_cfg, value)
-                elif value != baseline[1] and counterexample is None:
-                    counterexample = ClassCounterexample(
-                        x_cfg, z_cfg, value, baseline[0], baseline[1], "constancy"
-                    )
-                if value != expected and counterexample is None:
-                    counterexample = ClassCounterexample(
-                        x_cfg, z_cfg, value, None, expected, "marginal"
-                    )
-    else:
-        for x_cfg in x_values:
-            x_map = dict(zip(x_vars, x_cfg))
-            baseline = None
-            for z_cfg in z_values:
-                z_map = dict(zip(z_vars, z_cfg))
-                full = schema.merge(x_map, y_map, z_map)
-                value = table.value(full)
-                if baseline is None:
-                    baseline = (z_cfg, value)
-                elif value != baseline[1] and counterexample is None:
-                    counterexample = ClassCounterexample(
-                        x_cfg, z_cfg, value, baseline[0], baseline[1], "constancy"
-                    )
+    # Joint tables compare class-restricted conditionals, which must also
+    # equal the class marginal of x; conditional-shaped tables compare the
+    # stored values.
+    for x_cfg in x_values:
+        x_map = dict(zip(x_vars, x_cfg))
+        expected = mass_x[x_cfg] / mass_total if joint else None
+        baseline: tuple[Config, Fraction] | None = None
+        for z_cfg in z_values:
+            z_map = dict(zip(z_vars, z_cfg))
+            value = table.value(schema.merge(x_map, y_map, z_map))
+            if joint:
+                value /= mass_z[z_cfg]
+            if baseline is None:
+                baseline = (z_cfg, value)
+            elif value != baseline[1] and counterexample is None:
+                counterexample = ClassCounterexample(
+                    x_cfg, z_cfg, value, baseline[0], baseline[1], "constancy"
+                )
+            if joint and value != expected and counterexample is None:
+                counterexample = ClassCounterexample(
+                    x_cfg, z_cfg, value, None, expected, "marginal"
+                )
 
     return ClassReport(
         support.label_block(block),
@@ -582,25 +573,25 @@ def check_wi(
     return Verdict(Statement(WI, xs, zs, ys), holds, cert)
 
 
+# kind -> (roles, roles that must be nonempty, context role, checker), for
+# enumeration and replay. The checkers are looked up as module globals at
+# call time.
+_KINDS = {
+    CI: ("XZY", "XZ", None, lambda t, g, c: check_ci(t, g["X"], g["Z"], g["Y"])),
+    CSI: ("XZYC", "XZC", "C", lambda t, g, c: check_csi(t, g["X"], g["Z"], g["Y"], c)),
+    PCI: ("XZY", "XZY", "Y", lambda t, g, c: check_pci(t, g["X"], g["Z"], c)),
+    CWI: ("XZC", "XZC", "C", lambda t, g, c: check_cwi(t, g["X"], g["Z"], c)),
+    WI: ("XZY", "XZ", None, lambda t, g, c: check_wi(t, g["X"], g["Z"], g["Y"])),
+}
+
+
 def replay(table: Table, verdict: Verdict) -> bool:
     """Re-run the check named by a verdict and compare certificates exactly."""
     s = verdict.statement
-    context = None if s.context is None else {n: v for n, v in s.context}
-    if s.kind == CI:
-        fresh = check_ci(table, s.x, s.z, s.y)
-    elif s.kind == CSI:
-        assert context is not None
-        fresh = check_csi(table, s.x, s.z, s.y, context)
-    elif s.kind == PCI:
-        assert context is not None
-        fresh = check_pci(table, s.x, s.z, context)
-    elif s.kind == CWI:
-        assert context is not None
-        fresh = check_cwi(table, s.x, s.z, context)
-    elif s.kind == WI:
-        fresh = check_wi(table, s.x, s.z, s.y)
-    else:
+    if s.kind not in _KINDS:
         raise StatementError(f"unknown statement kind {s.kind!r}")
+    context = None if s.context is None else {n: v for n, v in s.context}
+    fresh = _KINDS[s.kind][3](table, {"X": s.x, "Z": s.z, "Y": s.y}, context)
     return fresh.to_json_dict() == verdict.to_json_dict()
 
 
@@ -611,9 +602,6 @@ def replay(table: Table, verdict: Verdict) -> bool:
 
 @dataclass(frozen=True)
 class Limits:
-    max_x: int | None = None
-    max_z: int | None = None
-    max_y: int | None = None
     max_contexts: int | None = None
     max_statements: int | None = None
 
@@ -629,10 +617,6 @@ class EnumerationResult:
             "truncated": self.truncated,
             "verdicts": [v.to_json_dict() for v in self.verdicts],
         }
-
-
-def _role_vectors(names: Sequence[str], roles: Sequence[str]):
-    return product(roles, repeat=len(names))
 
 
 def enumerate_statements(
@@ -653,20 +637,6 @@ def enumerate_statements(
     verdicts: list[Verdict] = []
     truncated = False
 
-    def push(verdict: Verdict) -> bool:
-        nonlocal truncated
-        if (
-            limits.max_statements is not None
-            and len(verdicts) >= limits.max_statements
-        ):
-            truncated = True
-            return False
-        verdicts.append(verdict)
-        return True
-
-    def within(vec, role, cap) -> bool:
-        return cap is None or sum(1 for r in vec if r == role) <= cap
-
     def contexts(ctx_vars: Sequence[str]):
         nonlocal truncated
         count = 0
@@ -678,90 +648,25 @@ def enumerate_statements(
             yield dict(zip(table.schema.order(ctx_vars), values))
 
     for kind in kind_order:
-        if kind in (CI, WI):
-            for vec in _role_vectors(names, ("X", "Z", "Y")):
-                groups = _split(names, vec)
-                if not groups["X"] or not groups["Z"]:
-                    continue
-                if not (
-                    within(vec, "X", limits.max_x)
-                    and within(vec, "Z", limits.max_z)
-                    and within(vec, "Y", limits.max_y)
-                ):
-                    continue
+        roles, required, ctx_role, check = _KINDS[kind]
+        for vec in product(roles, repeat=len(names)):
+            groups = _split(names, vec)
+            if not all(groups[r] for r in required):
+                continue
+            # A statement the table cannot express fails for every context.
+            for ctx in contexts(groups[ctx_role]) if ctx_role else ({},):
                 try:
-                    if kind == CI:
-                        verdict = check_ci(
-                            table, groups["X"], groups["Z"], groups["Y"]
-                        )
-                    else:
-                        verdict = check_wi(
-                            table, groups["X"], groups["Z"], groups["Y"]
-                        )
+                    verdict = check(table, groups, ctx)
                 except StatementError:
-                    continue
-                if not push(verdict):
-                    return EnumerationResult(tuple(verdicts), truncated)
-        elif kind == PCI:
-            for vec in _role_vectors(names, ("X", "Z", "Y")):
-                groups = _split(names, vec)
-                if not groups["X"] or not groups["Z"] or not groups["Y"]:
-                    continue
-                if not (
-                    within(vec, "X", limits.max_x)
-                    and within(vec, "Z", limits.max_z)
-                    and within(vec, "Y", limits.max_y)
+                    break
+                if (
+                    limits.max_statements is not None
+                    and len(verdicts) >= limits.max_statements
                 ):
-                    continue
-                for ctx in contexts(groups["Y"]):
-                    try:
-                        verdict = check_pci(table, groups["X"], groups["Z"], ctx)
-                    except StatementError:
-                        break
-                    if not push(verdict):
-                        return EnumerationResult(tuple(verdicts), truncated)
-        elif kind == CSI:
-            for vec in _role_vectors(names, ("X", "Z", "Y", "C")):
-                groups = _split(names, vec)
-                if not groups["X"] or not groups["Z"] or not groups["C"]:
-                    continue
-                if not (
-                    within(vec, "X", limits.max_x)
-                    and within(vec, "Z", limits.max_z)
-                    and within(vec, "Y", limits.max_y)
-                ):
-                    continue
-                for ctx in contexts(groups["C"]):
-                    try:
-                        verdict = check_csi(
-                            table, groups["X"], groups["Z"], groups["Y"], ctx
-                        )
-                    except StatementError:
-                        break
-                    if not push(verdict):
-                        return EnumerationResult(tuple(verdicts), truncated)
-        elif kind == CWI:
-            for vec in _role_vectors(names, ("X", "Z", "C")):
-                groups = _split(names, vec)
-                if not groups["X"] or not groups["Z"] or not groups["C"]:
-                    continue
-                if not (
-                    within(vec, "X", limits.max_x)
-                    and within(vec, "Z", limits.max_z)
-                ):
-                    continue
-                for ctx in contexts(groups["C"]):
-                    try:
-                        verdict = check_cwi(table, groups["X"], groups["Z"], ctx)
-                    except StatementError:
-                        break
-                    if not push(verdict):
-                        return EnumerationResult(tuple(verdicts), truncated)
+                    return EnumerationResult(tuple(verdicts), True)
+                verdicts.append(verdict)
     return EnumerationResult(tuple(verdicts), truncated)
 
 
 def _split(names: Sequence[str], vec: Sequence[str]) -> dict[str, tuple[str, ...]]:
-    groups: dict[str, tuple[str, ...]] = {}
-    for role in set(vec) | {"X", "Z", "Y", "C"}:
-        groups[role] = tuple(n for n, r in zip(names, vec) if r == role)
-    return groups
+    return {role: tuple(n for n, r in zip(names, vec) if r == role) for role in "XZYC"}

@@ -38,10 +38,6 @@ class SupportSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.rows)
 
-    @property
-    def configs(self) -> tuple[Config, ...]:
-        return tuple(cfg for _, cfg in self.rows)
-
     def positions(self, names: Iterable[str]) -> tuple[int, ...]:
         """Schema-order column positions of ``names``."""
         wanted = set(names)
@@ -81,30 +77,6 @@ class Partition:
 
     def block_of(self) -> dict[int, frozenset[int]]:
         return {i: b for b in self.blocks for i in b}
-
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        """The partition viewed as an equivalence relation (pair set)."""
-        out: set[tuple[int, int]] = set()
-        for b in self.blocks:
-            for i in b:
-                for j in b:
-                    out.add((i, j))
-        return frozenset(out)
-
-
-@dataclass(frozen=True)
-class BinaryRelation:
-    """An explicit pair set over a support's index range."""
-
-    n: int
-    pairs: frozenset[tuple[int, int]]
-
-    def components(self) -> tuple[frozenset[int], ...]:
-        """Connected components (transitive-symmetric-reflexive closure)."""
-        uf = _UnionFind(self.n)
-        for i, k in self.pairs:
-            uf.union(i, k)
-        return uf.blocks()
 
 
 @dataclass(frozen=True)
@@ -169,20 +141,6 @@ def restrict_context(support: SupportSet, context: Mapping[str, str]) -> Support
         if support.project(i, positions) == wanted
     )
     return SupportSet(support.variables, rows)
-
-
-def compose(p: Partition, q: Partition) -> BinaryRelation:
-    """Relational product: (i, k) related iff some j links a p-block to a q-block."""
-    if p.n != q.n:
-        raise SchemaError("partitions are over different supports")
-    q_block = q.block_of()
-    pairs: set[tuple[int, int]] = set()
-    for a in p.blocks:
-        reach: set[int] = set()
-        for j in a:
-            reach |= q_block[j]
-        pairs.update((i, k) for i in a for k in reach)
-    return BinaryRelation(p.n, frozenset(pairs))
 
 
 def join(p: Partition, q: Partition) -> Partition:

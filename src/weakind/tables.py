@@ -83,11 +83,6 @@ class VariableSchema:
         self.order(wanted)
         return tuple(i for i, n in enumerate(self.names) if n in wanted)
 
-    def subset(self, names: Iterable[str]) -> "VariableSchema":
-        keep = set(names)
-        self.order(keep)
-        return VariableSchema(tuple(v for v in self.variables if v.name in keep))
-
     def check_config(self, config: Config) -> None:
         if len(config) != len(self.variables):
             raise SchemaError(f"configuration {config} has wrong arity")
@@ -243,12 +238,10 @@ class Table:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, mode: str = "strict") -> ValidationReport:
-        """Report every violated invariant; empty report iff valid under mode."""
-        if mode not in ("strict", "raw"):
-            raise SchemaError(f"unknown validation mode {mode!r}")
+    def validate(self) -> ValidationReport:
+        """Report every violated invariant of the kind; empty report iff valid."""
         violations: list[Violation] = []
-        if mode == "raw" or self.kind == RAW:
+        if self.kind == RAW:
             return ValidationReport(tuple(violations))
         if self.kind == JOINT:
             total = self.total_mass()
@@ -275,18 +268,6 @@ class Table:
 
     # -- probabilistic operations -------------------------------------------
 
-    def marginal(self, names: Iterable[str]) -> "Table":
-        """Exact marginal of a joint table onto a variable subset."""
-        if self.kind != JOINT:
-            raise SchemaError("marginal is defined for joint tables only")
-        subset = self.schema.order(names)
-        positions = self.schema.positions(subset)
-        acc: dict[Config, Fraction] = {}
-        for config, value in self.rows.items():
-            key = tuple(config[p] for p in positions)
-            acc[key] = acc.get(key, ZERO) + value
-        return Table(self.schema.subset(subset), acc, JOINT)
-
     def partial_mass(self, assignment: Mapping[str, str]) -> Fraction:
         """Sum of all rows matching a partial assignment."""
         self.schema.check_partial(assignment)
@@ -296,52 +277,6 @@ class Table:
         for config, value in self.rows.items():
             if tuple(config[p] for p in positions) == wanted:
                 total += value
-        return total
-
-    def cond_value(
-        self, x: Mapping[str, str], g: Mapping[str, str]
-    ) -> Fraction | None:
-        """Conditional probability of x given g, or None when undefined.
-
-        Joint tables divide exact masses and are undefined when the
-        conditioning mass is zero. Conditional and raw tables read stored
-        values directly; their given-set must equal g's variables. A strict
-        conditional table with no positive row for g is undefined, while a
-        raw table reads absent rows as zero.
-        """
-        if set(x) & set(g):
-            raise SchemaError("target and given assignments overlap")
-        self.schema.check_partial(x)
-        self.schema.check_partial(g)
-        if self.kind == JOINT:
-            pg = self.partial_mass(g)
-            if pg == 0:
-                return None
-            merged = dict(x)
-            merged.update(g)
-            return self.partial_mass(merged) / pg
-        assert self.targets is not None and self.givens is not None
-        if set(g) != set(self.givens):
-            raise SchemaError(
-                "conditioning variables must equal the table's given-set"
-            )
-        if not set(x) <= set(self.targets):
-            raise SchemaError("target assignment outside the table's target-set")
-        merged = dict(x)
-        merged.update(g)
-        positions = self.schema.positions(merged)
-        wanted = tuple(merged[self.schema.names[p]] for p in positions)
-        total = ZERO
-        any_positive = False
-        g_positions = self.schema.positions(g)
-        g_wanted = tuple(g[self.schema.names[p]] for p in g_positions)
-        for config, value in self.rows.items():
-            if tuple(config[p] for p in g_positions) == g_wanted:
-                any_positive = True
-            if tuple(config[p] for p in positions) == wanted:
-                total += value
-        if self.kind == CONDITIONAL and not any_positive:
-            return None
         return total
 
     # -- serialization -------------------------------------------------------
@@ -384,7 +319,7 @@ def load_table(
     else:
         raise ParseError(f"unknown format {format!r}")
     if check:
-        report = table.validate("strict")
+        report = table.validate()
         if not report.ok:
             raise NormalizationError(report.violations[0].message)
     return table
@@ -410,27 +345,35 @@ def _load_json(text: str) -> Table:
         raise ParseError("table document must be a JSON object")
     try:
         variables = tuple(
-            Variable(str(v["name"]), tuple(str(d) for d in v["domain"]))
-            for v in doc["variables"]
+            Variable(str(v["name"]), tuple(str(d) for d in _json_list(v, "domain")))
+            for v in _json_list(doc, "variables")
         )
         kind = doc.get("kind", JOINT)
-        rows_doc = doc["rows"]
+        rows_doc = _json_list(doc, "rows")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
     schema = VariableSchema(variables)
     rows: dict[Config, Fraction] = {}
     for entry in rows_doc:
         try:
-            config = tuple(str(v) for v in entry["config"])
+            config = tuple(str(v) for v in _json_list(entry, "config"))
             prob = entry["p"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed row entry: {entry!r}") from exc
         if config in rows:
             raise SchemaError(f"duplicate configuration: {config}")
         rows[config] = _to_fraction(prob)
-    targets = tuple(doc["targets"]) if "targets" in doc else None
-    givens = tuple(doc["givens"]) if "givens" in doc else None
+    targets = tuple(_json_list(doc, "targets")) if "targets" in doc else None
+    givens = tuple(_json_list(doc, "givens")) if "givens" in doc else None
     return Table(schema, rows, kind, targets, givens)
+
+
+def _json_list(doc: Mapping, key: str) -> list:
+    """A field that must be a JSON list; a string is not read as characters."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ParseError(f"field {key!r} must be a JSON list")
+    return value
 
 
 def _load_csv(text: str) -> Table:

@@ -51,6 +51,11 @@ def agree_pairs(rows, positions):
     return pairs
 
 
+def partition_pairs(blocks):
+    """A partition's blocks as an equivalence relation (ordered pair set)."""
+    return {(i, j) for block in blocks for i in block for j in block}
+
+
 def compose_pairs(p_pairs, q_pairs, n):
     out = set()
     for i in range(n):
@@ -88,12 +93,7 @@ def components(pairs, n):
 
 def join_partition(blocks_a, blocks_b, n):
     """Transitive-closure join of two partitions, as canonical blocks."""
-    pairs = set()
-    for blocks in (blocks_a, blocks_b):
-        for block in blocks:
-            for i in block:
-                for j in block:
-                    pairs.add((i, j))
+    pairs = partition_pairs(blocks_a) | partition_pairs(blocks_b)
     return tuple(components(pairs, n))
 
 

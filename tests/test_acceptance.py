@@ -271,8 +271,10 @@ def test_criterion_08_oracle_equivalence(cwi_cpt, wi_cpt, noncommuting, nest_dem
         p = _random_partition(rng, n)
         q = _random_partition(rng, n)
         checks += 1
-        pq = oracles.compose_pairs(p.pairs(), q.pairs(), n)
-        qp = oracles.compose_pairs(q.pairs(), p.pairs(), n)
+        p_pairs = oracles.partition_pairs(p.blocks)
+        q_pairs = oracles.partition_pairs(q.blocks)
+        pq = oracles.compose_pairs(p_pairs, q_pairs, n)
+        qp = oracles.compose_pairs(q_pairs, p_pairs, n)
         if commutes(p, q).commutes != (pq == qp):
             mismatches += 1
 

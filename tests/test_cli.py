@@ -138,7 +138,7 @@ def test_commute_report():
     assert json.loads(result.output)["equal"] is False
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     assert run("check", "--kind", "nope", "--x", "X", "--z", "Z").exit_code == 2
     assert run("check", "--kind", "wi", "--x", "X", "--z", "X,W", "--y", "Y",
                str(DATA / "wi_cpt.json")).exit_code == 2
@@ -148,3 +148,26 @@ def test_usage_errors_exit_2():
     assert run("nest", "--by", "NOPE", "--as", "B",
                str(DATA / "nest_demo.json")).exit_code == 2
     assert run("probe", "--rules", "WI9").exit_code == 2
+
+    # Malformed field types in a table document, strings included: a string
+    # is not read as a list of characters.
+    table = json.loads((DATA / "csi_cpt.json").read_text())
+    for field, value in (
+        ("targets", 5), ("rows", 5), ("targets", "X"), ("targets", "AB"),
+    ):
+        bad = tmp_path / "table.json"
+        bad.write_text(json.dumps({**table, field: value}))
+        assert run("validate", str(bad)).exit_code == 2, (field, value)
+    table["variables"][0]["domain"] = "01"
+    bad.write_text(json.dumps(table))
+    assert run("validate", str(bad)).exit_code == 2
+
+    # ... and in a derive premise file.
+    premise = {"kind": "WI", "X": ["A"], "Y": ["B"], "universe": ["A", "B", "C"]}
+    for field, value in (("X", 5), ("universe", "ABC"), ("Z", "C")):
+        bad = tmp_path / "premises.json"
+        bad.write_text(json.dumps([{**premise, field: value}]))
+        result = run("derive", "--premises", str(bad), "--universe", "A,B,C")
+        assert result.exit_code == 2, (field, value)
+    bad.write_text(json.dumps(premise))
+    assert run("derive", "--premises", str(bad), "--universe", "A,B,C").exit_code == 2

@@ -10,7 +10,7 @@ from weakind.partitions import (
     Partition,
     SupportSet,
     commutes,
-    compose,
+    join,
     projected_domain,
     restrict_context,
     theta,
@@ -53,29 +53,12 @@ def test_compose_context_zero(cwi_cpt):
     sup = restrict_context(cwi_cpt.support(), {"Y": "0"})
     p = theta(sup, ("X", "Y"))
     q = theta(sup, ("Y", "Z", "W"))
-    relation = compose(p, q)
-    assert blocks_as_labels(sup, relation.components()) == [
+    result = commutes(p, q)
+    assert result.commutes
+    assert blocks_as_labels(sup, result.join.blocks) == [
         ("t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8"),
         ("t9", "t10", "t11", "t12"),
     ]
-
-
-def test_compose_identity_element():
-    sup = SupportSet(("A",), (("t1", ("0",)), ("t2", ("1",)), ("t3", ("2",))))
-    p = Partition.from_blocks(3, [{0, 1}, {2}])
-    singletons = Partition.from_blocks(3, [{0}, {1}, {2}])
-    assert compose(p, singletons).pairs == p.pairs()
-    one_block = Partition.from_blocks(3, [{0, 1, 2}])
-    full = {(i, k) for i in range(3) for k in range(3)}
-    assert compose(one_block, p).pairs == frozenset(full)
-
-
-def test_compose_contains_both_operands():
-    p = Partition.from_blocks(4, [{0, 1}, {2, 3}])
-    q = Partition.from_blocks(4, [{0, 2}, {1}, {3}])
-    rel = compose(p, q)
-    assert p.pairs() <= rel.pairs
-    assert q.pairs() <= rel.pairs
 
 
 def test_commutes_on_wi_cpt(wi_cpt):
@@ -104,22 +87,20 @@ def test_noncommuting_three_elements():
     p = Partition.from_blocks(3, [{0, 1}, {2}])
     q = Partition.from_blocks(3, [{0}, {1, 2}])
     n = 3
-    pq = oracles.compose_pairs(p.pairs(), q.pairs(), n)
-    qp = oracles.compose_pairs(q.pairs(), p.pairs(), n)
+    p_pairs = oracles.partition_pairs(p.blocks)
+    q_pairs = oracles.partition_pairs(q.blocks)
+    pq = oracles.compose_pairs(p_pairs, q_pairs, n)
+    qp = oracles.compose_pairs(q_pairs, p_pairs, n)
     assert pq != qp  # frozen from the pair enumeration oracle
     result = commutes(p, q)
     assert not result.commutes
     i, k = result.witness
-    fwd = compose(p, q).pairs
-    back = compose(q, p).pairs
-    assert ((i, k) in fwd) != ((i, k) in back)
+    assert ((i, k) in pq) != ((i, k) in qp)
 
 
 def test_mismatched_supports_rejected():
     p = Partition.from_blocks(3, [{0, 1}, {2}])
     q = Partition.from_blocks(4, [{0}, {1, 2, 3}])
-    with pytest.raises(SchemaError):
-        compose(p, q)
     with pytest.raises(SchemaError):
         commutes(p, q)
 
@@ -157,8 +138,10 @@ def partition_pairs(draw):
 def test_commutes_matches_bruteforce(pair):
     p, q = pair
     n = p.n
-    pq = oracles.compose_pairs(p.pairs(), q.pairs(), n)
-    qp = oracles.compose_pairs(q.pairs(), p.pairs(), n)
+    p_pairs = oracles.partition_pairs(p.blocks)
+    q_pairs = oracles.partition_pairs(q.blocks)
+    pq = oracles.compose_pairs(p_pairs, q_pairs, n)
+    qp = oracles.compose_pairs(q_pairs, p_pairs, n)
     result = commutes(p, q)
     assert result.commutes == (pq == qp)
     if result.commutes:
@@ -171,15 +154,6 @@ def test_commutes_matches_bruteforce(pair):
         assert ((i, k) in pq) != ((i, k) in qp)
     # Symmetry of the test itself.
     assert commutes(q, p).commutes == result.commutes
-
-
-@given(partition_pairs())
-@settings(max_examples=80, deadline=None)
-def test_compose_matches_bruteforce(pair):
-    p, q = pair
-    assert compose(p, q).pairs == frozenset(
-        oracles.compose_pairs(p.pairs(), q.pairs(), p.n)
-    )
 
 
 def random_support(rng, n_vars=3, n_rows=6):
@@ -207,12 +181,13 @@ def test_theta_refinement_property():
 
 
 def test_composition_preserves_shared_variables():
-    # Variables fixed inside both relations stay fixed across the composition.
+    # Variables fixed inside both relations stay fixed across their join,
+    # which is the composition whenever the two commute.
     rng = random.Random(6)
     for _ in range(50):
         sup = random_support(rng)
         p = theta(sup, ("V0", "V1"))
         q = theta(sup, ("V1", "V2"))
         pos = sup.positions(("V1",))
-        for i, k in compose(p, q).pairs:
-            assert sup.project(i, pos) == sup.project(k, pos)
+        for block in join(p, q).blocks:
+            assert len({sup.project(i, pos) for i in block}) == 1
