@@ -25,8 +25,14 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _echo(text: str, nl: bool = True) -> None:
+    # Without file=, click caches sys.stdout in a map weakly keyed on that same
+    # stream, which pins a redirected stdout and its output for good.
+    click.echo(text, file=sys.stdout, nl=nl)
+
+
 def _emit(doc: dict) -> None:
-    click.echo(json.dumps(doc, indent=2))
+    _echo(json.dumps(doc, indent=2))
 
 
 def _load_table(path: str, format: str, check: bool = True) -> tables.Table:
@@ -140,7 +146,7 @@ def check(
     doc = _envelope("check", table)
     doc.update(verdict.to_json_dict())
     if pretty:
-        click.echo(_render_verdict(verdict))
+        _echo(_render_verdict(verdict))
     else:
         _emit(doc)
     if assert_ and not verdict.holds:
@@ -258,7 +264,7 @@ def nest(by_: str, as_: str, input: str) -> None:
     """Coarsen attributes into a nested attribute; emits the nested document."""
     table = _load_table_or_nested(input)
     result = granular.nest(table, as_, _split_list(by_))
-    click.echo(granular.serialize_nested(result), nl=False)
+    _echo(granular.serialize_nested(result), nl=False)
 
 
 @main.command()
@@ -272,9 +278,9 @@ def unnest(attr: str, input: str) -> None:
         raise _Die("input has no nested attributes")
     result = granular.unnest(table, attr)
     if isinstance(result, tables.Table):
-        click.echo(tables.serialize_table(result), nl=False)
+        _echo(tables.serialize_table(result), nl=False)
     else:
-        click.echo(granular.serialize_nested(result), nl=False)
+        _echo(granular.serialize_nested(result), nl=False)
 
 
 @main.command()

@@ -19,12 +19,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from . import independence
-from .errors import ParseError, SchemaError
+from .errors import NormalizationError, ParseError, SchemaError
 from .tables import (
     JOINT,
     Table,
     Variable,
     VariableSchema,
+    _json_list,
     _to_fraction,
     frac_str,
     uniform_joint_extension,
@@ -386,11 +387,11 @@ def load_nested(text: str | bytes) -> NestedTable:
         raise ParseError(f"malformed JSON document: {exc}") from exc
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ParseError("nested table document requires an 'attributes' field")
-    attributes = tuple(_attribute_from_json(a) for a in doc["attributes"])
+    attributes = tuple(_attribute_from_json(a) for a in _json_list(doc, "attributes"))
     rows: dict[RowKey, Fraction] = {}
-    for entry in doc.get("rows", ()):
+    for entry in _json_list(doc, "rows") if "rows" in doc else ():
         try:
-            cells = entry["cells"]
+            cells = _json_list(entry, "cells")
             prob = entry["p"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed row entry: {entry!r}") from exc
@@ -400,7 +401,11 @@ def load_nested(text: str | bytes) -> NestedTable:
             _cell_from_json(cell, attr) for cell, attr in zip(cells, attributes)
         )
         rows[key] = _to_fraction(prob)
-    return NestedTable(attributes, rows)
+    table = NestedTable(attributes, rows)
+    total = table.total_mass()
+    if total != ONE:
+        raise NormalizationError(f"nested document probabilities sum to {total}, not 1")
+    return table
 
 
 def _attribute_from_json(doc: Mapping) -> Attribute:
@@ -409,11 +414,10 @@ def _attribute_from_json(doc: Mapping) -> Attribute:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed attribute: {exc}") from exc
     if "nested" in doc:
-        return Attribute(
-            name, nested=tuple(_attribute_from_json(a) for a in doc["nested"])
-        )
+        inner = _json_list(doc, "nested")
+        return Attribute(name, nested=tuple(_attribute_from_json(a) for a in inner))
     if "domain" in doc:
-        return Attribute(name, domain=tuple(str(d) for d in doc["domain"]))
+        return Attribute(name, domain=tuple(str(d) for d in _json_list(doc, "domain")))
     raise ParseError(f"attribute {name!r} needs either a domain or nested attributes")
 
 
@@ -428,7 +432,7 @@ def _cell_from_json(value, attr: Attribute) -> CellValue:
     rows: dict[RowKey, Fraction] = {}
     for entry in value:
         try:
-            config = entry["config"]
+            config = _json_list(entry, "config")
             prob = entry["P(Y)"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed nested cell entry: {entry!r}") from exc

@@ -75,9 +75,6 @@ class Partition:
             raise SchemaError("partition blocks do not cover the index range")
         return cls(n, tuple(frozen))
 
-    def block_of(self) -> dict[int, frozenset[int]]:
-        return {i: b for b in self.blocks for i in b}
-
 
 @dataclass(frozen=True)
 class CommutationResult:
@@ -160,29 +157,32 @@ def join(p: Partition, q: Partition) -> Partition:
 def commutes(p: Partition, q: Partition) -> CommutationResult:
     """Test whether the two compositions coincide as pair sets.
 
-    Fast path: the compositions are equal iff p∘q already equals the lattice
-    join of p and q, so it suffices to look for a join-block pair without a
-    middle element instead of materializing both O(n^2) relations.
+    Rectangle test (Ore 1942), linear in n: they coincide iff, inside every
+    join block, each p-block meets each q-block. A commuting result carries
+    the join, the composition in both orders. A failing one carries the
+    first pair (i, k), i < k, of sorted members of the first non-rectangular
+    join block that lies in exactly one composition, oriented as in p∘q;
+    rectangular blocks hold no such pair.
     """
     if p.n != q.n:
         raise SchemaError("partitions are over different supports")
-    p_block = p.block_of()
-    q_block = q.block_of()
+    p_id, q_id = [0] * p.n, [0] * q.n
+    for ids, part in ((p_id, p), (q_id, q)):
+        for b, block in enumerate(part.blocks):
+            for i in block:
+                ids[i] = b
     joined = join(p, q)
-
-    def middle(i: int, k: int) -> bool:
-        return not p_block[i].isdisjoint(q_block[k])
-
     for block in joined.blocks:
+        cells = {(p_id[i], q_id[i]) for i in block}
+        if len(cells) == len({c[0] for c in cells}) * len({c[1] for c in cells}):
+            continue
+        # (i, k) is in p∘q iff p-block(i) meets q-block(k) inside this block.
         members = sorted(block)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                i, k = members[a], members[b]
-                fwd, back = middle(i, k), middle(k, i)
-                if fwd != back:
+        for a, i in enumerate(members):
+            for k in members[a + 1 :]:
+                fwd = (p_id[i], q_id[k]) in cells
+                if fwd != ((p_id[k], q_id[i]) in cells):
                     return CommutationResult(False, None, (i, k) if fwd else (k, i))
-    # No asymmetric pair means the composition is symmetric, which forces it
-    # to be an equivalence relation equal to the join in both orders.
     return CommutationResult(True, joined, None)
 
 

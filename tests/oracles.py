@@ -6,6 +6,10 @@ triple loops, connected components by traversal, and conditionals by
 direct summation over table rows. The package's partition machinery is
 deliberately not used, so agreement between the two paths is meaningful.
 
+``pairscan_commutes`` is the quadratic twin of the rectangle test in
+``partitions.commutes``: it probes every pair of each join block for a
+middle element.
+
 The closure references reuse the package's literal rule functions but none
 of its fixed-point machinery: ``naive_closure`` tries every premise pair or
 triple for CIWI2, and ``missing_conclusions`` checks closedness by key
@@ -35,7 +39,8 @@ from weakind.axioms import (
     apply_wi3,
     repair,
 )
-from weakind.errors import LimitError, RuleShapeError, StatementError
+from weakind.errors import LimitError, RuleShapeError, SchemaError, StatementError
+from weakind.partitions import CommutationResult, Partition
 
 ZERO = Fraction(0)
 
@@ -95,6 +100,33 @@ def join_partition(blocks_a, blocks_b, n):
     """Transitive-closure join of two partitions, as canonical blocks."""
     pairs = partition_pairs(blocks_a) | partition_pairs(blocks_b)
     return tuple(components(pairs, n))
+
+
+def pairscan_commutes(p, q):
+    """Naive twin of ``partitions.commutes``: probe every pair of each join block.
+
+    Same verdict, join and witness: the first pair (i, k), i < k, of sorted
+    members, blocks ordered by minimum, that has a middle element in one
+    order only. The join comes from ``join_partition``.
+    """
+    if p.n != q.n:
+        raise SchemaError("partitions are over different supports")
+    p_block = {i: b for b in p.blocks for i in b}
+    q_block = {i: b for b in q.blocks for i in b}
+    joined = Partition(p.n, join_partition(p.blocks, q.blocks, p.n))
+
+    def middle(i: int, k: int) -> bool:
+        return not p_block[i].isdisjoint(q_block[k])
+
+    for block in joined.blocks:
+        members = sorted(block)
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                i, k = members[a], members[b]
+                fwd, back = middle(i, k), middle(k, i)
+                if fwd != back:
+                    return CommutationResult(False, None, (i, k) if fwd else (k, i))
+    return CommutationResult(True, joined, None)
 
 
 def _positions(table, names):

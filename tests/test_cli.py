@@ -1,5 +1,9 @@
+import gc
+import io
 import json
 import pathlib
+import weakref
+from contextlib import redirect_stdout
 
 from click.testing import CliRunner
 
@@ -138,6 +142,17 @@ def test_commute_report():
     assert json.loads(result.output)["equal"] is False
 
 
+def test_in_process_run_releases_stdout():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main.main(["validate", str(DATA / "nest_demo.json")], standalone_mode=False)
+    assert json.loads(out.getvalue())["valid"] is True
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run("check", "--kind", "nope", "--x", "X", "--z", "Z").exit_code == 2
     assert run("check", "--kind", "wi", "--x", "X", "--z", "X,W", "--y", "Y",
@@ -171,3 +186,17 @@ def test_usage_errors_exit_2(tmp_path):
         assert result.exit_code == 2, (field, value)
     bad.write_text(json.dumps(premise))
     assert run("derive", "--premises", str(bad), "--universe", "A,B,C").exit_code == 2
+
+    # ... and in a nested document, whose total mass must also be 1.
+    attrs = [{"name": "B", "nested": [{"name": "A", "domain": ["0", "1"]}]}]
+    for doc in (
+        {"attributes": 5, "rows": []},
+        {"attributes": [{"name": "B", "nested": [{"name": "A", "domain": "01"}]}],
+         "rows": [{"cells": [[{"config": ["0"], "P(Y)": "1"}]], "p": "1"}]},
+        {"attributes": attrs, "rows": []},
+    ):
+        bad = tmp_path / "nested.json"
+        bad.write_text(json.dumps(doc))
+        result = run("unnest", "--attr", "B", str(bad))
+        assert result.exit_code == 2, doc
+        assert result.output.count("\n") == 1, result.output

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weakind import partitions
+from weakind import granular, partitions
 from weakind.errors import SchemaError
+from weakind.independence import check_wi
 from weakind.partitions import (
     Partition,
     SupportSet,
@@ -15,6 +17,7 @@ from weakind.partitions import (
     restrict_context,
     theta,
 )
+from weakind.tables import Table, Variable, VariableSchema
 
 import oracles
 
@@ -118,19 +121,19 @@ def test_projected_domain_on_cwi_cpt(cwi_cpt):
     assert projected_domain(pi1, sup, ()) == {()}
 
 
+def labels_to_partition(labels):
+    groups = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, set()).add(i)
+    return Partition.from_blocks(len(labels), groups.values())
+
+
 @st.composite
 def partition_pairs(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     labels_p = [draw(st.integers(min_value=0, max_value=3)) for _ in range(n)]
     labels_q = [draw(st.integers(min_value=0, max_value=3)) for _ in range(n)]
-
-    def to_partition(labels):
-        groups = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(lab, set()).add(i)
-        return Partition.from_blocks(n, groups.values())
-
-    return to_partition(labels_p), to_partition(labels_q)
+    return labels_to_partition(labels_p), labels_to_partition(labels_q)
 
 
 @given(partition_pairs())
@@ -156,6 +159,77 @@ def test_commutes_matches_bruteforce(pair):
     assert commutes(q, p).commutes == result.commutes
 
 
+@st.composite
+def few_label_pairs(draw):
+    """Up to 40 indices over at most 4 labels a side: mostly one big join block."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    labels = [
+        draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        for k in (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    ]
+    return labels_to_partition(labels[0]), labels_to_partition(labels[1])
+
+
+@st.composite
+def segmented_pairs(draw):
+    """Several join blocks, up to 39 indices, some rectangular by construction.
+
+    Each segment has labels of its own, so no join block spans two segments.
+    A segment is a full grid of (p, q) cells, which is one rectangular block,
+    or arbitrary cells of the grid. Shuffling the indices of all segments
+    together lets a failing block come after rectangular ones.
+    """
+    cells = []
+    for seg in range(draw(st.integers(1, 3))):
+        grid = [
+            ((seg, a), (seg, b))
+            for a in range(draw(st.integers(1, 3)))
+            for b in range(draw(st.integers(1, 3)))
+        ]
+        if draw(st.booleans()):
+            cells += grid + draw(st.lists(st.sampled_from(grid), max_size=4))
+        else:
+            cells += draw(st.lists(st.sampled_from(grid), min_size=1, max_size=13))
+    cells = draw(st.permutations(cells))
+    return (
+        labels_to_partition([a for a, _ in cells]),
+        labels_to_partition([b for _, b in cells]),
+    )
+
+
+@given(st.one_of(few_label_pairs(), segmented_pairs()))
+@example((  # a 2x2 rectangle, then the three-element failure
+    labels_to_partition([0, 0, 1, 1, 2, 2, 3]),
+    labels_to_partition([0, 1, 0, 1, 2, 3, 3]),
+))
+@settings(max_examples=300, deadline=None)
+def test_commutes_matches_pairscan(pair):
+    p, q = pair
+    for a, b in ((p, q), (q, p)):
+        assert commutes(a, b) == oracles.pairscan_commutes(a, b)
+
+
+def test_full_support_wi_matches_nest_commutes():
+    # 6 variables of domain 4 with every row supported: the 4,096 rows form
+    # one join block for X = {V0}, Z = {V1..V5}, Y = {}.
+    rng = random.Random(7)
+    schema = VariableSchema(
+        tuple(Variable(f"V{i}", tuple("0123")) for i in range(6))
+    )
+    configs = list(schema.configs())
+    head = [rng.randint(1, 9) for _ in range(4)]
+    tail = {c[1:]: rng.randint(1, 9) for c in configs}
+    product_weights = [head[int(c[0])] * tail[c[1:]] for c in configs]
+    random_weights = [rng.randint(1, 9) for _ in configs]
+    x, z = ("V0",), tuple(f"V{i}" for i in range(1, 6))
+    for weights, holds in ((product_weights, True), (random_weights, False)):
+        total = sum(weights)
+        table = Table(schema, {c: Fraction(w, total) for c, w in zip(configs, weights)})
+        assert len(table.support()) == 4096
+        assert check_wi(table, x, z, ()).holds is holds
+        assert granular.nest_commutes(table, x, z).equal is holds
+
+
 def random_support(rng, n_vars=3, n_rows=6):
     seen = set()
     rows = []
@@ -174,7 +248,7 @@ def test_theta_refinement_property():
         p_union = theta(sup, ("V0", "V1"))
         p_single = theta(sup, ("V0",))
         # Every block of the finer partition sits inside one coarser block.
-        coarse = p_single.block_of()
+        coarse = {i: b for b in p_single.blocks for i in b}
         for block in p_union.blocks:
             owners = {coarse[i] for i in block}
             assert len(owners) == 1
