@@ -108,6 +108,7 @@ DIGESTS = {
     'enumerate:noncommuting.json': '9645c45e372f086bc1648f8e59d70fc202c1dc9feb382d82da40798cae219796',
     'enumerate:wi_cpt.json': '91a8836ce59a5f78619a6d8ebff06c10d2174efc83d4819ac1078c7543866510',
     'nest': '1b0900690df786a8ebd2717b62d6f2d28a52b8681ec4a0bee56eb812bca352dd',
+    'nest-nested': '9699763840e864390e932ab667625c8993b98cef455608067685772b41e369ca',
     'probe-3': '094fa886032319db150466c8fea185b1d1c45daf4ae61c52dd280088d2a0dba0',
     'probe-4': 'b65a8fff8ecbdbb27db22ad8cc7f44d4a217071ff6cff287a4ff23931922119e',
     'unnest': 'fe4e1eeff03adaefdbc82a39a7567efcd5b07c6ecf0796f9963866838646cc48',
@@ -131,6 +132,9 @@ def _digest(result) -> str:
 def _outputs(tmp_path):
     out = {name: _run(args) for name, args in CASES.items()}
     out["unnest"] = _run(("unnest", "--attr", "B", "-"), stdin=out["nest"].stdout)
+    # A second-level nest: the grouping key holds the nested cells of B.
+    nest_a2 = _run(("nest", "--by", "A2", "--as", "B", str(DATA / "nest_demo.json")))
+    out["nest-nested"] = _run(("nest", "--by", "A3", "--as", "C", "-"), stdin=nest_a2.stdout)
     premises = tmp_path / "premises.json"
     premises.write_text(json.dumps(PREMISES))
     derive = ("derive", "--premises", str(premises), "--universe", "A,B,C,D")
