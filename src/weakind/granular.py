@@ -14,7 +14,7 @@ this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -57,25 +57,36 @@ class Attribute:
         return self.nested is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NestedCell:
-    """A normalized sub-distribution stored inside one outer row."""
+    """A normalized sub-distribution stored inside one outer row.
+
+    ``rows`` holds positive probabilities in canonical (sorted) order. Cells
+    sit in the row keys of nested tables, so the hash is computed once.
+    """
 
     attributes: tuple[Attribute, ...]
     rows: tuple[tuple[RowKey, Fraction], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.attributes, self.rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def make(
         cls, attributes: tuple[Attribute, ...], rows: Mapping[RowKey, Fraction]
     ) -> "NestedCell":
+        """A cell from unordered entries: zeros are dropped, the rest must sum to 1."""
         ordered = tuple(
-            (key, rows[key]) for key in sorted(rows, key=_row_sort_key)
+            (key, rows[key]) for key in sorted(rows, key=_row_sort_key) if rows[key]
         )
-        cell = cls(attributes, ordered)
         total = sum((v for _, v in ordered), ZERO)
         if total != ONE:
             raise SchemaError(f"nested cell values sum to {total}, not 1")
-        return cell
+        return cls(attributes, ordered)
 
 
 def _check_cell(cell: CellValue, attr: Attribute) -> None:
@@ -134,6 +145,20 @@ class NestedTable:
                 cleaned[key] = value
         object.__setattr__(self, "rows", cleaned)
 
+    @classmethod
+    def _built(
+        cls, attributes: tuple[Attribute, ...], rows: dict[RowKey, Fraction]
+    ) -> "NestedTable":
+        """A table from rows this module built, skipping ``__post_init__``.
+
+        The caller guarantees what it would check: distinct attribute names,
+        keys whose cells fit the attributes, and positive ``Fraction`` values.
+        """
+        table = object.__new__(cls)
+        object.__setattr__(table, "attributes", attributes)
+        object.__setattr__(table, "rows", rows)
+        return table
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
@@ -191,7 +216,7 @@ def as_nested(table: Table | NestedTable) -> NestedTable:
     attributes = tuple(
         Attribute(v.name, domain=v.domain) for v in table.schema.variables
     )
-    return NestedTable(attributes, dict(table.rows))
+    return NestedTable._built(attributes, dict(table.rows))
 
 
 def nest(
@@ -219,24 +244,27 @@ def nest(
     inner_attrs = tuple(nt.attributes[i] for i in inner_positions)
     insert_at = sum(1 for i in outer_positions if i < inner_positions[0])
 
+    # Input keys are distinct, so each (outer, inner) split occurs once.
     groups: dict[RowKey, dict[RowKey, Fraction]] = {}
     for key, value in nt.rows.items():
-        outer = tuple(key[i] for i in outer_positions)
-        inner = tuple(key[i] for i in inner_positions)
-        bucket = groups.setdefault(outer, {})
-        bucket[inner] = bucket.get(inner, ZERO) + value
+        outer = tuple([key[i] for i in outer_positions])
+        inner = tuple([key[i] for i in inner_positions])
+        groups.setdefault(outer, {})[inner] = value
 
     new_attrs = list(nt.attributes[i] for i in outer_positions)
     new_attrs.insert(insert_at, Attribute(b_name, nested=inner_attrs))
     rows: dict[RowKey, Fraction] = {}
     for outer, bucket in groups.items():
         total = sum(bucket.values(), ZERO)
-        cell = NestedCell.make(
-            inner_attrs, {inner: v / total for inner, v in bucket.items()}
+        cell = NestedCell(
+            inner_attrs,
+            tuple(
+                (inner, bucket[inner] / total)
+                for inner in sorted(bucket, key=_row_sort_key)
+            ),
         )
-        new_key = outer[:insert_at] + (cell,) + outer[insert_at:]
-        rows[new_key] = total
-    return NestedTable(tuple(new_attrs), rows)
+        rows[outer[:insert_at] + (cell,) + outer[insert_at:]] = total
+    return NestedTable._built(tuple(new_attrs), rows)
 
 
 def unnest(table: NestedTable, b_name: str) -> Table | NestedTable:
@@ -268,8 +296,10 @@ def unnest(table: NestedTable, b_name: str) -> Table | NestedTable:
         assert isinstance(cell, NestedCell)
         for inner_key, inner_p in cell.rows:
             new_key = key[:position] + inner_key + key[position + 1 :]
-            rows[new_key] = rows.get(new_key, ZERO) + outer_p * inner_p
-    result = NestedTable(new_attrs, rows)
+            mass = outer_p * inner_p
+            seen = rows.get(new_key)
+            rows[new_key] = mass if seen is None else seen + mass
+    result = NestedTable._built(new_attrs, rows)
     if result.is_flat():
         return result.to_table()
     return result
@@ -400,6 +430,8 @@ def load_nested(text: str | bytes) -> NestedTable:
         key = tuple(
             _cell_from_json(cell, attr) for cell, attr in zip(cells, attributes)
         )
+        if key in rows:
+            raise SchemaError(f"duplicate row: {key}")
         rows[key] = _to_fraction(prob)
     table = NestedTable(attributes, rows)
     total = table.total_mass()
@@ -439,5 +471,7 @@ def _cell_from_json(value, attr: Attribute) -> CellValue:
         if len(config) != len(inner_attrs):
             raise ParseError("nested config arity does not match inner attributes")
         key = tuple(_cell_from_json(v, a) for v, a in zip(config, inner_attrs))
+        if key in rows:
+            raise SchemaError(f"duplicate nested row in {attr.name!r}: {key}")
         rows[key] = _to_fraction(prob)
     return NestedCell.make(inner_attrs, rows)

@@ -10,6 +10,10 @@ deliberately not used, so agreement between the two paths is meaningful.
 ``partitions.commutes``: it probes every pair of each join block for a
 middle element.
 
+``naive_nest`` is the twin of ``granular.nest``: it accumulates group sums
+per (outer, inner) split, builds cells through ``NestedCell.make`` and
+re-validates its output through the public ``NestedTable`` constructor.
+
 The closure references reuse the package's literal rule functions but none
 of its fixed-point machinery: ``naive_closure`` tries every premise pair or
 triple for CIWI2, and ``missing_conclusions`` checks closedness by key
@@ -40,6 +44,7 @@ from weakind.axioms import (
     repair,
 )
 from weakind.errors import LimitError, RuleShapeError, SchemaError, StatementError
+from weakind.granular import Attribute, NestedCell, NestedTable
 from weakind.partitions import CommutationResult, Partition
 
 ZERO = Fraction(0)
@@ -127,6 +132,46 @@ def pairscan_commutes(p, q):
                 if fwd != back:
                     return CommutationResult(False, None, (i, k) if fwd else (k, i))
     return CommutationResult(True, joined, None)
+
+
+def naive_nest(table, b_name, names):
+    """Naive twin of ``granular.nest``: same attributes, rows, row order and cells."""
+    if not isinstance(table, NestedTable):
+        attributes = tuple(
+            Attribute(v.name, domain=v.domain) for v in table.schema.variables
+        )
+        table = NestedTable(attributes, dict(table.rows))
+    wanted = set(names)
+    if not wanted:
+        raise SchemaError("cannot nest an empty attribute set")
+    unknown = wanted - set(table.names)
+    if unknown:
+        raise SchemaError(f"unknown attributes: {sorted(unknown)}")
+    if b_name in table.names:
+        raise SchemaError(f"attribute name {b_name!r} already in use")
+
+    inner_positions = [i for i, a in enumerate(table.attributes) if a.name in wanted]
+    outer_positions = [i for i, a in enumerate(table.attributes) if a.name not in wanted]
+    inner_attrs = tuple(table.attributes[i] for i in inner_positions)
+    insert_at = sum(1 for i in outer_positions if i < inner_positions[0])
+
+    groups = {}
+    for key, value in table.rows.items():
+        outer = tuple(key[i] for i in outer_positions)
+        inner = tuple(key[i] for i in inner_positions)
+        bucket = groups.setdefault(outer, {})
+        bucket[inner] = bucket.get(inner, ZERO) + value
+
+    new_attrs = list(table.attributes[i] for i in outer_positions)
+    new_attrs.insert(insert_at, Attribute(b_name, nested=inner_attrs))
+    rows = {}
+    for outer, bucket in groups.items():
+        total = sum(bucket.values(), ZERO)
+        cell = NestedCell.make(
+            inner_attrs, {inner: v / total for inner, v in bucket.items()}
+        )
+        rows[outer[:insert_at] + (cell,) + outer[insert_at:]] = total
+    return NestedTable(tuple(new_attrs), rows)
 
 
 def _positions(table, names):

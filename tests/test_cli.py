@@ -194,9 +194,21 @@ def test_usage_errors_exit_2(tmp_path):
         {"attributes": [{"name": "B", "nested": [{"name": "A", "domain": "01"}]}],
          "rows": [{"cells": [[{"config": ["0"], "P(Y)": "1"}]], "p": "1"}]},
         {"attributes": attrs, "rows": []},
+        # A cell that lists one config twice.
+        {"attributes": attrs,
+         "rows": [{"cells": [[{"config": ["0"], "P(Y)": "1"}] * 2], "p": "1"}]},
     ):
         bad = tmp_path / "nested.json"
         bad.write_text(json.dumps(doc))
         result = run("unnest", "--attr", "B", str(bad))
         assert result.exit_code == 2, doc
         assert result.output.count("\n") == 1, result.output
+    # Duplicate top-level rows, which describe mass 3/2.
+    bad.write_text(json.dumps({
+        "attributes": [{"name": "A", "domain": ["0", "1"]}],
+        "rows": [{"cells": ["0"], "p": "1/2"}, {"cells": ["0"], "p": "1/2"},
+                 {"cells": ["1"], "p": "1/2"}],
+    }))
+    result = run("nest", "--by", "A", "--as", "Q", str(bad))
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1, result.output

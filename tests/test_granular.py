@@ -1,12 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakind import granular, tables
 from weakind.errors import SchemaError
 from weakind.granular import (
+    Attribute,
     NestedCell,
+    NestedTable,
     canonical_equal,
     load_nested,
     nest,
@@ -17,6 +22,7 @@ from weakind.granular import (
 )
 
 import util
+from oracles import naive_nest
 
 
 def cell(inner_attrs, mapping):
@@ -227,3 +233,100 @@ def test_wi_nest_equivalence_random_sample():
         for x, z, y in util.tripartitions(table.schema.names, dedup=True):
             report = wi_nest_equivalence(table, x, z, y)
             assert report.agree
+
+
+def test_make_drops_zero_entries():
+    doc = {
+        "attributes": [
+            {"name": "A", "domain": ["0", "1"]},
+            {"name": "B", "nested": [{"name": "C", "domain": ["0", "1"]}]},
+        ],
+        "rows": [
+            {"cells": ["0", [{"config": ["0"], "P(Y)": "1"},
+                             {"config": ["1"], "P(Y)": "0"}]], "p": "1/2"},
+            {"cells": ["1", [{"config": ["0"], "P(Y)": "1/3"},
+                             {"config": ["1"], "P(Y)": "2/3"}]], "p": "1/2"},
+        ],
+    }
+    loaded = load_nested(json.dumps(doc))
+    c = loaded.attributes[1].nested
+    assert next(iter(loaded.rows))[1].rows == ((("0",), Fraction(1)),)
+    assert canonical_equal(loaded, nest(unnest(loaded, "B"), "B", ["C"]))
+    assert cell(c, {("0",): "1", ("1",): "0"}) == cell(c, {("0",): "1"})
+
+
+def test_nested_cell_hash_and_equality():
+    a, b = Attribute("A", domain=("0", "1")), Attribute("B", domain=("0", "1"))
+    made = cell((a, b), {("0", "1"): "1/3", ("1", "0"): "2/3"})
+    joint = make_joint(
+        [("A", "01"), ("B", "01"), ("C", "01")],
+        [(("1", "0", "0"), "1/3"), (("0", "1", "0"), "1/6"), (("1", "1", "1"), "1/2")],
+    )
+    nested = nest(joint, "N", ("A", "B"))
+    by_nest = next(k[0] for k in nested.rows if k[1] == "0")
+    loaded = load_nested(serialize_nested(nested))
+    by_load = next(k[0] for k in loaded.rows if k[1] == "0")
+    for other in (by_nest, by_load):
+        assert other == made and hash(other) == hash(made)
+    assert made != cell((a, b), {("0", "1"): "1/4", ("1", "0"): "3/4"})
+    assert made != NestedCell((b, a), made.rows)
+    assert "_hash" not in repr(made) and str(made._hash) not in repr(made)
+    assert "_hash" not in serialize_nested(nested)
+
+
+def _fractions(rows):
+    for key, value in rows:
+        yield value
+        for part in key:
+            if isinstance(part, NestedCell):
+                yield from _fractions(part.rows)
+
+
+def assert_same_nest(got, want):
+    assert got.attributes == want.attributes
+    assert list(got.rows.items()) == list(want.rows.items())
+    # Lookups across the two tables: trusted cells hash like ``make``'s.
+    assert all(want.rows[key] == value for key, value in got.rows.items())
+    assert all(type(v) is Fraction for v in _fractions(got.rows.items()))
+    assert NestedTable(got.attributes, got.rows) == got
+
+
+@st.composite
+def shuffled_joint_tables(draw):
+    """Joint tables of 2-4 variables with random support, rows in random order."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    schema = tables.VariableSchema(tuple(
+        tables.Variable(f"V{i}", tuple(str(v) for v in range(draw(st.integers(1, 3)))))
+        for i in range(n)
+    ))
+    configs = list(schema.configs())
+    weights = draw(st.lists(
+        st.integers(0, 4), min_size=len(configs), max_size=len(configs)
+    ))
+    weights[0] = weights[0] or 1
+    rows = [(c, Fraction(w, sum(weights))) for c, w in zip(configs, weights) if w]
+    return tables.Table(schema, dict(draw(st.permutations(rows))), "joint")
+
+
+@given(shuffled_joint_tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_nest_matches_naive(table, data):
+    names = data.draw(st.permutations(table.schema.names))
+    i = data.draw(st.integers(1, len(names) - 1))
+    j = data.draw(st.integers(i + 1, len(names)))
+    x, z = names[:i], names[i:j]
+    assert_same_nest(nest(table, "B", x), naive_nest(table, "B", x))
+    report = nest_commutes(table, x, z)
+    for (b1, s1, b2, s2), out in (
+        (("B2", z, "B1", x), report.first),
+        (("B1", x, "B2", z), report.second),
+    ):
+        once = nest(table, b1, s1)
+        assert_same_nest(once, naive_nest(table, b1, s1))
+        assert_same_nest(out, naive_nest(naive_nest(table, b1, s1), b2, s2))
+        # A loaded document, nested again: its nested cells move into the
+        # outer key, then into the inner key.
+        loaded = load_nested(serialize_nested(once))
+        assert_same_nest(nest(loaded, b2, s2), naive_nest(loaded, b2, s2))
+        by = (b1,) + tuple(names[j:])
+        assert_same_nest(nest(loaded, "C", by), naive_nest(loaded, "C", by))
