@@ -42,6 +42,7 @@ def _cases():
         )
     wi, cwi, csi = (str(DATA / n) for n in ("wi_cpt.json", "cwi_cpt.json", "csi_cpt.json"))
     nest_demo = str(DATA / "nest_demo.json")
+    cond = str(DATA / "cond_cpt.json")
     cases.update({
         "check-ci": ("check", "--kind", "ci", "--x", "X", "--z", "Z,W", "--y", "Y", wi),
         "check-ci-joint": (
@@ -75,6 +76,21 @@ def _cases():
         ),
         "nest": ("nest", "--by", "A2,A3", "--as", "B", nest_demo),
         "probe-3": ("probe", "--vars", "3"),
+        # A strict conditional table: given-configurations (Y=0, Z=2) and
+        # Y=2 have no positive row, and context Y=2 matches no row.
+        **{
+            f"check-cond-{name}": ("check", "--kind", *args, cond)
+            for name, args in (
+                ("ci", ("ci", "--x", "X", "--z", "Z", "--y", "Y")),
+                ("csi", ("csi", "--x", "X", "--z", "Z", "--context", "Y=0")),
+                ("csi-empty", ("csi", "--x", "X", "--z", "Z", "--context", "Y=2")),
+                ("pci", ("pci", "--x", "X", "--z", "Z", "--context", "Y=1")),
+                ("pci-empty", ("pci", "--x", "X", "--z", "Z", "--context", "Y=2")),
+                ("cwi", ("cwi", "--x", "X", "--z", "Z", "--context", "Y=0")),
+                ("cwi-empty", ("cwi", "--x", "X", "--z", "Z", "--context", "Y=2")),
+                ("wi", ("wi", "--x", "X", "--z", "Z", "--y", "Y")),
+            )
+        },
         "probe-4": ("probe", "--vars", "4", "--trials", "3"),
     })
     return cases
@@ -85,6 +101,14 @@ CASES = _cases()
 DIGESTS = {
     'check-ci': '9e4bac900ed51772cc85e297963971e696906d27b68367266b2d6a696fa48cea',
     'check-ci-joint': 'e47e8080b5b38113c3fdfa88a6c7dcad60282158d44a7575e60a8ccf468edc00',
+    'check-cond-ci': '5a40705d74c97d3923ca2c714c9f18d75eda1fec45850576db91d36114b1c6b3',
+    'check-cond-csi': 'f7ec8f5773237ea920fec50453e0445b4659e60a0cdc41a4f33f78e0f8a3c3e9',
+    'check-cond-csi-empty': '5408f636e7c71838a4b7a99605d2e5561410e5623f6c6f0d65c26eeb8e9f16a3',
+    'check-cond-cwi': '396cc0e83fce156838c76420fc13b9178cdfc506b04c5348c6ad70f6e5c5dc3e',
+    'check-cond-cwi-empty': '53581206c00fa4d13243a0bc3e1b1555f9de87120acd3f985c79115ce70447fb',
+    'check-cond-pci': '9a7d7500cc0f61f8a7ff5f06b0f1ca73608f0a5aff4c442e4cfd8df68b3ade62',
+    'check-cond-pci-empty': '6182da7cd2d6d3165fe26c708ee988f27348dccd7949ef23e01ca45131a61fc2',
+    'check-cond-wi': '3ddf7f41c637467e81b5cacd82648c589457c1161af746e3280719614e437604',
     'check-csi': '93ab7bfb5c040b22a5fcc59b5d14f44133475571702a2f3f5727fd4509f90768',
     'check-csi-fails': '6c453a7435537d1d1733df75b660b60fc926319427a97cab52a81b4263aa96d9',
     'check-cwi': '7fa4c1791fc182b52a122fa2095fb2e02d1d92714d0e146262c29a145bfa3738',
@@ -97,11 +121,13 @@ DIGESTS = {
     'commute-noncommuting': '009a6ea9f1405a27f41558fd0fe7dce6dfdec0ca51ade8dff59f922d8478a9ea',
     'derive': '0cd12af5700d62f6e6488fd3353add7b84c20f28814746c5d02fb7d04e8ad0cc',
     'derive-rules': 'ee6812139c721e40fa6b70d8bc7943a6209f343ec07bbb1293c68b068a7eeebd',
+    'enumerate-limited:cond_cpt.json': '419638856de4e14987a93e7aee32e915c2df7c92ea6f299a271f6f34943b725b',
     'enumerate-limited:csi_cpt.json': '600101c3fdb0d7ed749ebf14d8a39c185e586a54d4343ea773e0c722b007f516',
     'enumerate-limited:cwi_cpt.json': 'd2281c599402b5768f4fef1a4ae5a7400c9003ab86b9d585f1e8097f27623097',
     'enumerate-limited:nest_demo.json': '09b8006df69de64f1bfdab45703a39965d45c9a1e5e0d40a38936e3970f5caec',
     'enumerate-limited:noncommuting.json': 'afa490a3583e49cba4de3f933dddfb50134169c1847602760459ed5afc0dd6f6',
     'enumerate-limited:wi_cpt.json': 'b0807929d4aa3e791334d12f86be192e46a141df0e26e31410988e261e7856ac',
+    'enumerate:cond_cpt.json': 'b123a4fb4417f3e9643cefd14886486028be9a3e517031d39fd53d0ba7c3ebba',
     'enumerate:csi_cpt.json': '540fffe81d5eaf324e351e6d4584914fb2195c40619830b6aca27cb51b479983',
     'enumerate:cwi_cpt.json': 'f4758edc225bcb7c6bb44480f49f73f0ef6b4793d98a8754c5fe71224938b9ad',
     'enumerate:nest_demo.json': '1d76de623ec94decaf0caa0dbdfbf0b6d9882a520e4607419453e841cbdad845',
@@ -112,6 +138,7 @@ DIGESTS = {
     'probe-3': '094fa886032319db150466c8fea185b1d1c45daf4ae61c52dd280088d2a0dba0',
     'probe-4': 'b65a8fff8ecbdbb27db22ad8cc7f44d4a217071ff6cff287a4ff23931922119e',
     'unnest': 'fe4e1eeff03adaefdbc82a39a7567efcd5b07c6ecf0796f9963866838646cc48',
+    'validate:cond_cpt.json': '2536d57b6bf1737098497504e6c5ac4f6ef790f7db3949dfaa0dfdabab02d074',
     'validate:csi_cpt.json': 'f31897ef7cb6c99f059b1894e53a48af29e78ae5fb3cfeb5ac052050e4eec29c',
     'validate:cwi_cpt.json': '56e2b07a1d8e7be9e60981ddaca8da9a598bfeb01f9f5ef7933fb5ce65d950df',
     'validate:nest_demo.json': 'b312d104e3ea1e5e958c313038f0db4376577db4df854aa93e8f8a1349f00080',

@@ -144,6 +144,7 @@ def test_malformed_document_rejected():
 
 def test_json_round_trip_all_fixtures():
     for name in (
+        "cond_cpt.json",
         "csi_cpt.json",
         "cwi_cpt.json",
         "wi_cpt.json",
