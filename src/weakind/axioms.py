@@ -553,8 +553,11 @@ def soundness_probe(
     For each random joint table, the semantically holding statements are
     closed under the selected rules and every derived statement is evaluated
     semantically (after the documented repair for tagged forms). The report
-    is deterministic for a fixed seed.
+    is deterministic for a fixed seed. A universe past ``MAX_UNIVERSE``
+    raises ``LimitError`` before any table is built.
     """
+    if variables > MAX_UNIVERSE:
+        raise LimitError(f"universe of {variables} variables exceeds bound {MAX_UNIVERSE}")
     active = _active_rules(rules)
     rng = random.Random(seed)
     names = [chr(ord("A") + i) for i in range(variables)]

@@ -90,14 +90,23 @@ class NestedCell:
 
 
 def _check_cell(cell: CellValue, attr: Attribute) -> None:
+    """A cell must fit its attribute; a nested one must also be canonical."""
     if attr.is_nested:
         if not isinstance(cell, NestedCell):
             raise SchemaError(f"cell for attribute {attr.name!r} must be nested")
+        if cell.attributes != attr.nested:
+            raise SchemaError(f"cell attributes differ from those of {attr.name!r}")
         for inner_key, _ in cell.rows:
             if len(inner_key) != len(attr.nested or ()):
                 raise SchemaError(f"nested row arity mismatch in {attr.name!r}")
             for inner_cell, inner_attr in zip(inner_key, attr.nested or ()):
                 _check_cell(inner_cell, inner_attr)
+        keys = [_row_sort_key(key) for key, _ in cell.rows]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise SchemaError(f"cell rows in {attr.name!r} are unsorted or repeated")
+        values = [v for _, v in cell.rows]
+        if any(v <= 0 for v in values) or sum(values, ZERO) != ONE:
+            raise SchemaError(f"cell in {attr.name!r} must be positive and sum to 1")
     else:
         if not isinstance(cell, str):
             raise SchemaError(f"cell for attribute {attr.name!r} must be a value")

@@ -40,7 +40,7 @@ from .partitions import (
     restrict_context,
     theta,
 )
-from .tables import JOINT, RAW, Config, Table, frac_str
+from .tables import JOINT, RAW, ZERO, Config, Table, frac_str
 
 CI = "CI"
 CSI = "CSI"
@@ -268,56 +268,45 @@ def _strong_check(
     context: Mapping[str, str],
 ) -> tuple[bool, StrongCertificate]:
     schema = table.schema
-    context_in_support = (
-        True if not context else table.partial_mass(context) > 0
-    )
+    ctx = [(schema.names.index(n), v) for n, v in context.items()]
+    rows = [(c, v) for c, v in table.rows.items() if all(c[p] == w for p, w in ctx)]
+    context_in_support = not context or bool(rows)
     comparisons = 0
     vacuous = 0
     counterexample: Counterexample | None = None
+    x_configs = list(schema.configs(x_vars))
 
     if table.kind == JOINT:
-        # Group masses once; all conditionals are dictionary lookups after.
-        y_pos = schema.positions(tuple(y_vars) + tuple(context))
-        yz_pos = schema.positions(tuple(y_vars) + tuple(context) + tuple(z_vars))
-        x_pos = schema.positions(x_vars)
-        mass_g: dict[Config, Fraction] = {}
-        mass_gz: dict[Config, Fraction] = {}
-        mass_gx: dict[tuple[Config, Config], Fraction] = {}
-        mass_gzx: dict[tuple[Config, Config], Fraction] = {}
-        zero = Fraction(0)
-        for cfg, value in table.rows.items():
-            g = tuple(cfg[p] for p in y_pos)
-            gz = tuple(cfg[p] for p in yz_pos)
+        # Group the context's masses once, keyed by (y, z, x) projections;
+        # all conditionals are dictionary lookups after.
+        y_pos, z_pos, x_pos = map(schema.positions, (y_vars, z_vars, x_vars))
+        mass_y: dict[Config, Fraction] = {}
+        mass_yz: dict[tuple[Config, Config], Fraction] = {}
+        mass_yx: dict[tuple[Config, Config], Fraction] = {}
+        mass_yzx: dict[tuple[Config, Config, Config], Fraction] = {}
+        for cfg, value in rows:
+            yv = tuple(cfg[p] for p in y_pos)
+            zv = tuple(cfg[p] for p in z_pos)
             xv = tuple(cfg[p] for p in x_pos)
-            mass_g[g] = mass_g.get(g, zero) + value
-            mass_gz[gz] = mass_gz.get(gz, zero) + value
-            mass_gx[(g, xv)] = mass_gx.get((g, xv), zero) + value
-            mass_gzx[(gz, xv)] = mass_gzx.get((gz, xv), zero) + value
+            mass_y[yv] = mass_y.get(yv, ZERO) + value
+            mass_yz[yv, zv] = mass_yz.get((yv, zv), ZERO) + value
+            mass_yx[yv, xv] = mass_yx.get((yv, xv), ZERO) + value
+            mass_yzx[yv, zv, xv] = mass_yzx.get((yv, zv, xv), ZERO) + value
 
-        ctx_vals = {n: v for n, v in context.items()}
-        g_names = schema.order(tuple(y_vars) + tuple(ctx_vals))
-        gz_names = schema.order(tuple(g_names) + tuple(z_vars))
         for y_cfg in schema.configs(y_vars):
-            y_map = dict(zip(y_vars, y_cfg))
-            g_key = tuple({**y_map, **ctx_vals}[n] for n in g_names)
-            pg = mass_g.get(g_key, zero)
+            pg = mass_y.get(y_cfg, ZERO)
             if pg == 0:
                 vacuous += 1
                 continue
-            rhs = {
-                x_cfg: mass_gx.get((g_key, x_cfg), zero) / pg
-                for x_cfg in schema.configs(x_vars)
-            }
+            rhs = {x_cfg: mass_yx.get((y_cfg, x_cfg), ZERO) / pg for x_cfg in x_configs}
             for z_cfg in schema.configs(z_vars):
-                z_map = dict(zip(z_vars, z_cfg))
-                gz_key = tuple({**y_map, **ctx_vals, **z_map}[n] for n in gz_names)
-                pgz = mass_gz.get(gz_key, zero)
+                pgz = mass_yz.get((y_cfg, z_cfg), ZERO)
                 if pgz == 0:
                     vacuous += 1
                     continue
-                for x_cfg in schema.configs(x_vars):
+                for x_cfg in x_configs:
                     comparisons += 1
-                    lhs = mass_gzx.get((gz_key, x_cfg), zero) / pgz
+                    lhs = mass_yzx.get((y_cfg, z_cfg, x_cfg), ZERO) / pgz
                     if lhs != rhs[x_cfg] and counterexample is None:
                         counterexample = Counterexample(
                             x_cfg, y_cfg, z_cfg, lhs, None, rhs[x_cfg]
@@ -326,24 +315,26 @@ def _strong_check(
             comparisons, vacuous, context_in_support, counterexample
         )
 
-    # Conditional-shaped path: constancy of stored values across z.
+    # Conditional-shaped path: constancy of stored values across z. X, Y, the
+    # context and Z cover the schema, so each cell is one full configuration,
+    # assembled from the parts in schema order.
     assert table.givens is not None
-    given_support = {
-        schema.project(cfg, table.givens) for cfg in table.rows
-    }
+    parts = tuple(x_vars) + tuple(y_vars) + tuple(context) + tuple(z_vars)
+    full_pos = [parts.index(n) for n in schema.names]
+    given_pos = schema.positions(table.givens)
+    given_support = {tuple(cfg[p] for p in given_pos) for cfg, _ in rows}
+    ctx_cfg = tuple(context.values())
+    strict = table.kind != RAW
     for y_cfg in schema.configs(y_vars):
-        y_map = dict(zip(y_vars, y_cfg))
-        for x_cfg in schema.configs(x_vars):
-            x_map = dict(zip(x_vars, x_cfg))
+        for x_cfg in x_configs:
             baseline: tuple[Config, Fraction] | None = None
             for z_cfg in schema.configs(z_vars):
-                z_map = dict(zip(z_vars, z_cfg))
-                full = schema.merge(x_map, y_map, dict(context), z_map)
-                g_proj = schema.project(full, table.givens)
-                if table.kind != RAW and g_proj not in given_support:
+                cell = x_cfg + y_cfg + ctx_cfg + z_cfg
+                full = tuple(cell[p] for p in full_pos)
+                if strict and tuple(full[p] for p in given_pos) not in given_support:
                     vacuous += 1
                     continue
-                value = table.value(full)
+                value = table.rows.get(full, ZERO)
                 if baseline is None:
                     baseline = (z_cfg, value)
                     continue
@@ -416,40 +407,36 @@ def _class_report(
     y_vars: Sequence[str],
     z_vars: Sequence[str],
 ) -> ClassReport:
-    schema = table.schema
     x_values = _sorted_configs(table, x_vars, projected_domain(block, support, x_vars))
     y_values = _sorted_configs(table, y_vars, projected_domain(block, support, y_vars))
     z_values = _sorted_configs(table, z_vars, projected_domain(block, support, z_vars))
     assert len(y_values) == 1, "composed class spans several Y-values"
-    y_map = dict(zip(y_vars, y_values[0]))
-    vacuous = len(z_values) < 2
     counterexample: ClassCounterexample | None = None
 
-    joint = table.kind == JOINT
-    if joint:
-        zero = Fraction(0)
-        mass_total = zero
-        mass_x: dict[Config, Fraction] = {}
-        mass_z: dict[Config, Fraction] = {}
-        x_pos = support.positions(x_vars)
-        z_pos = support.positions(z_vars)
-        for i in block:
-            value = table.value(support.rows[i][1])
-            mass_total += value
-            xv = support.project(i, x_pos)
-            zv = support.project(i, z_pos)
-            mass_x[xv] = mass_x.get(xv, zero) + value
-            mass_z[zv] = mass_z.get(zv, zero) + value
+    # X, Y and Z cover the schema and the class is a join block with one
+    # Y-value, so every supported (x, y, z) with x and z in the class's
+    # projected domains is a row of this block: its cells are read here.
+    x_pos, z_pos = support.positions(x_vars), support.positions(z_vars)
+    cells: dict[tuple[Config, Config], Fraction] = {}
+    mass_x: dict[Config, Fraction] = {}
+    mass_z: dict[Config, Fraction] = {}
+    for i in block:
+        value = table.rows[support.rows[i][1]]
+        xv = support.project(i, x_pos)
+        zv = support.project(i, z_pos)
+        cells[xv, zv] = value
+        mass_x[xv] = mass_x.get(xv, ZERO) + value
+        mass_z[zv] = mass_z.get(zv, ZERO) + value
+    mass_total = sum(mass_z.values(), ZERO)
     # Joint tables compare class-restricted conditionals, which must also
     # equal the class marginal of x; conditional-shaped tables compare the
     # stored values.
+    joint = table.kind == JOINT
     for x_cfg in x_values:
-        x_map = dict(zip(x_vars, x_cfg))
         expected = mass_x[x_cfg] / mass_total if joint else None
         baseline: tuple[Config, Fraction] | None = None
         for z_cfg in z_values:
-            z_map = dict(zip(z_vars, z_cfg))
-            value = table.value(schema.merge(x_map, y_map, z_map))
+            value = cells.get((x_cfg, z_cfg), ZERO)
             if joint:
                 value /= mass_z[z_cfg]
             if baseline is None:
@@ -469,7 +456,7 @@ def _class_report(
         y_values,
         z_values,
         counterexample is None,
-        vacuous,
+        len(z_values) < 2,
         counterexample,
     )
 

@@ -17,19 +17,15 @@ Config = tuple[str, ...]
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Ordered, indexed list of positive-probability configurations."""
+    """Ordered, indexed list of distinct positive-probability configurations."""
 
     variables: tuple[str, ...]
     rows: tuple[tuple[str, Config], ...]  # (label, config), index = position
 
     def __post_init__(self) -> None:
-        seen: set[Config] = set()
         for _, cfg in self.rows:
             if len(cfg) != len(self.variables):
                 raise SchemaError("support row arity does not match variables")
-            if cfg in seen:
-                raise SchemaError(f"duplicate configuration in support: {cfg}")
-            seen.add(cfg)
 
     def __len__(self) -> int:
         return len(self.rows)

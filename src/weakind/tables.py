@@ -99,23 +99,6 @@ class VariableSchema:
                     f"value {value!r} outside domain of variable {name!r}"
                 )
 
-    def project(self, config: Config, names: Iterable[str]) -> Config:
-        positions = self.positions(names)
-        return tuple(config[p] for p in positions)
-
-    def merge(self, *parts: Mapping[str, str]) -> Config:
-        """Assemble a full configuration from disjoint partial assignments."""
-        merged: dict[str, str] = {}
-        for part in parts:
-            for name, value in part.items():
-                if name in merged and merged[name] != value:
-                    raise SchemaError(f"conflicting assignments for {name!r}")
-                merged[name] = value
-        if set(merged) != set(self.names):
-            missing = set(self.names) - set(merged)
-            raise SchemaError(f"assignment does not cover variables: {sorted(missing)}")
-        return tuple(merged[n] for n in self.names)
-
     def configs(self, names: Iterable[str] | None = None) -> Iterator[Config]:
         """All configurations over a subset, lexicographic in domain order."""
         subset = self.names if names is None else self.order(names)
@@ -226,9 +209,6 @@ class Table:
     def total_mass(self) -> Fraction:
         return sum(self.rows.values(), ZERO)
 
-    def value(self, config: Config) -> Fraction:
-        return self.rows.get(tuple(config), ZERO)
-
     def support(self) -> SupportSet:
         """Positive rows in document order, labelled t1, t2, ..."""
         rows = tuple(
@@ -250,9 +230,10 @@ class Table:
                     Violation("joint-sum", f"probabilities sum to {total}, not 1")
                 )
         else:
+            given_pos = self.schema.positions(self.givens or ())
             by_given: dict[Config, Fraction] = {}
             for config, value in self.rows.items():
-                g = self.schema.project(config, self.givens or ())
+                g = tuple(config[p] for p in given_pos)
                 by_given[g] = by_given.get(g, ZERO) + value
             for g in sorted(by_given, key=lambda c: c):
                 total = by_given[g]
@@ -265,19 +246,6 @@ class Table:
                         )
                     )
         return ValidationReport(tuple(violations))
-
-    # -- probabilistic operations -------------------------------------------
-
-    def partial_mass(self, assignment: Mapping[str, str]) -> Fraction:
-        """Sum of all rows matching a partial assignment."""
-        self.schema.check_partial(assignment)
-        positions = self.schema.positions(assignment)
-        wanted = tuple(assignment[self.schema.names[p]] for p in positions)
-        total = ZERO
-        for config, value in self.rows.items():
-            if tuple(config[p] for p in positions) == wanted:
-                total += value
-        return total
 
     # -- serialization -------------------------------------------------------
 
@@ -428,29 +396,21 @@ def serialize_table(table: Table, format: str = "json") -> str:
 
 
 def uniform_joint_extension(table: Table) -> Table:
-    """Joint table obtained by a uniform prior over supported given-configs.
+    """Joint table ``P(c) = v(c) / Σ v`` over a conditional-shaped table's rows.
 
     Conditional-shaped tables carry no distribution over their given-set, so
-    reports that need a joint input extend them by weighting each
-    given-configuration that has at least one positive row equally, then
-    normalizing the total mass exactly.
+    reports that need a joint input extend them. In a ``conditional`` table
+    each supported given-column sums to 1, so this weights every
+    given-configuration that has a positive row equally (a uniform prior).
+    In a ``raw`` table each given-configuration is weighted by its column's
+    value sum instead. Rows keep their order, and so their support labels.
     """
     if table.kind == JOINT:
         return table
-    assert table.givens is not None
-    by_given: dict[Config, list[tuple[Config, Fraction]]] = {}
-    for config, value in table.rows.items():
-        g = table.schema.project(config, table.givens)
-        by_given.setdefault(g, []).append((config, value))
-    if not by_given:
+    total = table.total_mass()
+    if not total:
         raise SchemaError("cannot extend a table with empty support")
-    count = Fraction(len(by_given))
-    rows: dict[Config, Fraction] = {}
-    for entries in by_given.values():
-        for config, value in entries:
-            rows[config] = value / count
-    total = sum(rows.values(), ZERO)
-    rows = {config: value / total for config, value in rows.items()}
+    rows = {config: value / total for config, value in table.rows.items()}
     return Table(table.schema, rows, JOINT)
 
 

@@ -14,6 +14,15 @@ middle element.
 per (outer, inner) split, builds cells through ``NestedCell.make`` and
 re-validates its output through the public ``NestedTable`` constructor.
 
+``naive_strong_check`` and ``naive_class_report`` are the twins of the
+checkers' inner steps ``independence._strong_check`` and
+``independence._class_report``: they rebuild every compared cell from the
+declared domains, merging per-value assignments into full configurations
+and looking each one up, instead of reading the rows already in hand.
+``naive_uniform_joint_extension`` regroups rows by given-configuration
+before it normalizes, where ``tables.uniform_joint_extension`` divides once
+by the total mass.
+
 The closure references reuse the package's literal rule functions but none
 of its fixed-point machinery: ``naive_closure`` tries every premise pair or
 triple for CIWI2, and ``missing_conclusions`` checks closedness by key
@@ -45,7 +54,14 @@ from weakind.axioms import (
 )
 from weakind.errors import LimitError, RuleShapeError, SchemaError, StatementError
 from weakind.granular import Attribute, NestedCell, NestedTable
+from weakind.independence import (
+    ClassCounterexample,
+    ClassReport,
+    Counterexample,
+    StrongCertificate,
+)
 from weakind.partitions import CommutationResult, Partition
+from weakind.tables import JOINT, RAW, Table
 
 ZERO = Fraction(0)
 
@@ -191,6 +207,28 @@ def _mass(table, positions, wanted):
     return total
 
 
+def _partial_mass(table, assignment):
+    """Sum of all rows matching a partial assignment."""
+    return _mass(table, _positions(table, list(assignment)), list(assignment.values()))
+
+
+def _project(table, config, names):
+    """A configuration's values on ``names``, in schema order."""
+    return tuple(config[p] for p in sorted(_positions(table, names)))
+
+
+def _merge(table, *parts):
+    """The full configuration assembled from disjoint partial assignments."""
+    merged = {}
+    for part in parts:
+        merged.update(part)
+    return tuple(merged[n] for n in table.schema.names)
+
+
+def _value(table, config):
+    return table.rows.get(tuple(config), ZERO)
+
+
 def cond_oracle(table, x_map, g_map):
     """P(x | g) for a joint table by direct summation; None when undefined."""
     g_pos = _positions(table, list(g_map))
@@ -211,7 +249,7 @@ def ci_oracle(table, x_vars, z_vars, y_vars):
         for z_cfg in schema.configs(z_vars):
             z_map = dict(zip(z_vars, z_cfg))
             yz_map = {**y_map, **z_map}
-            if table.partial_mass(yz_map) == 0:
+            if _partial_mass(table, yz_map) == 0:
                 continue
             for x_cfg in schema.configs(x_vars):
                 x_map = dict(zip(x_vars, x_cfg))
@@ -243,8 +281,7 @@ def _class_ci(table, rows, block, x_vars, y_vars, z_vars):
             if joint:
                 values.append(cond_oracle(table, x_map, {**y_map, **z_map}))
             else:
-                full = table.schema.merge(x_map, y_map, z_map)
-                values.append(table.rows.get(full, ZERO))
+                values.append(_value(table, _merge(table, x_map, y_map, z_map)))
         if any(v != values[0] for v in values):
             return False
         if joint:
@@ -305,6 +342,185 @@ def cwi_oracle(table, x_vars, z_vars, context):
         if good and len(zs) >= 2:
             witnesses += 1
     return witnesses > 0 or (len(classes) == 1 and satisfied[0])
+
+
+# ---------------------------------------------------------------------------
+# naive twins of the checkers' inner steps
+# ---------------------------------------------------------------------------
+
+
+def naive_strong_check(table, x_vars, z_vars, y_vars, context):
+    """Twin of ``independence._strong_check``: every cell from the declared domains.
+
+    The joint path keys its masses by schema-ordered projections that
+    include the context; the conditional-shaped path merges each full
+    configuration from per-value maps and looks it up.
+    """
+    schema = table.schema
+    context_in_support = True if not context else _partial_mass(table, context) > 0
+    comparisons = 0
+    vacuous = 0
+    counterexample = None
+
+    if table.kind == JOINT:
+        y_pos = schema.positions(tuple(y_vars) + tuple(context))
+        yz_pos = schema.positions(tuple(y_vars) + tuple(context) + tuple(z_vars))
+        x_pos = schema.positions(x_vars)
+        mass_g, mass_gz, mass_gx, mass_gzx = {}, {}, {}, {}
+        for cfg, value in table.rows.items():
+            g = tuple(cfg[p] for p in y_pos)
+            gz = tuple(cfg[p] for p in yz_pos)
+            xv = tuple(cfg[p] for p in x_pos)
+            mass_g[g] = mass_g.get(g, ZERO) + value
+            mass_gz[gz] = mass_gz.get(gz, ZERO) + value
+            mass_gx[(g, xv)] = mass_gx.get((g, xv), ZERO) + value
+            mass_gzx[(gz, xv)] = mass_gzx.get((gz, xv), ZERO) + value
+
+        ctx_vals = dict(context)
+        g_names = schema.order(tuple(y_vars) + tuple(ctx_vals))
+        gz_names = schema.order(tuple(g_names) + tuple(z_vars))
+        for y_cfg in schema.configs(y_vars):
+            y_map = dict(zip(y_vars, y_cfg))
+            g_key = tuple({**y_map, **ctx_vals}[n] for n in g_names)
+            pg = mass_g.get(g_key, ZERO)
+            if pg == 0:
+                vacuous += 1
+                continue
+            rhs = {
+                x_cfg: mass_gx.get((g_key, x_cfg), ZERO) / pg
+                for x_cfg in schema.configs(x_vars)
+            }
+            for z_cfg in schema.configs(z_vars):
+                z_map = dict(zip(z_vars, z_cfg))
+                gz_key = tuple({**y_map, **ctx_vals, **z_map}[n] for n in gz_names)
+                pgz = mass_gz.get(gz_key, ZERO)
+                if pgz == 0:
+                    vacuous += 1
+                    continue
+                for x_cfg in schema.configs(x_vars):
+                    comparisons += 1
+                    lhs = mass_gzx.get((gz_key, x_cfg), ZERO) / pgz
+                    if lhs != rhs[x_cfg] and counterexample is None:
+                        counterexample = Counterexample(
+                            x_cfg, y_cfg, z_cfg, lhs, None, rhs[x_cfg]
+                        )
+        return counterexample is None, StrongCertificate(
+            comparisons, vacuous, context_in_support, counterexample
+        )
+
+    given_support = {_project(table, cfg, table.givens) for cfg in table.rows}
+    for y_cfg in schema.configs(y_vars):
+        y_map = dict(zip(y_vars, y_cfg))
+        for x_cfg in schema.configs(x_vars):
+            x_map = dict(zip(x_vars, x_cfg))
+            baseline = None
+            for z_cfg in schema.configs(z_vars):
+                z_map = dict(zip(z_vars, z_cfg))
+                full = _merge(table, x_map, y_map, dict(context), z_map)
+                if (
+                    table.kind != RAW
+                    and _project(table, full, table.givens) not in given_support
+                ):
+                    vacuous += 1
+                    continue
+                value = _value(table, full)
+                if baseline is None:
+                    baseline = (z_cfg, value)
+                    continue
+                comparisons += 1
+                if value != baseline[1] and counterexample is None:
+                    counterexample = Counterexample(
+                        x_cfg, y_cfg, z_cfg, value, baseline[0], baseline[1]
+                    )
+    return counterexample is None, StrongCertificate(
+        comparisons, vacuous, context_in_support, counterexample
+    )
+
+
+def naive_class_report(table, support, block, x_vars, y_vars, z_vars):
+    """Twin of ``independence._class_report``: every cell merged and looked up.
+
+    Projected domains come from a direct scan of the block, and each
+    (x, z) cell is read from the table by its merged full configuration.
+    """
+    schema = table.schema
+
+    def domain(names):
+        pos = _positions(table, names)
+        values = {tuple(support.rows[i][1][p] for p in pos) for i in block}
+        domains = [schema.variable(n).domain for n in names]
+        return tuple(
+            sorted(values, key=lambda c: [d.index(v) for d, v in zip(domains, c)])
+        )
+
+    x_values, y_values, z_values = domain(x_vars), domain(y_vars), domain(z_vars)
+    assert len(y_values) == 1
+    y_map = dict(zip(y_vars, y_values[0]))
+    counterexample = None
+    joint = table.kind == JOINT
+    if joint:
+        x_pos, z_pos = _positions(table, x_vars), _positions(table, z_vars)
+        mass_total, mass_x, mass_z = ZERO, {}, {}
+        for i in block:
+            cfg = support.rows[i][1]
+            value = _value(table, cfg)
+            mass_total += value
+            xv = tuple(cfg[p] for p in x_pos)
+            zv = tuple(cfg[p] for p in z_pos)
+            mass_x[xv] = mass_x.get(xv, ZERO) + value
+            mass_z[zv] = mass_z.get(zv, ZERO) + value
+    for x_cfg in x_values:
+        x_map = dict(zip(x_vars, x_cfg))
+        expected = mass_x[x_cfg] / mass_total if joint else None
+        baseline = None
+        for z_cfg in z_values:
+            z_map = dict(zip(z_vars, z_cfg))
+            value = _value(table, _merge(table, x_map, y_map, z_map))
+            if joint:
+                value /= mass_z[z_cfg]
+            if baseline is None:
+                baseline = (z_cfg, value)
+            elif value != baseline[1] and counterexample is None:
+                counterexample = ClassCounterexample(
+                    x_cfg, z_cfg, value, baseline[0], baseline[1], "constancy"
+                )
+            if joint and value != expected and counterexample is None:
+                counterexample = ClassCounterexample(
+                    x_cfg, z_cfg, value, None, expected, "marginal"
+                )
+    return ClassReport(
+        tuple(support.rows[i][0] for i in sorted(block)),
+        x_values,
+        y_values,
+        z_values,
+        counterexample is None,
+        len(z_values) < 2,
+        counterexample,
+    )
+
+
+def naive_uniform_joint_extension(table):
+    """Twin of ``tables.uniform_joint_extension``: regroup by given-configuration.
+
+    Each supported given-configuration gets weight 1/count, then the total
+    is normalized; the result equals ``v / Σ v`` row by row.
+    """
+    if table.kind == JOINT:
+        return table
+    by_given = {}
+    for config, value in table.rows.items():
+        by_given.setdefault(_project(table, config, table.givens), []).append(
+            (config, value)
+        )
+    if not by_given:
+        raise SchemaError("cannot extend a table with empty support")
+    count = Fraction(len(by_given))
+    rows = {}
+    for entries in by_given.values():
+        for config, value in entries:
+            rows[config] = value / count
+    total = sum(rows.values(), ZERO)
+    return Table(table.schema, {c: v / total for c, v in rows.items()}, JOINT)
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,16 @@ def test_probe_unknown_rule():
     assert generated == soundness_probe(3, 2, trials=4, seed=0, rules=("WI1", "WI3"))
 
 
+def test_probe_universe_bound_before_any_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built past the universe bound")
+
+    monkeypatch.setattr(axioms, "random_joint_table", no_table)
+    too_many = axioms.MAX_UNIVERSE + 1
+    with pytest.raises(LimitError, match=f"universe of {too_many} variables exceeds"):
+        soundness_probe(too_many, 2, trials=1, seed=0)
+
+
 @pytest.mark.parametrize("variables, trials", [(3, 100), (4, 10)])
 def test_probe_same_with_naive_closure(monkeypatch, variables, trials):
     indexed = soundness_probe(variables, 2, trials, 0).to_json_dict()

@@ -163,6 +163,7 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("nest", "--by", "NOPE", "--as", "B",
                str(DATA / "nest_demo.json")).exit_code == 2
     assert run("probe", "--rules", "WI9").exit_code == 2
+    assert run("probe", "--vars", "9", "--trials", "1").exit_code == 2
 
     # Malformed field types in a table document, strings included: a string
     # is not read as a list of characters.

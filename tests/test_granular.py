@@ -330,3 +330,25 @@ def test_nest_matches_naive(table, data):
         assert_same_nest(nest(loaded, b2, s2), naive_nest(loaded, b2, s2))
         by = (b1,) + tuple(names[j:])
         assert_same_nest(nest(loaded, "C", by), naive_nest(loaded, "C", by))
+
+
+def test_public_constructor_rejects_noncanonical_cells():
+    a = Attribute("A", domain=("0", "1"))
+    other = Attribute("C", domain=("0", "1"))
+    outer = Attribute("B", nested=(a,))
+    half = Fraction(1, 2)
+    for rows in (
+        ((("0",), Fraction(1, 3)),),  # mass 1/3, which unnest would pass on
+        ((("0",), -half), (("1",), Fraction(3, 2))),  # a negative entry
+        ((("1",), half), (("0",), half)),  # unsorted
+        ((("0",), half), (("0",), half)),  # repeated
+        ((("0",), Fraction(0)), (("1",), Fraction(1))),  # a zero entry
+    ):
+        with pytest.raises(SchemaError):
+            NestedTable((outer,), {(NestedCell((a,), rows),): Fraction(1)})
+    with pytest.raises(SchemaError):  # attributes other than the nested ones
+        NestedTable((outer,), {(NestedCell((other,), ((("0",), Fraction(1)),)),): 1})
+    good = NestedCell((a,), ((("0",), half), (("1",), half)))
+    table = NestedTable((outer,), {(good,): Fraction(1)})
+    assert good == cell((a,), {("1",): "1/2", ("0",): "1/2"})
+    assert unnest(table, "B").total_mass() == 1

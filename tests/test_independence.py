@@ -2,11 +2,14 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weakind import independence, tables
-from weakind.errors import StatementError
+from weakind.errors import SchemaError, StatementError
 from weakind.independence import (
     Limits,
     check_ci,
@@ -353,3 +356,104 @@ def test_enumerate_truncation_marker(wi_cpt):
 def test_enumerate_unknown_kind(wi_cpt):
     with pytest.raises(StatementError):
         enumerate_statements(wi_cpt, ("XX",))
+
+
+# ---------------------------------------------------------------------------
+# differential test against the naive twins
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def kinded_tables(draw):
+    """Sparse joint, conditional or raw tables of 2-4 variables, domains 1-3."""
+    n = draw(st.integers(2, 4))
+    names = [f"V{i}" for i in range(n)]
+    variables = [(v, [str(d) for d in range(draw(st.integers(1, 3)))]) for v in names]
+    kind = draw(st.sampled_from(["joint", "conditional", "raw"]))
+    configs = list(product(*(d for _, d in variables)))
+    weights = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=len(configs),
+                            max_size=len(configs)))
+    if kind == "joint":
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        rows = [(c, Fraction(w, total)) for c, w in zip(configs, weights)]
+        return make_table(variables, rows)
+    targets = tuple(draw(st.sets(st.sampled_from(names), min_size=1, max_size=n - 1)))
+    givens = tuple(v for v in names if v not in targets)
+    rows = list(zip(configs, (Fraction(w, draw(st.integers(1, 3))) for w in weights)))
+    if kind == "conditional":
+        # Every supported given-column sums to 1; some columns stay empty.
+        g_pos = [names.index(v) for v in givens]
+        column = {}
+        for c, w in rows:
+            g = tuple(c[p] for p in g_pos)
+            column[g] = column.get(g, 0) + w
+        rows = [(c, w / column[tuple(c[p] for p in g_pos)]) for c, w in rows if w]
+    return make_table(variables, rows, kind, targets, givens)
+
+
+@st.composite
+def statements(draw):
+    """A table with a random role per variable and a context drawn per role C."""
+    table = draw(kinded_tables())
+    names = table.schema.names
+    if table.kind == "joint":
+        # "-" leaves a variable out, which only strong statements allow.
+        roles = {v: draw(st.sampled_from("XZYC-")) for v in names}
+        x, z = draw(st.permutations(names))[:2]
+        roles.update({x: "X", z: "Z"})
+    else:
+        roles = {v: "X" for v in table.targets}
+        roles.update({v: draw(st.sampled_from("ZYC")) for v in table.givens})
+        roles[draw(st.sampled_from(table.givens))] = "Z"
+    groups = {r: tuple(v for v in names if roles[v] == r) for r in "XZYC"}
+    context = {v: draw(st.sampled_from(table.schema.variable(v).domain)) for v in groups["C"]}
+    return table, groups, context
+
+
+def _verdicts(table, g, context):
+    calls = {
+        "CI": lambda: check_ci(table, g["X"], g["Z"], g["Y"] + g["C"]),
+        "CSI": lambda: check_csi(table, g["X"], g["Z"], g["Y"], context),
+        "PCI": lambda: check_pci(table, g["X"], g["Z"] + g["Y"], context),
+        "CWI": lambda: check_cwi(table, g["X"], g["Z"] + g["Y"], context),
+        "WI": lambda: check_wi(table, g["X"], g["Z"], g["Y"] + g["C"]),
+    }
+    out = {}
+    for kind, call in calls.items():
+        try:
+            out[kind] = call()
+        except StatementError as exc:
+            out[kind] = str(exc)
+    return out
+
+
+@given(statements())
+@settings(max_examples=400, deadline=None)
+@example((make_table(
+    [("A", "01"), ("B", "012"), ("C", "01")],
+    [(("0", "0", "0"), "1/2"), (("1", "1", "1"), "1/2")],
+), {"X": ("A",), "Z": ("C",), "Y": (), "C": ("B",)}, {"B": "2"}))
+@example((make_table(
+    [("X", "01"), ("Y", "012"), ("Z", "012")],
+    [(("0", "0", "0"), "1/2"), (("1", "0", "0"), "1/2"), (("0", "0", "1"), "1"),
+     (("0", "1", "2"), "1/3"), (("1", "1", "2"), "2/3")],
+    "conditional", ("X",), ("Y", "Z"),
+), {"X": ("X",), "Z": ("Z",), "Y": (), "C": ("Y",)}, {"Y": "2"}))
+def test_checks_match_naive_twins(case):
+    table, groups, context = case
+    fast = _verdicts(table, groups, context)
+    with mock.patch.object(independence, "_strong_check", oracles.naive_strong_check), \
+            mock.patch.object(independence, "_class_report", oracles.naive_class_report):
+        naive = _verdicts(table, groups, context)
+    # Dataclass equality compares every certificate field, Fractions exactly.
+    assert fast == naive
+    try:
+        extension = tables.uniform_joint_extension(table)
+    except SchemaError:
+        with pytest.raises(SchemaError):
+            oracles.naive_uniform_joint_extension(table)
+        return
+    assert extension == oracles.naive_uniform_joint_extension(table)
+    assert list(extension.rows) == list(table.rows)

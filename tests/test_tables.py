@@ -11,8 +11,8 @@ from conftest import load_fixture
 
 
 def test_json_decimals_parse_exactly(nest_demo):
-    assert nest_demo.value(("1", "1", "2")) == Fraction(1, 8)
-    assert nest_demo.value(("1", "3", "4")) == Fraction(1, 4)
+    assert nest_demo.rows[("1", "1", "2")] == Fraction(1, 8)
+    assert nest_demo.rows[("1", "3", "4")] == Fraction(1, 4)
     assert sorted(nest_demo.rows.values()) == sorted(
         [Fraction(1, 8)] * 6 + [Fraction(1, 4)]
     )
@@ -32,9 +32,9 @@ def test_empty_joint_rejected():
 def test_raw_instantiation_accepted(cwi_cpt):
     # Structural constraints of the recorded instantiation, cross-checked by
     # the brute-force contextual oracle.
-    p1 = cwi_cpt.value(("0", "0", "0", "0"))
-    p3 = cwi_cpt.value(("2", "0", "2", "2"))
-    p4 = cwi_cpt.value(("2", "0", "3", "2"))
+    p1 = cwi_cpt.rows.get(("0", "0", "0", "0"), 0)
+    p3 = cwi_cpt.rows.get(("2", "0", "2", "2"), 0)
+    p4 = cwi_cpt.rows.get(("2", "0", "3", "2"), 0)
     assert p1 != 0
     assert p3 != p4
     assert cwi_cpt.kind == "raw"
@@ -69,7 +69,7 @@ def test_wi_cpt_columns_normalize(wi_cpt):
     # given-configuration's column sums to exactly 1.
     by_given = {}
     for cfg, value in wi_cpt.rows.items():
-        g = wi_cpt.schema.project(cfg, wi_cpt.givens)
+        g = oracles._project(wi_cpt, cfg, wi_cpt.givens)
         by_given[g] = by_given.get(g, Fraction(0)) + value
     assert set(by_given.values()) == {Fraction(1)}
 
