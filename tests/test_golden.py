@@ -43,6 +43,7 @@ def _cases():
     wi, cwi, csi = (str(DATA / n) for n in ("wi_cpt.json", "cwi_cpt.json", "csi_cpt.json"))
     nest_demo = str(DATA / "nest_demo.json")
     cond = str(DATA / "cond_cpt.json")
+    escape = str(DATA / "escape_cpt.json")
     cases.update({
         "check-ci": ("check", "--kind", "ci", "--x", "X", "--z", "Z,W", "--y", "Y", wi),
         "check-ci-joint": (
@@ -92,6 +93,12 @@ def _cases():
             )
         },
         "probe-4": ("probe", "--vars", "4", "--trials", "3"),
+        # Names and values that need JSON escapes: a quote, a backslash,
+        # control characters, a non-ASCII letter and a non-BMP character.
+        "check-escape-wi": (
+            "check", "--kind", "wi", "--x", 'X"q', "--z", "Z\x01\U0001d538",
+            "--y", "Y\\s", escape,
+        ),
     })
     return cases
 
@@ -113,6 +120,7 @@ DIGESTS = {
     'check-csi-fails': '6c453a7435537d1d1733df75b660b60fc926319427a97cab52a81b4263aa96d9',
     'check-cwi': '7fa4c1791fc182b52a122fa2095fb2e02d1d92714d0e146262c29a145bfa3738',
     'check-cwi-fails': '703aa8dd32ba695999713fbe50cf432e18f17a9fba88a055a3afad893e0867fd',
+    'check-escape-wi': 'fa180ccd3c077dd571162b9ede4dd9fd123814d8ed5b5055c3dcdf882844f83a',
     'check-pci': 'db05bd170d59f4955170fbb11113e75d687483d938845439f729851b5887f686',
     'check-wi': '65b908315097bd7e25b43098db31c17cf4969d70f6dba029e6058c0bb092359f',
     'check-wi-joint': '290b818d460a1eefd726f8c63e4809dfa19e8795e4dc97b7878f0b5c64f24b48',
@@ -124,23 +132,28 @@ DIGESTS = {
     'enumerate-limited:cond_cpt.json': '419638856de4e14987a93e7aee32e915c2df7c92ea6f299a271f6f34943b725b',
     'enumerate-limited:csi_cpt.json': '600101c3fdb0d7ed749ebf14d8a39c185e586a54d4343ea773e0c722b007f516',
     'enumerate-limited:cwi_cpt.json': 'd2281c599402b5768f4fef1a4ae5a7400c9003ab86b9d585f1e8097f27623097',
+    'enumerate-limited:escape_cpt.json': '657e44d1720c7b8305f07491980dabbefeaaffcf6cc238a72bd493ac5e9c584d',
     'enumerate-limited:nest_demo.json': '09b8006df69de64f1bfdab45703a39965d45c9a1e5e0d40a38936e3970f5caec',
     'enumerate-limited:noncommuting.json': 'afa490a3583e49cba4de3f933dddfb50134169c1847602760459ed5afc0dd6f6',
     'enumerate-limited:wi_cpt.json': 'b0807929d4aa3e791334d12f86be192e46a141df0e26e31410988e261e7856ac',
     'enumerate:cond_cpt.json': 'b123a4fb4417f3e9643cefd14886486028be9a3e517031d39fd53d0ba7c3ebba',
     'enumerate:csi_cpt.json': '540fffe81d5eaf324e351e6d4584914fb2195c40619830b6aca27cb51b479983',
     'enumerate:cwi_cpt.json': 'f4758edc225bcb7c6bb44480f49f73f0ef6b4793d98a8754c5fe71224938b9ad',
+    'enumerate:escape_cpt.json': 'fbfbc017ded38d09804256c7ab028518889a4aa088aa19c0cbb80c1948898e80',
     'enumerate:nest_demo.json': '1d76de623ec94decaf0caa0dbdfbf0b6d9882a520e4607419453e841cbdad845',
     'enumerate:noncommuting.json': '9645c45e372f086bc1648f8e59d70fc202c1dc9feb382d82da40798cae219796',
     'enumerate:wi_cpt.json': '91a8836ce59a5f78619a6d8ebff06c10d2174efc83d4819ac1078c7543866510',
     'nest': '1b0900690df786a8ebd2717b62d6f2d28a52b8681ec4a0bee56eb812bca352dd',
+    'nest-escape': '307f37d05b8a1a63c6270f836aa6c0891649e4a5ba43c4308dfe964c2ff73318',
     'nest-nested': '9699763840e864390e932ab667625c8993b98cef455608067685772b41e369ca',
     'probe-3': '094fa886032319db150466c8fea185b1d1c45daf4ae61c52dd280088d2a0dba0',
     'probe-4': 'b65a8fff8ecbdbb27db22ad8cc7f44d4a217071ff6cff287a4ff23931922119e',
     'unnest': 'fe4e1eeff03adaefdbc82a39a7567efcd5b07c6ecf0796f9963866838646cc48',
+    'unnest-escape': '09673f6af7a53fa214c6ae5b15e0ee91a97d4b78452598006d3abd3d405c9072',
     'validate:cond_cpt.json': '2536d57b6bf1737098497504e6c5ac4f6ef790f7db3949dfaa0dfdabab02d074',
     'validate:csi_cpt.json': 'f31897ef7cb6c99f059b1894e53a48af29e78ae5fb3cfeb5ac052050e4eec29c',
     'validate:cwi_cpt.json': '56e2b07a1d8e7be9e60981ddaca8da9a598bfeb01f9f5ef7933fb5ce65d950df',
+    'validate:escape_cpt.json': 'af3c690619e9835850989681e30b3b4893e31458b8a2c55c1e2d6c6357276f8c',
     'validate:nest_demo.json': 'b312d104e3ea1e5e958c313038f0db4376577db4df854aa93e8f8a1349f00080',
     'validate:noncommuting.json': 'b87c683711f44b7e6b79f00f7a5dedb2add1b07bc99a6f5da2dc4f4a9d165189',
     'validate:wi_cpt.json': '6666e17c36fba1f5c713d23685cd60859dbf3be72d5a5f9e76c966d6c0aed574',
@@ -162,6 +175,11 @@ def _outputs(tmp_path):
     # A second-level nest: the grouping key holds the nested cells of B.
     nest_a2 = _run(("nest", "--by", "A2", "--as", "B", str(DATA / "nest_demo.json")))
     out["nest-nested"] = _run(("nest", "--by", "A3", "--as", "C", "-"), stdin=nest_a2.stdout)
+    escape = str(DATA / "escape_cpt.json")
+    out["nest-escape"] = _run(("nest", "--by", "Z\x01\U0001d538", "--as", 'N"\u00e9', escape))
+    out["unnest-escape"] = _run(
+        ("unnest", "--attr", 'N"\u00e9', "-"), stdin=out["nest-escape"].stdout
+    )
     premises = tmp_path / "premises.json"
     premises.write_text(json.dumps(PREMISES))
     derive = ("derive", "--premises", str(premises), "--universe", "A,B,C,D")

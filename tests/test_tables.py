@@ -147,6 +147,7 @@ def test_json_round_trip_all_fixtures():
         "cond_cpt.json",
         "csi_cpt.json",
         "cwi_cpt.json",
+        "escape_cpt.json",
         "wi_cpt.json",
         "nest_demo.json",
         "noncommuting.json",
