@@ -38,6 +38,7 @@ RULE_CIWI2 = "CIWI2"
 ALL_RULES = (RULE_WI1, RULE_WI2, RULE_WI3, RULE_CIWI1, RULE_CIWI2)
 
 MAX_UNIVERSE = 8
+MAX_PROBE_CONFIGS = 4096  # domain_size ** variables of one probe table
 
 
 def _names(values: Iterable[str]) -> tuple[str, ...]:
@@ -553,11 +554,15 @@ def soundness_probe(
     For each random joint table, the semantically holding statements are
     closed under the selected rules and every derived statement is evaluated
     semantically (after the documented repair for tagged forms). The report
-    is deterministic for a fixed seed. A universe past ``MAX_UNIVERSE``
-    raises ``LimitError`` before any table is built.
+    is deterministic for a fixed seed. A universe past ``MAX_UNIVERSE``, or
+    tables of more than ``MAX_PROBE_CONFIGS`` configurations, raise
+    ``LimitError`` before any table is built.
     """
     if variables > MAX_UNIVERSE:
         raise LimitError(f"universe of {variables} variables exceeds bound {MAX_UNIVERSE}")
+    if domain_size ** variables > MAX_PROBE_CONFIGS:
+        limit = f"bound {MAX_PROBE_CONFIGS} on table configurations"
+        raise LimitError(f"{domain_size}^{variables} exceeds {limit}")
     active = _active_rules(rules)
     rng = random.Random(seed)
     names = [chr(ord("A") + i) for i in range(variables)]

@@ -26,6 +26,7 @@ from .tables import (
     Variable,
     VariableSchema,
     _json_list,
+    _parse_json,
     _to_fraction,
     frac_str,
     uniform_joint_extension,
@@ -420,10 +421,7 @@ def serialize_nested(table: NestedTable) -> str:
 def load_nested(text: str | bytes) -> NestedTable:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    try:
-        doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON document: {exc}") from exc
+    doc = _parse_json(text)
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ParseError("nested table document requires an 'attributes' field")
     attributes = tuple(_attribute_from_json(a) for a in _json_list(doc, "attributes"))

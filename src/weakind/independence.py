@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 from .errors import StatementError
@@ -247,12 +248,8 @@ def _context_tuple(
 def _sorted_configs(
     table: Table, names: Sequence[str], values: Iterable[Config]
 ) -> tuple[Config, ...]:
-    domains = [table.schema.variable(n).domain for n in names]
-
-    def key(cfg: Config) -> tuple[int, ...]:
-        return tuple(d.index(v) for d, v in zip(domains, cfg))
-
-    return tuple(sorted(values, key=key))
+    index = [table.schema.value_index[n] for n in names]
+    return tuple(sorted(values, key=lambda cfg: tuple(map(getitem, index, cfg))))
 
 
 # ---------------------------------------------------------------------------

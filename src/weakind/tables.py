@@ -20,12 +20,16 @@ import hashlib
 import io
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import IO, Iterable, Iterator, Mapping
+from json.encoder import encode_basestring_ascii
+from operator import getitem
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .errors import NormalizationError, ParseError, SchemaError
+from .errors import LimitError, NormalizationError, ParseError, SchemaError
 from .partitions import SupportSet
 
 Config = tuple[str, ...]
@@ -37,6 +41,8 @@ KINDS = (JOINT, CONDITIONAL, RAW)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+MAX_LITERAL_DIGITS = 4300  # Python's int <-> str cap: every loaded value prints
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,11 @@ class VariableSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
+    @cached_property
+    def value_index(self) -> dict[str, dict[str, int]]:
+        """Per variable name, in schema order: each domain value's position."""
+        return {v.name: {d: i for i, d in enumerate(v.domain)} for v in self.variables}
+
     def variable(self, name: str) -> Variable:
         for v in self.variables:
             if v.name == name:
@@ -86,11 +97,9 @@ class VariableSchema:
     def check_config(self, config: Config) -> None:
         if len(config) != len(self.variables):
             raise SchemaError(f"configuration {config} has wrong arity")
-        for value, var in zip(config, self.variables):
-            if value not in var.domain:
-                raise SchemaError(
-                    f"value {value!r} outside domain of variable {var.name!r}"
-                )
+        for value, (name, index) in zip(config, self.value_index.items()):
+            if value not in index:
+                raise SchemaError(f"value {value!r} outside domain of variable {name!r}")
 
     def check_partial(self, assignment: Mapping[str, str]) -> None:
         for name, value in assignment.items():
@@ -106,28 +115,59 @@ class VariableSchema:
         return product(*domains)
 
     def sort_key(self, config: Config) -> tuple[int, ...]:
-        return tuple(
-            var.domain.index(value) for var, value in zip(self.variables, config)
-        )
+        return tuple(map(getitem, self.value_index.values(), config))
+
+
+def _parse_literal(text: str) -> Fraction:
+    """``Fraction(text)``, but ``LimitError`` before it would build a numerator or
+    denominator of more than ``MAX_LITERAL_DIGITS`` digits. The ASCII ``n/d``
+    and ``n`` forms ``frac_str`` writes skip ``Fraction``'s string parser."""
+    num, slash, den = text.partition("/")
+    if num.isdigit() and num.isascii() and (not slash or den.isdigit() and den.isascii()):
+        if max(len(num), len(den)) <= MAX_LITERAL_DIGITS:
+            return Fraction(int(num), int(den) if slash else 1)
+    elif slash:
+        if max(_digits(num), _digits(den)) <= MAX_LITERAL_DIGITS:
+            return Fraction(text)
+    else:
+        mantissa, _, exp = text.lower().partition("e")
+        whole, _, decimals = mantissa.partition(".")
+        try:
+            shift = int(exp) if exp else 0
+        except ValueError:
+            shift = 0  # malformed: Fraction(text) reports it
+        places = _digits(decimals)
+        sizes = (_digits(whole) + places + max(shift, 0), places + max(-shift, 0) + 1)
+        if max(sizes) <= MAX_LITERAL_DIGITS:
+            return Fraction(text)
+    raise LimitError(f"probability literal spells more than {MAX_LITERAL_DIGITS} digits")
+
+
+def _digits(text: str) -> int:
+    return sum(map(str.isdigit, text))
 
 
 def _to_fraction(value: object) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"invalid probability literal: {value!r}")
-    if isinstance(value, Fraction):
-        result = value
-    elif isinstance(value, int):
-        result = Fraction(value)
-    elif isinstance(value, str):
+    if isinstance(value, str):
         try:
-            result = Fraction(value)
+            result = _parse_literal(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"invalid probability literal: {value!r}") from exc
+    elif isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        result = Fraction(value)
     else:
         raise ParseError(f"invalid probability literal: {value!r}")
-    if result < 0:
+    if result.numerator < 0:
         raise SchemaError(f"negative probability: {result}")
     return result
+
+
+def _exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """``sum(values, ZERO)``, adding numerators per denominator first."""
+    numerators: defaultdict[int, int] = defaultdict(int)
+    for value in values:
+        numerators[value.denominator] += value.numerator
+    return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
 
 
 def frac_str(value: Fraction) -> str:
@@ -183,10 +223,11 @@ class Table:
         for config, value in self.rows.items():
             config = tuple(config)
             self.schema.check_config(config)
-            value = _to_fraction(value)
+            if type(value) is not Fraction or value.numerator < 0:
+                value = _to_fraction(value)
             if config in cleaned:
                 raise SchemaError(f"duplicate configuration: {config}")
-            if value > 0:
+            if value:
                 cleaned[config] = value
         object.__setattr__(self, "rows", cleaned)
         if self.kind == JOINT:
@@ -207,7 +248,7 @@ class Table:
     # -- basic queries ----------------------------------------------------
 
     def total_mass(self) -> Fraction:
-        return sum(self.rows.values(), ZERO)
+        return _exact_sum(self.rows.values())
 
     def support(self) -> SupportSet:
         """Positive rows in document order, labelled t1, t2, ..."""
@@ -231,12 +272,12 @@ class Table:
                 )
         else:
             given_pos = self.schema.positions(self.givens or ())
-            by_given: dict[Config, Fraction] = {}
+            by_given: dict[Config, list[Fraction]] = {}
             for config, value in self.rows.items():
                 g = tuple(config[p] for p in given_pos)
-                by_given[g] = by_given.get(g, ZERO) + value
-            for g in sorted(by_given, key=lambda c: c):
-                total = by_given[g]
+                by_given.setdefault(g, []).append(value)
+            for g in sorted(by_given):
+                total = _exact_sum(by_given[g])
                 if total != ONE:
                     violations.append(
                         Violation(
@@ -249,25 +290,9 @@ class Table:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        doc: dict = {
-            "variables": [
-                {"name": v.name, "domain": list(v.domain)}
-                for v in self.schema.variables
-            ],
-            "kind": self.kind,
-        }
-        if self.kind != JOINT:
-            doc["targets"] = list(self.targets or ())
-            doc["givens"] = list(self.givens or ())
-        ordered = sorted(self.rows, key=self.schema.sort_key)
-        doc["rows"] = [
-            {"config": list(cfg), "p": frac_str(self.rows[cfg])} for cfg in ordered
-        ]
-        return doc
-
     def digest(self) -> str:
-        return hashlib.sha256(serialize_table(self).encode("utf-8")).hexdigest()
+        """sha256 of the canonical JSON form, ``serialize_table(self)``."""
+        return hashlib.sha256(serialize_table(self).encode("ascii")).hexdigest()
 
 
 def load_table(
@@ -304,11 +329,16 @@ def _read_source(source: str | bytes | IO) -> str:
     return data
 
 
-def _load_json(text: str) -> Table:
-    try:
-        doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+def _parse_json(text: str) -> object:
+    """A JSON document with exact, size-checked decimals."""
+    try:  # ValueError: also an integer past Python's digit cap
+        return json.loads(text, parse_float=_parse_literal)
+    except ValueError as exc:
         raise ParseError(f"malformed JSON document: {exc}") from exc
+
+
+def _load_json(text: str) -> Table:
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("table document must be a JSON object")
     try:
@@ -324,7 +354,7 @@ def _load_json(text: str) -> Table:
     rows: dict[Config, Fraction] = {}
     for entry in rows_doc:
         try:
-            config = tuple(str(v) for v in _json_list(entry, "config"))
+            config = tuple(map(str, _json_list(entry, "config")))
             prob = entry["p"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed row entry: {entry!r}") from exc
@@ -356,7 +386,7 @@ def _load_csv(text: str) -> Table:
     names = header[:-1]
     if not names:
         raise ParseError("CSV document declares no variables")
-    domains: list[list[str]] = [[] for _ in names]
+    domains: list[dict[str, None]] = [{} for _ in names]
     configs: list[tuple[Config, Fraction]] = []
     for lineno, record in enumerate(reader, start=2):
         if not record:
@@ -365,8 +395,7 @@ def _load_csv(text: str) -> Table:
             raise ParseError(f"CSV line {lineno} has {len(record)} fields")
         config = tuple(record[:-1])
         for value, domain in zip(config, domains):
-            if value not in domain:
-                domain.append(value)
+            domain.setdefault(value)
         configs.append((config, _to_fraction(record[-1])))
     schema = VariableSchema(
         tuple(Variable(n, tuple(d)) for n, d in zip(names, domains))
@@ -380,9 +409,32 @@ def _load_csv(text: str) -> Table:
 
 
 def serialize_table(table: Table, format: str = "json") -> str:
-    """Canonical text form: rows sorted by domain order, fractions reduced."""
+    """Canonical text form: rows sorted by domain order, fractions reduced.
+
+    JSON is written directly, byte for byte ``json.dumps(doc, indent=2) + "\\n"``
+    of the document ``load_table`` reads (``indent`` runs json's Python encoder).
+    """
     if format == "json":
-        return json.dumps(table.to_json_dict(), indent=2) + "\n"
+        esc = encode_basestring_ascii  # json.dumps's escaper under ensure_ascii
+        variables = [
+            f'{{\n      "name": {esc(v.name)},\n      "domain": '
+            + _json_array(list(map(esc, v.domain)), "      ") + "\n    }"
+            for v in table.schema.variables
+        ]
+        parts = ['{\n  "variables": ', _json_array(variables, "  "), ',\n  "kind": ']
+        parts.append(esc(table.kind))
+        if table.kind != JOINT:
+            for key, names in (("targets", table.targets), ("givens", table.givens)):
+                parts += [f',\n  "{key}": ', _json_array(list(map(esc, names)), "  ")]
+        encoded = [{d: esc(d) for d in v.domain} for v in table.schema.variables]
+        head = '{\n      "config": ' + ("[\n        " if encoded else "[")
+        tail = ("\n      ]" if encoded else "]") + ',\n      "p": "'
+        lines = [
+            head + ",\n        ".join(map(getitem, encoded, config))
+            + tail + frac_str(table.rows[config]) + '"\n    }'
+            for config in sorted(table.rows, key=table.schema.sort_key)
+        ]
+        return "".join(parts + [',\n  "rows": ', _json_array(lines, "  "), "\n}\n"])
     if format == "csv":
         if table.kind != JOINT:
             raise SchemaError("CSV serialization is for joint tables only")
@@ -393,6 +445,14 @@ def serialize_table(table: Table, format: str = "json") -> str:
             writer.writerow(list(config) + [frac_str(table.rows[config])])
         return out.getvalue()
     raise ParseError(f"unknown format {format!r}")
+
+
+def _json_array(items: Sequence[str], indent: str) -> str:
+    """``json.dumps(..., indent=2)`` layout of a list of encoded items."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
 def uniform_joint_extension(table: Table) -> Table:

@@ -23,12 +23,18 @@ and looking each one up, instead of reading the rows already in hand.
 before it normalizes, where ``tables.uniform_joint_extension`` divides once
 by the total mass.
 
+``naive_serialize_table`` is the twin of ``tables.serialize_table``'s JSON
+form: it builds the canonical document as dicts and lists, sorts rows by
+``domain.index`` per value, and runs ``json.dumps(doc, indent=2)``, where
+the package writes the same bytes directly.
+
 The closure references reuse the package's literal rule functions but none
 of its fixed-point machinery: ``naive_closure`` tries every premise pair or
 triple for CIWI2, and ``missing_conclusions`` checks closedness by key
 lookups over a finished statement set.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -521,6 +527,27 @@ def naive_uniform_joint_extension(table):
             rows[config] = value / count
     total = sum(rows.values(), ZERO)
     return Table(table.schema, {c: v / total for c, v in rows.items()}, JOINT)
+
+
+def naive_serialize_table(table):
+    """Twin of ``tables.serialize_table(table)``: ``json.dumps`` of the document."""
+    variables = table.schema.variables
+    doc = {
+        "variables": [{"name": v.name, "domain": list(v.domain)} for v in variables],
+        "kind": table.kind,
+    }
+    if table.kind != JOINT:
+        doc["targets"] = list(table.targets or ())
+        doc["givens"] = list(table.givens or ())
+
+    def key(config):
+        return tuple(v.domain.index(value) for v, value in zip(variables, config))
+
+    doc["rows"] = [
+        {"config": list(config), "p": f"{p.numerator}/{p.denominator}"}
+        for config, p in sorted(table.rows.items(), key=lambda item: key(item[0]))
+    ]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,19 @@ def test_probe_universe_bound_before_any_table(monkeypatch):
         soundness_probe(too_many, 2, trials=1, seed=0)
 
 
+@pytest.mark.parametrize("variables, domain_size", [(1, 4097), (2, 65), (8, 3)])
+def test_probe_domain_bound_before_any_table(monkeypatch, variables, domain_size):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built past the configuration bound")
+
+    monkeypatch.setattr(axioms, "random_joint_table", no_table)
+    assert domain_size ** variables > axioms.MAX_PROBE_CONFIGS
+    with pytest.raises(LimitError, match=f"bound {axioms.MAX_PROBE_CONFIGS} on table"):
+        soundness_probe(variables, domain_size, trials=1, seed=0)
+    # The (variables, domain size) probes (3, 2), (4, 2) and (3, 3) stay inside.
+    assert max(2**3, 2**4, 3**3) <= axioms.MAX_PROBE_CONFIGS
+
+
 @pytest.mark.parametrize("variables, trials", [(3, 100), (4, 10)])
 def test_probe_same_with_naive_closure(monkeypatch, variables, trials):
     indexed = soundness_probe(variables, 2, trials, 0).to_json_dict()

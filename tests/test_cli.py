@@ -164,6 +164,7 @@ def test_usage_errors_exit_2(tmp_path):
                str(DATA / "nest_demo.json")).exit_code == 2
     assert run("probe", "--rules", "WI9").exit_code == 2
     assert run("probe", "--vars", "9", "--trials", "1").exit_code == 2
+    assert run("probe", "--vars", "2", "--domain-size", "65", "--trials", "1").exit_code == 2
 
     # Malformed field types in a table document, strings included: a string
     # is not read as a list of characters.
@@ -213,3 +214,31 @@ def test_usage_errors_exit_2(tmp_path):
     result = run("nest", "--by", "A", "--as", "Q", str(bad))
     assert result.exit_code == 2
     assert result.output.count("\n") == 1, result.output
+
+
+def test_oversized_literals_exit_2(tmp_path):
+    """The smallest literals whose numerator or denominator passes Python's
+    4,300-digit cap fail with one line, as a JSON number, a JSON string, a
+    CSV field and a nested document's number."""
+    digits = tables.MAX_LITERAL_DIGITS
+    tiny, long_int = f"1e-{digits}", "1" * (digits + 1)
+    variables = '"variables": [{"name": "A", "domain": ["0", "1"]}]'
+    cases = [(f'{{{variables}, "rows": [{{"config": ["0"], "p": {p}}}]}}', "validate")
+             for p in (tiny, long_int, f'"{tiny}"', f'"{long_int}"')]
+    cases.append((f"A,p\n0,{tiny}\n1,1\n", "csv"))
+    cases.append((
+        '{"attributes": [{"name": "A", "domain": ["0", "1"]}],'
+        f' "rows": [{{"cells": ["0"], "p": {tiny}}}, {{"cells": ["1"], "p": "1"}}]}}',
+        "nest",
+    ))
+    for text, verb in cases:
+        bad = tmp_path / "big.txt"
+        bad.write_text(text)
+        if verb == "csv":
+            result = run("validate", "--format", "csv", str(bad))
+        elif verb == "nest":
+            result = run("nest", "--by", "A", "--as", "B", str(bad))
+        else:
+            result = run("validate", str(bad))
+        assert result.exit_code == 2, (text[-60:], result.output)
+        assert result.output.count("\n") == 1, result.output
