@@ -28,6 +28,7 @@ from .tables import (
     _json_list,
     _parse_json,
     _to_fraction,
+    common_weights,
     frac_str,
     uniform_joint_extension,
 )
@@ -63,7 +64,8 @@ class NestedCell:
     """A normalized sub-distribution stored inside one outer row.
 
     ``rows`` holds positive probabilities in canonical (sorted) order. Cells
-    sit in the row keys of nested tables, so the hash is computed once.
+    sit in the row keys of nested tables, so the hash is computed once, from
+    integers: ``Fraction.__hash__`` is slow.
     """
 
     attributes: tuple[Attribute, ...]
@@ -71,7 +73,8 @@ class NestedCell:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.attributes, self.rows)))
+        entries = tuple((key, v.numerator, v.denominator) for key, v in self.rows)
+        object.__setattr__(self, "_hash", hash((self.attributes, entries)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -255,25 +258,26 @@ def nest(
     insert_at = sum(1 for i in outer_positions if i < inner_positions[0])
 
     # Input keys are distinct, so each (outer, inner) split occurs once.
-    groups: dict[RowKey, dict[RowKey, Fraction]] = {}
-    for key, value in nt.rows.items():
+    lcm, weights = common_weights(nt.rows.values())
+    groups: dict[RowKey, dict[RowKey, int]] = {}
+    for key, w in zip(nt.rows, weights):
         outer = tuple([key[i] for i in outer_positions])
         inner = tuple([key[i] for i in inner_positions])
-        groups.setdefault(outer, {})[inner] = value
+        groups.setdefault(outer, {})[inner] = w
 
     new_attrs = list(nt.attributes[i] for i in outer_positions)
     new_attrs.insert(insert_at, Attribute(b_name, nested=inner_attrs))
     rows: dict[RowKey, Fraction] = {}
     for outer, bucket in groups.items():
-        total = sum(bucket.values(), ZERO)
+        total = sum(bucket.values())
         cell = NestedCell(
             inner_attrs,
             tuple(
-                (inner, bucket[inner] / total)
+                (inner, Fraction(bucket[inner], total))
                 for inner in sorted(bucket, key=_row_sort_key)
             ),
         )
-        rows[outer[:insert_at] + (cell,) + outer[insert_at:]] = total
+        rows[outer[:insert_at] + (cell,) + outer[insert_at:]] = Fraction(total, lcm)
     return NestedTable._built(tuple(new_attrs), rows)
 
 

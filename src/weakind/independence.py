@@ -41,7 +41,7 @@ from .partitions import (
     restrict_context,
     theta,
 )
-from .tables import JOINT, RAW, ZERO, Config, Table, frac_str
+from .tables import JOINT, RAW, ZERO, Config, Table, common_weights, frac_str
 
 CI = "CI"
 CSI = "CSI"
@@ -274,39 +274,41 @@ def _strong_check(
     x_configs = list(schema.configs(x_vars))
 
     if table.kind == JOINT:
-        # Group the context's masses once, keyed by (y, z, x) projections;
-        # all conditionals are dictionary lookups after.
+        # Group the context's integer weights once, keyed by (y, z, x)
+        # projections; conditionals are compared by cross-multiplication.
         y_pos, z_pos, x_pos = map(schema.positions, (y_vars, z_vars, x_vars))
-        mass_y: dict[Config, Fraction] = {}
-        mass_yz: dict[tuple[Config, Config], Fraction] = {}
-        mass_yx: dict[tuple[Config, Config], Fraction] = {}
-        mass_yzx: dict[tuple[Config, Config, Config], Fraction] = {}
-        for cfg, value in rows:
+        mass_y: dict[Config, int] = {}
+        mass_yz: dict[tuple[Config, Config], int] = {}
+        mass_yx: dict[tuple[Config, Config], int] = {}
+        mass_yzx: dict[tuple[Config, Config, Config], int] = {}
+        _, weights = common_weights(v for _, v in rows)
+        for (cfg, _), w in zip(rows, weights):
             yv = tuple(cfg[p] for p in y_pos)
             zv = tuple(cfg[p] for p in z_pos)
             xv = tuple(cfg[p] for p in x_pos)
-            mass_y[yv] = mass_y.get(yv, ZERO) + value
-            mass_yz[yv, zv] = mass_yz.get((yv, zv), ZERO) + value
-            mass_yx[yv, xv] = mass_yx.get((yv, xv), ZERO) + value
-            mass_yzx[yv, zv, xv] = mass_yzx.get((yv, zv, xv), ZERO) + value
+            mass_y[yv] = mass_y.get(yv, 0) + w
+            mass_yz[yv, zv] = mass_yz.get((yv, zv), 0) + w
+            mass_yx[yv, xv] = mass_yx.get((yv, xv), 0) + w
+            mass_yzx[yv, zv, xv] = mass_yzx.get((yv, zv, xv), 0) + w
 
         for y_cfg in schema.configs(y_vars):
-            pg = mass_y.get(y_cfg, ZERO)
-            if pg == 0:
+            m_y = mass_y.get(y_cfg, 0)
+            if not m_y:
                 vacuous += 1
                 continue
-            rhs = {x_cfg: mass_yx.get((y_cfg, x_cfg), ZERO) / pg for x_cfg in x_configs}
+            m_yx = [mass_yx.get((y_cfg, x_cfg), 0) for x_cfg in x_configs]
             for z_cfg in schema.configs(z_vars):
-                pgz = mass_yz.get((y_cfg, z_cfg), ZERO)
-                if pgz == 0:
+                m_yz = mass_yz.get((y_cfg, z_cfg), 0)
+                if not m_yz:
                     vacuous += 1
                     continue
-                for x_cfg in x_configs:
+                for x_cfg, m_x in zip(x_configs, m_yx):
                     comparisons += 1
-                    lhs = mass_yzx.get((y_cfg, z_cfg, x_cfg), ZERO) / pgz
-                    if lhs != rhs[x_cfg] and counterexample is None:
+                    m_yzx = mass_yzx.get((y_cfg, z_cfg, x_cfg), 0)
+                    if m_yzx * m_y != m_x * m_yz and counterexample is None:
+                        value, reference = Fraction(m_yzx, m_yz), Fraction(m_x, m_y)
                         counterexample = Counterexample(
-                            x_cfg, y_cfg, z_cfg, lhs, None, rhs[x_cfg]
+                            x_cfg, y_cfg, z_cfg, value, None, reference
                         )
         return counterexample is None, StrongCertificate(
             comparisons, vacuous, context_in_support, counterexample
@@ -412,40 +414,40 @@ def _class_report(
 
     # X, Y and Z cover the schema and the class is a join block with one
     # Y-value, so every supported (x, y, z) with x and z in the class's
-    # projected domains is a row of this block: its cells are read here.
+    # projected domains is a row of this block: its cells are read here, as
+    # integer weights over one denominator.
     x_pos, z_pos = support.positions(x_vars), support.positions(z_vars)
-    cells: dict[tuple[Config, Config], Fraction] = {}
-    mass_x: dict[Config, Fraction] = {}
-    mass_z: dict[Config, Fraction] = {}
-    for i in block:
-        value = table.rows[support.rows[i][1]]
+    members = list(block)
+    lcm, weights = common_weights(table.rows[support.rows[i][1]] for i in members)
+    cells: dict[tuple[Config, Config], int] = {}
+    mass_x: dict[Config, int] = {}
+    mass_z: dict[Config, int] = {}
+    for i, w in zip(members, weights):
         xv = support.project(i, x_pos)
         zv = support.project(i, z_pos)
-        cells[xv, zv] = value
-        mass_x[xv] = mass_x.get(xv, ZERO) + value
-        mass_z[zv] = mass_z.get(zv, ZERO) + value
-    mass_total = sum(mass_z.values(), ZERO)
-    # Joint tables compare class-restricted conditionals, which must also
-    # equal the class marginal of x; conditional-shaped tables compare the
-    # stored values.
-    joint = table.kind == JOINT
-    for x_cfg in x_values:
-        expected = mass_x[x_cfg] / mass_total if joint else None
-        baseline: tuple[Config, Fraction] | None = None
-        for z_cfg in z_values:
-            value = cells.get((x_cfg, z_cfg), ZERO)
-            if joint:
-                value /= mass_z[z_cfg]
-            if baseline is None:
-                baseline = (z_cfg, value)
-            elif value != baseline[1] and counterexample is None:
-                counterexample = ClassCounterexample(
-                    x_cfg, z_cfg, value, baseline[0], baseline[1], "constancy"
-                )
-            if joint and value != expected and counterexample is None:
-                counterexample = ClassCounterexample(
-                    x_cfg, z_cfg, value, None, expected, "marginal"
-                )
+        cells[xv, zv] = w
+        mass_x[xv] = mass_x.get(xv, 0) + w
+        mass_z[zv] = mass_z.get(zv, 0) + w
+    total = sum(weights)
+    # Joint tables compare class-restricted conditionals c / m_z, which must
+    # also equal the class marginal m_x / total; conditional-shaped tables
+    # compare the stored values c / L. The first z-value is the baseline.
+    joint, z0 = table.kind == JOINT, z_values[0]
+    for x_cfg, z_cfg in product(x_values, z_values):
+        c, m_x = cells.get((x_cfg, z_cfg), 0), mass_x[x_cfg]
+        m_z = mass_z[z_cfg] if joint else lcm
+        if z_cfg == z0:
+            c0, m_z0 = c, m_z
+        elif c * m_z0 != c0 * m_z:
+            counterexample = ClassCounterexample(
+                x_cfg, z_cfg, Fraction(c, m_z), z0, Fraction(c0, m_z0), "constancy"
+            )
+            break
+        if joint and c * total != m_x * m_z:
+            counterexample = ClassCounterexample(
+                x_cfg, z_cfg, Fraction(c, m_z), None, Fraction(m_x, total), "marginal"
+            )
+            break
 
     return ClassReport(
         support.label_block(block),

@@ -19,8 +19,8 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,6 +43,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 MAX_LITERAL_DIGITS = 4300  # Python's int <-> str cap: every loaded value prints
+_DIGITS_CAP = 10**MAX_LITERAL_DIGITS
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,17 @@ def _to_fraction(value: object) -> Fraction:
     return result
 
 
-def _exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """``sum(values, ZERO)``, adding numerators per denominator first."""
-    numerators: defaultdict[int, int] = defaultdict(int)
-    for value in values:
-        numerators[value.denominator] += value.numerator
-    return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
+def common_weights(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """``(L, [v * L for v in values])``, ``L`` the lcm of the denominators: masses
+    are summed and compared as integers over one denominator. ``LimitError``
+    once ``L`` passes ``MAX_LITERAL_DIGITS`` digits, before any weight."""
+    values = list(values)
+    lcm = 1
+    for den in {v.denominator for v in values}:
+        lcm = math.lcm(lcm, den)
+        if lcm >= _DIGITS_CAP:
+            raise LimitError(f"common denominator passes {MAX_LITERAL_DIGITS} digits")
+    return lcm, [v.numerator * (lcm // v.denominator) for v in values]
 
 
 def frac_str(value: Fraction) -> str:
@@ -248,7 +254,8 @@ class Table:
     # -- basic queries ----------------------------------------------------
 
     def total_mass(self) -> Fraction:
-        return _exact_sum(self.rows.values())
+        lcm, weights = common_weights(self.rows.values())
+        return Fraction(sum(weights), lcm)
 
     def support(self) -> SupportSet:
         """Positive rows in document order, labelled t1, t2, ..."""
@@ -277,7 +284,8 @@ class Table:
                 g = tuple(config[p] for p in given_pos)
                 by_given.setdefault(g, []).append(value)
             for g in sorted(by_given):
-                total = _exact_sum(by_given[g])
+                lcm, weights = common_weights(by_given[g])
+                total = Fraction(sum(weights), lcm)
                 if total != ONE:
                     violations.append(
                         Violation(
@@ -467,10 +475,11 @@ def uniform_joint_extension(table: Table) -> Table:
     """
     if table.kind == JOINT:
         return table
-    total = table.total_mass()
+    _, weights = common_weights(table.rows.values())
+    total = sum(weights)
     if not total:
         raise SchemaError("cannot extend a table with empty support")
-    rows = {config: value / total for config, value in table.rows.items()}
+    rows = {config: Fraction(w, total) for config, w in zip(table.rows, weights)}
     return Table(table.schema, rows, JOINT)
 
 

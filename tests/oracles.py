@@ -10,6 +10,14 @@ deliberately not used, so agreement between the two paths is meaningful.
 ``partitions.commutes``: it probes every pair of each join block for a
 middle element.
 
+``naive_nest``, ``naive_strong_check`` and ``naive_class_report`` are the
+``Fraction`` references of the package's integer mass path. ``granular.nest``,
+``independence._strong_check`` (joint tables) and
+``independence._class_report`` scale every mass to an integer weight over a
+common denominator (``tables.common_weights``), sum weights and compare
+ratios by cross-multiplication; the twins add, divide and compare
+``Fraction`` values directly.
+
 ``naive_nest`` is the twin of ``granular.nest``: it accumulates group sums
 per (outer, inner) split, builds cells through ``NestedCell.make`` and
 re-validates its output through the public ``NestedTable`` constructor.

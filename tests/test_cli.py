@@ -216,6 +216,33 @@ def test_usage_errors_exit_2(tmp_path):
     assert result.output.count("\n") == 1, result.output
 
 
+def test_oversized_common_denominator_exits_2(tmp_path):
+    """Two masses whose denominators print but whose lcm passes Python's
+    4,300-digit cap: the total mass, and so the table, is an input error."""
+    a, b = 10**2200 + 1, 10**2200 + 3
+    joint = {
+        "variables": [{"name": "A", "domain": ["0", "1"]}],
+        "rows": [{"config": ["0"], "p": f"1/{a}"}, {"config": ["1"], "p": f"1/{b}"}],
+    }
+    raw = {
+        "variables": [{"name": "A", "domain": ["0"]}, {"name": "B", "domain": ["0", "1"]}],
+        "kind": "raw", "targets": ["A"], "givens": ["B"],
+        "rows": [{"config": ["0", "0"], "p": f"1/{a}"},
+                 {"config": ["0", "1"], "p": f"1/{b}"}],
+    }
+    for doc, args in (
+        (joint, ["validate"]),
+        (joint, ["check", "--kind", "wi", "--x", "A", "--z", "A"]),
+        (raw, ["check", "--kind", "wi", "--x", "A", "--z", "B"]),
+    ):
+        path = tmp_path / "lcm.json"
+        path.write_text(json.dumps(doc))
+        result = run(*args, str(path))
+        assert result.exit_code == 2, (args, result.output[-200:])
+        assert result.output.count("\n") == 1, result.output[-200:]
+        assert "passes 4300 digits" in result.output
+
+
 def test_oversized_literals_exit_2(tmp_path):
     """The smallest literals whose numerator or denominator passes Python's
     4,300-digit cap fail with one line, as a JSON number, a JSON string, a

@@ -304,7 +304,9 @@ def shuffled_joint_tables(draw):
         st.integers(0, 4), min_size=len(configs), max_size=len(configs)
     ))
     weights[0] = weights[0] or 1
-    rows = [(c, Fraction(w, sum(weights))) for c, w in zip(configs, weights) if w]
+    # Rows a_i / b_i, normalized: their reduced denominators differ.
+    masses = [Fraction(w, draw(st.sampled_from((1, 2, 3, 5)))) for w in weights]
+    rows = [(c, m / sum(masses)) for c, m in zip(configs, masses) if m]
     return tables.Table(schema, dict(draw(st.permutations(rows))), "joint")
 
 

@@ -376,9 +376,11 @@ def kinded_tables(draw):
     if kind == "joint":
         if not any(weights):
             weights[0] = 1
-        total = sum(weights)
-        rows = [(c, Fraction(w, total)) for c, w in zip(configs, weights)]
-        return make_table(variables, rows)
+        # Rows a_i / b_i, normalized: their reduced denominators differ, so
+        # the checkers' common denominator scales the weights.
+        masses = [Fraction(w, draw(st.sampled_from((1, 2, 3, 5)))) for w in weights]
+        total = sum(masses)
+        return make_table(variables, [(c, m / total) for c, m in zip(configs, masses)])
     targets = tuple(draw(st.sets(st.sampled_from(names), min_size=1, max_size=n - 1)))
     givens = tuple(v for v in names if v not in targets)
     rows = list(zip(configs, (Fraction(w, draw(st.integers(1, 3))) for w in weights)))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -330,11 +331,37 @@ def test_literal_digit_bound(within, past):
 
 @given(st.lists(st.one_of(MASS, st.fractions(max_denominator=50)), max_size=30))
 @settings(max_examples=300, deadline=None)
-def test_exact_sum_matches_fraction_sum(values):
-    assert tables._exact_sum(values) == sum(values, Fraction(0))
+def test_common_weights_scale_to_lcm(values):
+    lcm, weights = tables.common_weights(values)
+    assert lcm == math.lcm(*(v.denominator for v in values))
+    assert len(weights) == len(values)
+    assert all(w * v.denominator == v.numerator * lcm for v, w in zip(values, weights))
+    assert Fraction(sum(weights), lcm) == sum(values, Fraction(0))
     positive = [v for v in values if v > 0]
     schema = tables.VariableSchema(
         (tables.Variable("A", tuple(str(i) for i in range(max(len(positive), 1)))),)
     )
     table = tables.Table(schema, {(str(i),): v for i, v in enumerate(positive)})
     assert table.total_mass() == sum(positive, Fraction(0))
+
+
+def test_common_denominator_bound():
+    """The lcm may reach the largest number of ``MAX_LITERAL_DIGITS`` digits,
+    not pass it, even when every denominator alone is printable."""
+    largest = 10**BOUND - 1  # divisible by 3
+    assert tables.common_weights([Fraction(1, largest), Fraction(2, 3)])[0] == largest
+    pairs = [
+        [Fraction(1, largest), Fraction(1, 2)],
+        [Fraction(1, 10**2200 + 1), Fraction(1, 10**2200 + 3)],
+    ]
+    for values in pairs:
+        with pytest.raises(LimitError, match=f"passes {BOUND} digits"):
+            tables.common_weights(values)
+    schema = tables.VariableSchema(
+        (tables.Variable("A", ("0",)), tables.Variable("B", ("0", "1")))
+    )
+    rows = {("0", "0"): pairs[1][0], ("0", "1"): pairs[1][1]}
+    raw = tables.Table(schema, rows, tables.RAW, ("A",), ("B",))
+    for call in (raw.total_mass, lambda: tables.uniform_joint_extension(raw)):
+        with pytest.raises(LimitError):
+            call()
