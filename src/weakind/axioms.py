@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 
 from . import independence
 from .errors import LimitError, RuleShapeError, StatementError
+from .independence import MAX_UNIVERSE
 from .tables import Table, random_joint_table
 
 CI = "CI"
@@ -37,7 +38,6 @@ RULE_CIWI1 = "CIWI1"
 RULE_CIWI2 = "CIWI2"
 ALL_RULES = (RULE_WI1, RULE_WI2, RULE_WI3, RULE_CIWI1, RULE_CIWI2)
 
-MAX_UNIVERSE = 8
 MAX_PROBE_CONFIGS = 4096  # domain_size ** variables of one probe table
 
 

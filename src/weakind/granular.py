@@ -3,9 +3,10 @@
 ``nest`` folds a set of attributes into a single nested attribute whose
 cells are normalized sub-distributions; ``unnest`` expands a nested
 attribute back out, multiplying outer and inner probabilities exactly.
-Nested cells are stored in canonical form (rows sorted, fractions reduced),
-and grouping during a nest compares entire remaining-attribute values, so
-previously nested cells participate in the grouping key.
+A nested cell is identified by its gcd-reduced integer weights, so grouping
+during a nest, which compares entire remaining-attribute values (previously
+nested cells included), compares integers; a cell's sorted ``Fraction`` rows
+are built only when read.
 
 All equality here is exact; there is no tolerance parameter anywhere in
 this module.
@@ -14,8 +15,10 @@ this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from . import independence
@@ -30,11 +33,9 @@ from .tables import (
     _to_fraction,
     common_weights,
     frac_str,
+    mass_sum,
     uniform_joint_extension,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 CellValue = Union[str, "NestedCell"]
 RowKey = tuple  # tuple[CellValue, ...]
@@ -59,38 +60,72 @@ class Attribute:
         return self.nested is not None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class NestedCell:
     """A normalized sub-distribution stored inside one outer row.
 
-    ``rows`` holds positive probabilities in canonical (sorted) order. Cells
-    sit in the row keys of nested tables, so the hash is computed once, from
-    integers: ``Fraction.__hash__`` is slow.
+    Its identity is its attributes and one integer weight per inner key,
+    reduced by their gcd: two normalized cells are equal iff those maps are,
+    and the hash is computed once from them. ``rows``, the probabilities in
+    canonical (sorted) order, is built from the weights on first read. A
+    hand-built cell keeps the rows it is given; ``NestedTable`` checks them.
     """
 
     attributes: tuple[Attribute, ...]
-    rows: tuple[tuple[RowKey, Fraction], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    weights: Mapping[RowKey, int]
+    _hash: int
+    _rows: tuple[tuple[RowKey, Fraction], ...] | None
 
-    def __post_init__(self) -> None:
-        entries = tuple((key, v.numerator, v.denominator) for key, v in self.rows)
-        object.__setattr__(self, "_hash", hash((self.attributes, entries)))
+    def __init__(self, attributes: tuple[Attribute, ...], rows: Iterable) -> None:
+        rows = tuple(rows)
+        _, weights = common_weights(v for _, v in rows)
+        self._set(attributes, dict(zip([key for key, _ in rows], weights)), rows)
+
+    def _set(self, attributes, weights: dict[RowKey, int], rows) -> None:
+        g = math.gcd(*weights.values())
+        if g > 1:
+            weights = {key: w // g for key, w in weights.items()}
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_hash", hash(frozenset(weights.items())))
+        object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def _of(cls, attributes: tuple[Attribute, ...], weights: dict) -> "NestedCell":
+        """A cell from nonzero integer weights, in any order and at any scale."""
+        cell = object.__new__(cls)
+        cell._set(attributes, weights, None)
+        return cell
+
+    @classmethod
+    def make(cls, attributes: tuple[Attribute, ...], rows: Mapping) -> "NestedCell":
+        """A cell from unordered entries: zeros are dropped, the rest must sum to 1."""
+        lcm, weights = common_weights(rows.values())
+        if sum(weights) != lcm:
+            raise SchemaError(f"nested cell values sum to {mass_sum(rows.values())}, not 1")
+        return cls._of(attributes, {key: w for key, w in zip(rows, weights) if w})
+
+    @property
+    def rows(self) -> tuple[tuple[RowKey, Fraction], ...]:
+        if self._rows is None:
+            total = sum(self.weights.values())
+            rows = tuple(
+                (key, Fraction(self.weights[key], total))
+                for key in sorted(self.weights, key=_row_sort_key)
+            )
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NestedCell):
+            return NotImplemented
+        return self.weights == other.weights and self.attributes == other.attributes
 
     def __hash__(self) -> int:
         return self._hash
 
-    @classmethod
-    def make(
-        cls, attributes: tuple[Attribute, ...], rows: Mapping[RowKey, Fraction]
-    ) -> "NestedCell":
-        """A cell from unordered entries: zeros are dropped, the rest must sum to 1."""
-        ordered = tuple(
-            (key, rows[key]) for key in sorted(rows, key=_row_sort_key) if rows[key]
-        )
-        total = sum((v for _, v in ordered), ZERO)
-        if total != ONE:
-            raise SchemaError(f"nested cell values sum to {total}, not 1")
-        return cls(attributes, ordered)
+    def __repr__(self) -> str:
+        return f"NestedCell(attributes={self.attributes!r}, rows={self.rows!r})"
 
 
 def _check_cell(cell: CellValue, attr: Attribute) -> None:
@@ -108,8 +143,8 @@ def _check_cell(cell: CellValue, attr: Attribute) -> None:
         keys = [_row_sort_key(key) for key, _ in cell.rows]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise SchemaError(f"cell rows in {attr.name!r} are unsorted or repeated")
-        values = [v for _, v in cell.rows]
-        if any(v <= 0 for v in values) or sum(values, ZERO) != ONE:
+        lcm, weights = common_weights(v for _, v in cell.rows)
+        if any(w <= 0 for w in weights) or sum(weights) != lcm:
             raise SchemaError(f"cell in {attr.name!r} must be positive and sum to 1")
     else:
         if not isinstance(cell, str):
@@ -177,7 +212,7 @@ class NestedTable:
         return tuple(a.name for a in self.attributes)
 
     def total_mass(self) -> Fraction:
-        return sum(self.rows.values(), ZERO)
+        return mass_sum(self.rows.values())
 
     def is_flat(self) -> bool:
         return all(not a.is_nested for a in self.attributes)
@@ -243,42 +278,52 @@ def nest(
     The new attribute takes the position of the first coarsened attribute.
     """
     nt = as_nested(table)
+    lcm, weights = common_weights(nt.rows.values())
+    attributes, rows = _nest(nt.attributes, dict(zip(nt.rows, weights)), b_name, names)
+    return _scaled(attributes, rows, lcm)
+
+
+def _nest(attributes: tuple[Attribute, ...], rows: dict, b_name: str, names):
+    """``nest`` on integer masses: rows of integer weights in, the new
+    attributes and each output row's group weight out, at the same scale."""
     wanted = set(names)
     if not wanted:
         raise SchemaError("cannot nest an empty attribute set")
-    unknown = wanted - set(nt.names)
-    if unknown:
-        raise SchemaError(f"unknown attributes: {sorted(unknown)}")
-    if b_name in nt.names:
+    present = {a.name for a in attributes}
+    if wanted - present:
+        raise SchemaError(f"unknown attributes: {sorted(wanted - present)}")
+    if b_name in present:
         raise SchemaError(f"attribute name {b_name!r} already in use")
 
-    inner_positions = [i for i, a in enumerate(nt.attributes) if a.name in wanted]
-    outer_positions = [i for i, a in enumerate(nt.attributes) if a.name not in wanted]
-    inner_attrs = tuple(nt.attributes[i] for i in inner_positions)
+    inner_positions = [i for i, a in enumerate(attributes) if a.name in wanted]
+    outer_positions = [i for i, a in enumerate(attributes) if a.name not in wanted]
+    inner_attrs = tuple(attributes[i] for i in inner_positions)
     insert_at = sum(1 for i in outer_positions if i < inner_positions[0])
 
     # Input keys are distinct, so each (outer, inner) split occurs once.
-    lcm, weights = common_weights(nt.rows.values())
     groups: dict[RowKey, dict[RowKey, int]] = {}
-    for key, w in zip(nt.rows, weights):
-        outer = tuple([key[i] for i in outer_positions])
-        inner = tuple([key[i] for i in inner_positions])
-        groups.setdefault(outer, {})[inner] = w
+    outer_of, inner_of = _projection(outer_positions), _projection(inner_positions)
+    for key, w in rows.items():
+        groups.setdefault(outer_of(key), {})[inner_of(key)] = w
 
-    new_attrs = list(nt.attributes[i] for i in outer_positions)
+    new_attrs = list(attributes[i] for i in outer_positions)
     new_attrs.insert(insert_at, Attribute(b_name, nested=inner_attrs))
-    rows: dict[RowKey, Fraction] = {}
+    nested: dict[RowKey, int] = {}
     for outer, bucket in groups.items():
-        total = sum(bucket.values())
-        cell = NestedCell(
-            inner_attrs,
-            tuple(
-                (inner, Fraction(bucket[inner], total))
-                for inner in sorted(bucket, key=_row_sort_key)
-            ),
-        )
-        rows[outer[:insert_at] + (cell,) + outer[insert_at:]] = Fraction(total, lcm)
-    return NestedTable._built(tuple(new_attrs), rows)
+        cell = NestedCell._of(inner_attrs, bucket)
+        nested[outer[:insert_at] + (cell,) + outer[insert_at:]] = sum(bucket.values())
+    return tuple(new_attrs), nested
+
+
+def _projection(positions: list[int]):
+    """``key -> tuple(key[i] for i in positions)``, by ``itemgetter``."""
+    if len(positions) == 1:
+        return lambda key, i=positions[0]: (key[i],)
+    return itemgetter(*positions) if positions else lambda key: ()
+
+
+def _scaled(attributes: tuple[Attribute, ...], rows: dict, lcm: int) -> NestedTable:
+    return NestedTable._built(attributes, {k: Fraction(w, lcm) for k, w in rows.items()})
 
 
 def unnest(table: NestedTable, b_name: str) -> Table | NestedTable:
@@ -356,15 +401,25 @@ def nest_commutes(
     b_x: str = "B1",
     b_z: str = "B2",
 ) -> NestCommutationReport:
-    """Run both coarsening orders over disjoint attribute sets and compare."""
+    """Run both coarsening orders over disjoint attribute sets and compare.
+
+    Both orders nest the same integer weights, and either order puts each new
+    attribute where its set's first attribute was, so the two results share
+    one attribute tuple and compare row by row, as integers.
+    """
     xs, zs = set(x), set(z)
     if not xs or not zs:
         raise SchemaError("both attribute sets must be nonempty")
     if xs & zs:
         raise SchemaError("attribute sets overlap")
-    first = nest(nest(table, b_z, zs), b_x, xs)
-    second = nest(nest(table, b_x, xs), b_z, zs)
-    return NestCommutationReport(canonical_equal(first, second), first, second)
+    nt = as_nested(table)
+    lcm, weights = common_weights(nt.rows.values())
+    rows = dict(zip(nt.rows, weights))
+    a1, first = _nest(*_nest(nt.attributes, rows, b_z, zs), b_x, xs)
+    a2, second = _nest(*_nest(nt.attributes, rows, b_x, xs), b_z, zs)
+    return NestCommutationReport(
+        first == second, _scaled(a1, first, lcm), _scaled(a2, second, lcm)
+    )
 
 
 @dataclass(frozen=True)
@@ -446,7 +501,7 @@ def load_nested(text: str | bytes) -> NestedTable:
         rows[key] = _to_fraction(prob)
     table = NestedTable(attributes, rows)
     total = table.total_mass()
-    if total != ONE:
+    if total != 1:
         raise NormalizationError(f"nested document probabilities sum to {total}, not 1")
     return table
 

@@ -33,7 +33,7 @@ from itertools import product
 from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
-from .errors import StatementError
+from .errors import LimitError, StatementError
 from .partitions import (
     SupportSet,
     commutes,
@@ -49,6 +49,7 @@ PCI = "PCI"
 CWI = "CWI"
 WI = "WI"
 STATEMENT_KINDS = (CI, CSI, PCI, CWI, WI)
+MAX_UNIVERSE = 8  # variables; enumeration walks up to 4**n role vectors
 
 
 @dataclass(frozen=True)
@@ -613,13 +614,16 @@ def enumerate_statements(
     Variables are considered in name order; each is assigned a role, and the
     role vectors are produced lexicographically, followed by context values
     in domain order. Statements that a conditional-shaped table cannot
-    express (X not equal to its target-set) are skipped.
+    express (X not equal to its target-set) are skipped. A table of more
+    than ``MAX_UNIVERSE`` variables raises ``LimitError`` before any vector.
     """
     kind_order = [k for k in STATEMENT_KINDS if k in set(kinds)]
     unknown = set(kinds) - set(STATEMENT_KINDS)
     if unknown:
         raise StatementError(f"unknown statement kinds: {sorted(unknown)}")
     names = sorted(table.schema.names)
+    if len(names) > MAX_UNIVERSE:
+        raise LimitError(f"table of {len(names)} variables exceeds bound {MAX_UNIVERSE}")
     verdicts: list[Verdict] = []
     truncated = False
 

@@ -176,6 +176,15 @@ def common_weights(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     return lcm, [v.numerator * (lcm // v.denominator) for v in values]
 
 
+def mass_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum over ``common_weights``; ``LimitError`` if it would not print."""
+    lcm, weights = common_weights(values)
+    total = Fraction(sum(weights), lcm)
+    if total.numerator >= _DIGITS_CAP:
+        raise LimitError(f"sum of masses passes {MAX_LITERAL_DIGITS} digits")
+    return total
+
+
 def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -254,8 +263,7 @@ class Table:
     # -- basic queries ----------------------------------------------------
 
     def total_mass(self) -> Fraction:
-        lcm, weights = common_weights(self.rows.values())
-        return Fraction(sum(weights), lcm)
+        return mass_sum(self.rows.values())
 
     def support(self) -> SupportSet:
         """Positive rows in document order, labelled t1, t2, ..."""
@@ -284,8 +292,7 @@ class Table:
                 g = tuple(config[p] for p in given_pos)
                 by_given.setdefault(g, []).append(value)
             for g in sorted(by_given):
-                lcm, weights = common_weights(by_given[g])
-                total = Fraction(sum(weights), lcm)
+                total = mass_sum(by_given[g])
                 if total != ONE:
                     violations.append(
                         Violation(

@@ -18,9 +18,15 @@ common denominator (``tables.common_weights``), sum weights and compare
 ratios by cross-multiplication; the twins add, divide and compare
 ``Fraction`` values directly.
 
-``naive_nest`` is the twin of ``granular.nest``: it accumulates group sums
-per (outer, inner) split, builds cells through ``NestedCell.make`` and
-re-validates its output through the public ``NestedTable`` constructor.
+``naive_nest`` is the twin of ``granular.nest``: it accumulates ``Fraction``
+group sums per (outer, inner) split, divides every entry by its group's
+sum, builds cells through ``NestedCell.make`` and re-validates its output
+through the public ``NestedTable`` constructor. ``granular.nest`` builds
+each cell from its group's integer weights, gcd-reduced, and makes the
+cell's sorted ``Fraction`` rows only when they are read. ``nest_commutes``
+runs both orders on integer masses and compares them as integers; its
+answer is checked against ``canonical_equal`` of the two naive double
+nests.
 
 ``naive_strong_check`` and ``naive_class_report`` are the twins of the
 checkers' inner steps ``independence._strong_check`` and

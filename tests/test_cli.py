@@ -243,6 +243,56 @@ def test_oversized_common_denominator_exits_2(tmp_path):
         assert "passes 4300 digits" in result.output
 
 
+def test_unprintable_sums_exit_2(tmp_path):
+    """Two masses of 4,300 nines each print, but their sum does not: the joint
+    check, a flat nested document's total and a nested cell's sum fail with
+    one line."""
+    big = "9" * tables.MAX_LITERAL_DIGITS
+    joint = {
+        "variables": [{"name": "A", "domain": ["0", "1"]}],
+        "rows": [{"config": ["0"], "p": big}, {"config": ["1"], "p": big}],
+    }
+    flat = {
+        "attributes": [{"name": "A", "domain": ["0", "1"]}],
+        "rows": [{"cells": ["0"], "p": big}, {"cells": ["1"], "p": big}],
+    }
+    cell = {
+        "attributes": [{"name": "B", "nested": [{"name": "A", "domain": ["0", "1"]}]}],
+        "rows": [{"cells": [[{"config": ["0"], "P(Y)": big},
+                             {"config": ["1"], "P(Y)": big}]], "p": "1"}],
+    }
+    for doc, args in (
+        (joint, ["validate"]),
+        (joint, ["check", "--kind", "wi", "--x", "A", "--z", "A"]),
+        (flat, ["unnest", "--attr", "B"]),
+        (cell, ["unnest", "--attr", "B"]),
+    ):
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(doc))
+        result = run(*args, str(path))
+        assert result.exit_code == 2, (args, result.output[-200:])
+        assert result.output.count("\n") == 1, result.output[-200:]
+        assert "passes 4300 digits" in result.output
+
+
+def test_enumerate_bounds_variables(tmp_path):
+    """Past ``MAX_UNIVERSE`` variables, enumeration stops before any role vector."""
+    for n, code in ((9, 2), (8, 0)):
+        doc = {
+            "variables": [{"name": f"V{i}", "domain": ["0"]} for i in range(n)],
+            "rows": [{"config": ["0"] * n, "p": "1"}],
+        }
+        path = tmp_path / f"vars{n}.json"
+        path.write_text(json.dumps(doc))
+        result = run("enumerate", "--kinds", "ci,wi", "--max-statements", "1", str(path))
+        assert result.exit_code == code, result.output[-200:]
+        if code:
+            assert result.output.count("\n") == 1, result.output
+            assert "exceeds bound 8" in result.output
+        else:
+            assert json.loads(result.output)["count"] == 1
+
+
 def test_oversized_literals_exit_2(tmp_path):
     """The smallest literals whose numerator or denominator passes Python's
     4,300-digit cap fail with one line, as a JSON number, a JSON string, a

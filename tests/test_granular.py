@@ -274,6 +274,27 @@ def test_nested_cell_hash_and_equality():
     assert "_hash" not in serialize_nested(nested)
 
 
+def test_cell_identity_is_gcd_reduced_weights():
+    """Groups weighted 2:4 (over ninths) and 1:2 (over fifths) give one cell."""
+    variables = [("A", "01"), ("B", "01")]
+    ninths = make_joint(variables, [(("0", "0"), "2/9"), (("0", "1"), "4/9"),
+                                    (("1", "0"), "1/3")])
+    fifths = make_joint(variables, [(("0", "0"), "1/5"), (("0", "1"), "2/5"),
+                                    (("1", "1"), "2/5")])
+    cells = [
+        next(k[1] for k in nest(t, "N", ("B",)).rows if k[0] == "0")
+        for t in (ninths, fifths)
+    ]
+    assert cells[0] == cells[1] and hash(cells[0]) == hash(cells[1])
+    assert cells[0].weights == {("0",): 1, ("1",): 2}
+    b = cells[0].attributes
+    made = NestedCell.make(b, {("1",): Fraction(2, 3), ("0",): Fraction(1, 3)})
+    assert made == cells[0] and hash(made) == hash(cells[0])
+    for c in cells:
+        assert c.rows == made.rows == ((("0",), Fraction(1, 3)), (("1",), Fraction(2, 3)))
+        assert all(type(v) is Fraction for _, v in c.rows)
+
+
 def _fractions(rows):
     for key, value in rows:
         yield value
@@ -319,19 +340,23 @@ def test_nest_matches_naive(table, data):
     x, z = names[:i], names[i:j]
     assert_same_nest(nest(table, "B", x), naive_nest(table, "B", x))
     report = nest_commutes(table, x, z)
+    naive = []
     for (b1, s1, b2, s2), out in (
         (("B2", z, "B1", x), report.first),
         (("B1", x, "B2", z), report.second),
     ):
         once = nest(table, b1, s1)
         assert_same_nest(once, naive_nest(table, b1, s1))
-        assert_same_nest(out, naive_nest(naive_nest(table, b1, s1), b2, s2))
+        naive.append(naive_nest(naive_nest(table, b1, s1), b2, s2))
+        assert_same_nest(out, naive[-1])
         # A loaded document, nested again: its nested cells move into the
         # outer key, then into the inner key.
         loaded = load_nested(serialize_nested(once))
         assert_same_nest(nest(loaded, b2, s2), naive_nest(loaded, b2, s2))
         by = (b1,) + tuple(names[j:])
         assert_same_nest(nest(loaded, "C", by), naive_nest(loaded, "C", by))
+    # The integer decision agrees with comparing the Fraction nests.
+    assert report.equal == canonical_equal(*naive)
 
 
 def test_public_constructor_rejects_noncanonical_cells():
