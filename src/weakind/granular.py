@@ -3,10 +3,10 @@
 ``nest`` folds a set of attributes into a single nested attribute whose
 cells are normalized sub-distributions; ``unnest`` expands a nested
 attribute back out, multiplying outer and inner probabilities exactly.
-A nested cell is identified by its gcd-reduced integer weights, so grouping
-during a nest, which compares entire remaining-attribute values (previously
-nested cells included), compares integers; a cell's sorted ``Fraction`` rows
-are built only when read.
+Grouping during a nest compares entire remaining-attribute values, so
+previously nested cells participate in the grouping key. A nested cell is
+identified by its gcd-reduced integer weights, so that comparison is on
+integers; a cell's sorted ``Fraction`` rows are built only when read.
 
 All equality here is exact; there is no tolerance parameter anywhere in
 this module.
