@@ -18,11 +18,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from . import independence
 from .errors import NormalizationError, ParseError, SchemaError
+from .partitions import projector
 from .tables import (
     JOINT,
     Table,
@@ -289,37 +289,29 @@ def _nest(attributes: tuple[Attribute, ...], rows: dict, b_name: str, names):
     wanted = set(names)
     if not wanted:
         raise SchemaError("cannot nest an empty attribute set")
-    present = {a.name for a in attributes}
+    order = [a.name for a in attributes]
+    present = set(order)
     if wanted - present:
         raise SchemaError(f"unknown attributes: {sorted(wanted - present)}")
     if b_name in present:
         raise SchemaError(f"attribute name {b_name!r} already in use")
 
-    inner_positions = [i for i, a in enumerate(attributes) if a.name in wanted]
-    outer_positions = [i for i, a in enumerate(attributes) if a.name not in wanted]
-    inner_attrs = tuple(attributes[i] for i in inner_positions)
-    insert_at = sum(1 for i in outer_positions if i < inner_positions[0])
+    outer_of, inner_of = projector(order, present - wanted), projector(order, wanted)
+    inner_attrs = inner_of(attributes)
+    insert_at = order.index(inner_attrs[0].name)
 
     # Input keys are distinct, so each (outer, inner) split occurs once.
     groups: dict[RowKey, dict[RowKey, int]] = {}
-    outer_of, inner_of = _projection(outer_positions), _projection(inner_positions)
     for key, w in rows.items():
         groups.setdefault(outer_of(key), {})[inner_of(key)] = w
 
-    new_attrs = list(attributes[i] for i in outer_positions)
+    new_attrs = list(outer_of(attributes))
     new_attrs.insert(insert_at, Attribute(b_name, nested=inner_attrs))
     nested: dict[RowKey, int] = {}
     for outer, bucket in groups.items():
         cell = NestedCell._of(inner_attrs, bucket)
         nested[outer[:insert_at] + (cell,) + outer[insert_at:]] = sum(bucket.values())
     return tuple(new_attrs), nested
-
-
-def _projection(positions: list[int]):
-    """``key -> tuple(key[i] for i in positions)``, by ``itemgetter``."""
-    if len(positions) == 1:
-        return lambda key, i=positions[0]: (key[i],)
-    return itemgetter(*positions) if positions else lambda key: ()
 
 
 def _scaled(attributes: tuple[Attribute, ...], rows: dict, lcm: int) -> NestedTable:

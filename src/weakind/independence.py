@@ -38,6 +38,7 @@ from .partitions import (
     SupportSet,
     commutes,
     projected_domain,
+    projector,
     restrict_context,
     theta,
 )
@@ -266,8 +267,9 @@ def _strong_check(
     context: Mapping[str, str],
 ) -> tuple[bool, StrongCertificate]:
     schema = table.schema
-    ctx = [(schema.names.index(n), v) for n, v in context.items()]
-    rows = [(c, v) for c, v in table.rows.items() if all(c[p] == w for p, w in ctx)]
+    ctx_of = projector(schema.names, context)
+    in_context = ctx_of(tuple(map(context.get, schema.names)))
+    rows = [(c, v) for c, v in table.rows.items() if ctx_of(c) == in_context]
     context_in_support = not context or bool(rows)
     comparisons = 0
     vacuous = 0
@@ -277,16 +279,14 @@ def _strong_check(
     if table.kind == JOINT:
         # Group the context's integer weights once, keyed by (y, z, x)
         # projections; conditionals are compared by cross-multiplication.
-        y_pos, z_pos, x_pos = map(schema.positions, (y_vars, z_vars, x_vars))
+        y_of, z_of, x_of = (projector(schema.names, v) for v in (y_vars, z_vars, x_vars))
         mass_y: dict[Config, int] = {}
         mass_yz: dict[tuple[Config, Config], int] = {}
         mass_yx: dict[tuple[Config, Config], int] = {}
         mass_yzx: dict[tuple[Config, Config, Config], int] = {}
         _, weights = common_weights(v for _, v in rows)
         for (cfg, _), w in zip(rows, weights):
-            yv = tuple(cfg[p] for p in y_pos)
-            zv = tuple(cfg[p] for p in z_pos)
-            xv = tuple(cfg[p] for p in x_pos)
+            yv, zv, xv = y_of(cfg), z_of(cfg), x_of(cfg)
             mass_y[yv] = mass_y.get(yv, 0) + w
             mass_yz[yv, zv] = mass_yz.get((yv, zv), 0) + w
             mass_yx[yv, xv] = mass_yx.get((yv, xv), 0) + w
@@ -321,8 +321,8 @@ def _strong_check(
     assert table.givens is not None
     parts = tuple(x_vars) + tuple(y_vars) + tuple(context) + tuple(z_vars)
     full_pos = [parts.index(n) for n in schema.names]
-    given_pos = schema.positions(table.givens)
-    given_support = {tuple(cfg[p] for p in given_pos) for cfg, _ in rows}
+    given_of = projector(schema.names, table.givens)
+    given_support = {given_of(cfg) for cfg, _ in rows}
     ctx_cfg = tuple(context.values())
     strict = table.kind != RAW
     for y_cfg in schema.configs(y_vars):
@@ -331,7 +331,7 @@ def _strong_check(
             for z_cfg in schema.configs(z_vars):
                 cell = x_cfg + y_cfg + ctx_cfg + z_cfg
                 full = tuple(cell[p] for p in full_pos)
-                if strict and tuple(full[p] for p in given_pos) not in given_support:
+                if strict and given_of(full) not in given_support:
                     vacuous += 1
                     continue
                 value = table.rows.get(full, ZERO)
@@ -417,15 +417,15 @@ def _class_report(
     # Y-value, so every supported (x, y, z) with x and z in the class's
     # projected domains is a row of this block: its cells are read here, as
     # integer weights over one denominator.
-    x_pos, z_pos = support.positions(x_vars), support.positions(z_vars)
-    members = list(block)
-    lcm, weights = common_weights(table.rows[support.rows[i][1]] for i in members)
+    x_of = projector(support.variables, x_vars)
+    z_of = projector(support.variables, z_vars)
+    configs = [support.rows[i][1] for i in block]
+    lcm, weights = common_weights(map(table.rows.__getitem__, configs))
     cells: dict[tuple[Config, Config], int] = {}
     mass_x: dict[Config, int] = {}
     mass_z: dict[Config, int] = {}
-    for i, w in zip(members, weights):
-        xv = support.project(i, x_pos)
-        zv = support.project(i, z_pos)
+    for cfg, w in zip(configs, weights):
+        xv, zv = x_of(cfg), z_of(cfg)
         cells[xv, zv] = w
         mass_x[xv] = mass_x.get(xv, 0) + w
         mass_z[zv] = mass_z.get(zv, 0) + w

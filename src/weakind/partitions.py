@@ -3,16 +3,40 @@
 Support rows are indexed densely from 0 and keep their original text labels
 (``t1``, ``t2``, ...) so that certificates stay readable after a context
 restriction re-indexes the rows.
+
+``projector`` is the package's one row projector: every reader of a
+row's values on a variable subset (``theta``, context restriction,
+projected domains, the strong and class checks, table validation and
+``granular``'s nest) takes them, in schema order, through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import SchemaError
 
 Config = tuple[str, ...]
+
+
+def projector(
+    variables: Sequence[str], names: Iterable[str]
+) -> Callable[[Sequence], tuple]:
+    """``row -> row's values on names``, in ``variables`` order, as a tuple.
+
+    ``variables`` names the row's columns; a name outside it raises
+    ``SchemaError``.
+    """
+    wanted = set(names)
+    unknown = wanted.difference(variables)
+    if unknown:
+        raise SchemaError(f"unknown variables: {sorted(unknown)}")
+    positions = [i for i, v in enumerate(variables) if v in wanted]
+    if len(positions) == 1:
+        return lambda row, i=positions[0]: (row[i],)
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
 @dataclass(frozen=True)
@@ -34,18 +58,6 @@ class SupportSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.rows)
 
-    def positions(self, names: Iterable[str]) -> tuple[int, ...]:
-        """Schema-order column positions of ``names``."""
-        wanted = set(names)
-        unknown = wanted - set(self.variables)
-        if unknown:
-            raise SchemaError(f"unknown variables: {sorted(unknown)}")
-        return tuple(i for i, v in enumerate(self.variables) if v in wanted)
-
-    def project(self, index: int, positions: tuple[int, ...]) -> Config:
-        cfg = self.rows[index][1]
-        return tuple(cfg[p] for p in positions)
-
     def label_block(self, block: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.rows[i][0] for i in sorted(block))
 
@@ -59,11 +71,12 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        frozen = sorted((frozenset(b) for b in blocks), key=min)
+        frozen = [frozenset(b) for b in blocks]
+        if not all(frozen):
+            raise SchemaError("empty partition block")
+        frozen.sort(key=min)
         covered: set[int] = set()
         for b in frozen:
-            if not b:
-                raise SchemaError("empty partition block")
             if covered & b:
                 raise SchemaError("partition blocks overlap")
             covered |= b
@@ -79,43 +92,19 @@ class CommutationResult:
     witness: tuple[int, int] | None  # pair present in exactly one composition
 
 
-class _UnionFind:
-    """Union-find with path compression over indices 0..n-1."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        groups: dict[int, set[int]] = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), set()).add(i)
-        return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
-
-
 def theta(support: SupportSet, names: Iterable[str]) -> Partition:
     """Partition grouping indices whose configs agree on every variable given.
 
     The empty variable set yields a single block; the full set yields
     singletons because support configs are distinct.
     """
-    positions = support.positions(names)
+    key = projector(support.variables, names)
     groups: dict[Config, list[int]] = {}
-    for i in range(len(support)):
-        groups.setdefault(support.project(i, positions), []).append(i)
-    return Partition.from_blocks(len(support), groups.values())
+    for i, (_, cfg) in enumerate(support.rows):
+        groups.setdefault(key(cfg), []).append(i)
+    # First-seen groups are disjoint, cover every index and come ordered by
+    # their minimum, so they need no re-check by ``from_blocks``.
+    return Partition(len(support), tuple(map(frozenset, groups.values())))
 
 
 def restrict_context(support: SupportSet, context: Mapping[str, str]) -> SupportSet:
@@ -126,28 +115,49 @@ def restrict_context(support: SupportSet, context: Mapping[str, str]) -> Support
     """
     if not context:
         return support
-    positions = support.positions(context)
-    wanted = tuple(context[support.variables[p]] for p in positions)
-    rows = tuple(
-        (label, cfg)
-        for i, (label, cfg) in enumerate(support.rows)
-        if support.project(i, positions) == wanted
-    )
+    key = projector(support.variables, context)
+    wanted = key(tuple(map(context.get, support.variables)))
+    rows = tuple(row for row in support.rows if key(row[1]) == wanted)
     return SupportSet(support.variables, rows)
 
 
 def join(p: Partition, q: Partition) -> Partition:
     """Finest partition coarser than both (transitive-closure join)."""
+    return _join(p, q, _block_ids(p), _block_ids(q))
+
+
+def _block_ids(part: Partition) -> list[int]:
+    """Each support index's block number in ``part``."""
+    ids = [0] * part.n
+    for b, block in enumerate(part.blocks):
+        for i in block:
+            ids[i] = b
+    return ids
+
+
+def _join(p: Partition, q: Partition, p_id: list[int], q_id: list[int]) -> Partition:
+    """``join`` from each index's p- and q-block number, by union-find over
+    the |p| + |q| block ids: q-block b is node |p| + b."""
     if p.n != q.n:
         raise SchemaError("partitions are over different supports")
-    uf = _UnionFind(p.n)
-    for blocks in (p.blocks, q.blocks):
-        for b in blocks:
-            it = iter(sorted(b))
-            first = next(it)
-            for other in it:
-                uf.union(first, other)
-    return Partition(p.n, uf.blocks())
+    offset = len(p.blocks)
+    parent = list(range(offset + len(q.blocks)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(p_id, q_id):
+        ra, rb = find(a), find(offset + b)
+        if ra != rb:
+            parent[rb] = ra
+    root = [find(a) for a in range(offset)]
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(p_id):
+        groups.setdefault(root[a], []).append(i)
+    return Partition(p.n, tuple(map(frozenset, groups.values())))
 
 
 def commutes(p: Partition, q: Partition) -> CommutationResult:
@@ -160,14 +170,8 @@ def commutes(p: Partition, q: Partition) -> CommutationResult:
     join block that lies in exactly one composition, oriented as in p∘q;
     rectangular blocks hold no such pair.
     """
-    if p.n != q.n:
-        raise SchemaError("partitions are over different supports")
-    p_id, q_id = [0] * p.n, [0] * q.n
-    for ids, part in ((p_id, p), (q_id, q)):
-        for b, block in enumerate(part.blocks):
-            for i in block:
-                ids[i] = b
-    joined = join(p, q)
+    p_id, q_id = _block_ids(p), _block_ids(q)
+    joined = _join(p, q, p_id, q_id)
     for block in joined.blocks:
         cells = {(p_id[i], q_id[i]) for i in block}
         if len(cells) == len({c[0] for c in cells}) * len({c[1] for c in cells}):
@@ -186,5 +190,5 @@ def projected_domain(
     block: Iterable[int], support: SupportSet, names: Iterable[str]
 ) -> frozenset[Config]:
     """Distinct projections of a class's configs onto a variable subset."""
-    positions = support.positions(names)
-    return frozenset(support.project(i, positions) for i in block)
+    key, rows = projector(support.variables, names), support.rows
+    return frozenset(key(rows[i][1]) for i in block)

@@ -30,7 +30,7 @@ from operator import getitem
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import LimitError, NormalizationError, ParseError, SchemaError
-from .partitions import SupportSet
+from .partitions import SupportSet, projector
 
 Config = tuple[str, ...]
 
@@ -89,11 +89,6 @@ class VariableSchema:
         if unknown:
             raise SchemaError(f"unknown variables: {sorted(unknown)}")
         return tuple(n for n in self.names if n in wanted)
-
-    def positions(self, names: Iterable[str]) -> tuple[int, ...]:
-        wanted = set(names)
-        self.order(wanted)
-        return tuple(i for i, n in enumerate(self.names) if n in wanted)
 
     def check_config(self, config: Config) -> None:
         if len(config) != len(self.variables):
@@ -286,11 +281,10 @@ class Table:
                     Violation("joint-sum", f"probabilities sum to {total}, not 1")
                 )
         else:
-            given_pos = self.schema.positions(self.givens or ())
+            given_of = projector(self.schema.names, self.givens or ())
             by_given: dict[Config, list[Fraction]] = {}
             for config, value in self.rows.items():
-                g = tuple(config[p] for p in given_pos)
-                by_given.setdefault(g, []).append(value)
+                by_given.setdefault(given_of(config), []).append(value)
             for g in sorted(by_given):
                 total = mass_sum(by_given[g])
                 if total != ONE:

@@ -32,7 +32,10 @@ nests.
 checkers' inner steps ``independence._strong_check`` and
 ``independence._class_report``: they rebuild every compared cell from the
 declared domains, merging per-value assignments into full configurations
-and looking each one up, instead of reading the rows already in hand.
+and looking each one up, instead of reading the rows already in hand. They
+project configurations through this module's own ``_positions``, sorted
+into schema order, and share no projection code with the package's
+``partitions.projector``.
 ``naive_uniform_joint_extension`` regroups rows by given-configuration
 before it normalizes, where ``tables.uniform_joint_extension`` divides once
 by the total mass.
@@ -383,9 +386,10 @@ def naive_strong_check(table, x_vars, z_vars, y_vars, context):
     counterexample = None
 
     if table.kind == JOINT:
-        y_pos = schema.positions(tuple(y_vars) + tuple(context))
-        yz_pos = schema.positions(tuple(y_vars) + tuple(context) + tuple(z_vars))
-        x_pos = schema.positions(x_vars)
+        g_vars = tuple(y_vars) + tuple(context)
+        y_pos = sorted(_positions(table, g_vars))
+        yz_pos = sorted(_positions(table, g_vars + tuple(z_vars)))
+        x_pos = sorted(_positions(table, x_vars))
         mass_g, mass_gz, mass_gx, mass_gzx = {}, {}, {}, {}
         for cfg, value in table.rows.items():
             g = tuple(cfg[p] for p in y_pos)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -207,6 +208,8 @@ def test_commutes_matches_pairscan(pair):
     p, q = pair
     for a, b in ((p, q), (q, p)):
         assert commutes(a, b) == oracles.pairscan_commutes(a, b)
+        expected = oracles.join_partition(a.blocks, b.blocks, a.n)
+        assert join(a, b) == Partition(a.n, expected)
 
 
 def test_full_support_wi_matches_nest_commutes():
@@ -262,6 +265,50 @@ def test_composition_preserves_shared_variables():
         sup = random_support(rng)
         p = theta(sup, ("V0", "V1"))
         q = theta(sup, ("V1", "V2"))
-        pos = sup.positions(("V1",))
         for block in join(p, q).blocks:
-            assert len({sup.project(i, pos) for i in block}) == 1
+            assert len(projected_domain(block, sup, ("V1",))) == 1
+
+
+def test_theta_matches_agree_pairs():
+    # theta builds its Partition without from_blocks; the oracle's blocks go
+    # through it, and dataclass equality also checks the order by minimum.
+    rng = random.Random(8)
+    for n_vars, n_rows in ((1, 3), (2, 5), (3, 6), (3, 12), (4, 20)):
+        for _ in range(10):
+            sup = random_support(rng, n_vars, n_rows)
+            configs = [cfg for _, cfg in sup.rows]
+            for r in range(n_vars + 1):
+                for names in combinations(sup.variables, r):
+                    positions = [sup.variables.index(v) for v in names]
+                    pairs = oracles.agree_pairs(configs, positions)
+                    expected = oracles.components(pairs, len(sup))
+                    assert theta(sup, names) == Partition.from_blocks(len(sup), expected)
+
+
+_SUP = SupportSet(("A", "B"), (("t1", ("0", "0")), ("t2", ("0", "1"))))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Partition.from_blocks(2, [{0, 1}, set()]),
+        lambda: Partition.from_blocks(3, [{0, 1}, {1, 2}]),
+        lambda: Partition.from_blocks(3, [{0}, {2}]),
+        lambda: theta(_SUP, ("A", "C")),
+        lambda: restrict_context(_SUP, {"C": "0"}),
+        lambda: projected_domain({0, 1}, _SUP, ("C",)),
+        lambda: SupportSet(("A", "B"), (("t1", ("0",)),)),
+    ],
+    ids=[
+        "empty-block",
+        "overlap",
+        "uncovered",
+        "theta-unknown",
+        "restrict-unknown",
+        "domain-unknown",
+        "row-arity",
+    ],
+)
+def test_schema_errors(make):
+    with pytest.raises(SchemaError):
+        make()
