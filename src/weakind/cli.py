@@ -31,19 +31,17 @@ def _echo(text: str, nl: bool = True) -> None:
     click.echo(text, file=sys.stdout, nl=nl)
 
 
-def _emit(doc: dict) -> None:
-    _echo(json.dumps(doc, indent=2))
+def _emit(command: str, report, table: tables.Table | None = None) -> None:
+    """Print ``report`` after the tool version, the verb and the table's digest."""
+    doc: dict = {"version": __version__, "command": command}
+    if table is not None:
+        doc["table_digest"] = table.digest()
+    doc.update(report.to_json_dict())
+    _echo(tables.write_json(doc))
 
 
 def _load_table(path: str, format: str, check: bool = True) -> tables.Table:
     return tables.load_table(_read(path), format=format, check=check)
-
-
-def _envelope(command: str, table: tables.Table | None = None) -> dict:
-    doc: dict = {"version": __version__, "command": command}
-    if table is not None:
-        doc["table_digest"] = table.digest()
-    return doc
 
 
 def _split_list(value: str | None) -> tuple[str, ...]:
@@ -100,9 +98,7 @@ def validate(format_: str, assert_: bool, input: str) -> None:
     """Report every violated table invariant."""
     table = _load_table(input, format_, check=False)
     report = table.validate()
-    doc = _envelope("validate", table)
-    doc.update(report.to_json_dict())
-    _emit(doc)
+    _emit("validate", report, table)
     if assert_ and not report.ok:
         sys.exit(1)
 
@@ -143,12 +139,10 @@ def check(
         verdict = independence.check_cwi(table, x, z, context)
     else:
         verdict = independence.check_wi(table, x, z, y)
-    doc = _envelope("check", table)
-    doc.update(verdict.to_json_dict())
     if pretty:
         _echo(_render_verdict(verdict))
     else:
-        _emit(doc)
+        _emit("check", verdict, table)
     if assert_ and not verdict.holds:
         sys.exit(1)
 
@@ -200,9 +194,7 @@ def enumerate_cmd(
     result = independence.enumerate_statements(
         table, tuple(k.upper() for k in _split_list(kinds)), limits
     )
-    doc = _envelope("enumerate", table)
-    doc.update(result.to_json_dict())
-    _emit(doc)
+    _emit("enumerate", result, table)
 
 
 @main.command()
@@ -221,9 +213,7 @@ def derive(premises_: str | None, universe_: str, rules_: str) -> None:
         premises = [axioms.statement_from_json(d) for d in docs]
     rules = tuple(r.upper() for r in _split_list(rules_))
     result = axioms.closure(premises, universe, rules)
-    doc = _envelope("derive")
-    doc.update(result.to_json_dict())
-    _emit(doc)
+    _emit("derive", result)
 
 
 @main.command()
@@ -239,17 +229,12 @@ def probe(
     """Empirically probe rule soundness against random tables."""
     rules = tuple(r.upper() for r in _split_list(rules_))
     report = axioms.soundness_probe(vars_, domain_size, trials, seed, rules)
-    doc = _envelope("probe")
-    doc.update(report.to_json_dict())
-    _emit(doc)
+    _emit("probe", report)
 
 
 def _load_table_or_nested(path: str) -> tables.Table | granular.NestedTable:
     text = _read(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _Die(f"malformed JSON document: {exc}") from exc
+    doc = tables._parse_json(text)
     if isinstance(doc, dict) and "attributes" in doc:
         return granular.load_nested(text)
     return tables.load_table(text)
@@ -294,9 +279,7 @@ def commute(x_: str, z_: str, format_: str, assert_: bool, input: str) -> None:
     """Run both coarsening orders and report whether they agree."""
     table = _load_table(input, format_)
     report = granular.nest_commutes(table, _split_list(x_), _split_list(z_))
-    doc = _envelope("commute", table)
-    doc.update(report.to_json_dict())
-    _emit(doc)
+    _emit("commute", report, table)
     if assert_ and not report.equal:
         sys.exit(1)
 

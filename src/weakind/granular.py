@@ -14,7 +14,6 @@ this module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,11 +29,13 @@ from .tables import (
     VariableSchema,
     _json_list,
     _parse_json,
+    _read_source,
     _to_fraction,
     common_weights,
     frac_str,
     mass_sum,
     uniform_joint_extension,
+    write_json,
 )
 
 CellValue = Union[str, "NestedCell"]
@@ -220,10 +221,8 @@ class NestedTable:
     def to_table(self) -> Table:
         if not self.is_flat():
             raise SchemaError("table still has nested attributes")
-        schema = VariableSchema(
-            tuple(Variable(a.name, a.domain or ()) for a in self.attributes)
-        )
-        return Table(schema, dict(self.rows), JOINT)
+        variables = tuple(Variable(a.name, a.domain or ()) for a in self.attributes)
+        return Table._built(VariableSchema(variables), dict(self.rows), JOINT)
 
     def to_json_dict(self) -> dict:
         return {
@@ -466,12 +465,11 @@ def wi_nest_equivalence(
 
 
 def serialize_nested(table: NestedTable) -> str:
-    return json.dumps(table.to_json_dict(), indent=2) + "\n"
+    return write_json(table.to_json_dict()) + "\n"
 
 
 def load_nested(text: str | bytes) -> NestedTable:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _read_source(text)
     doc = _parse_json(text)
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ParseError("nested table document requires an 'attributes' field")

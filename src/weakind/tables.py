@@ -44,6 +44,7 @@ ONE = Fraction(1)
 
 MAX_LITERAL_DIGITS = 4300  # Python's int <-> str cap: every loaded value prints
 _DIGITS_CAP = 10**MAX_LITERAL_DIGITS
+_esc = encode_basestring_ascii  # json.dumps's escaper under ensure_ascii
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,27 @@ def _to_fraction(value: object) -> Fraction:
     return result
 
 
+def _check_fields(schema: VariableSchema, kind: str, targets, givens) -> tuple:
+    """Check a table's kind, targets and givens; the latter two in schema order."""
+    if kind not in KINDS:
+        raise SchemaError(f"unknown table kind {kind!r}")
+    if kind == JOINT:
+        if targets is not None or givens is not None:
+            raise SchemaError("joint tables do not take targets/givens")
+        return None, None
+    if targets is None or givens is None:
+        raise SchemaError(f"{kind} tables require targets and givens")
+    targets, givens = tuple(targets), tuple(givens)
+    if not all(isinstance(name, str) for name in targets + givens):
+        raise ParseError("targets and givens must be lists of variable names")
+    targets, givens = schema.order(targets), schema.order(givens)
+    if set(targets) & set(givens):
+        raise SchemaError("targets and givens overlap")
+    if set(targets) | set(givens) != set(schema.names):
+        raise SchemaError("targets and givens must cover the schema")
+    return targets, givens
+
+
 def common_weights(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     """``(L, [v * L for v in values])``, ``L`` the lcm of the denominators: masses
     are summed and compared as integers over one denominator. ``LimitError``
@@ -227,8 +249,7 @@ class Table:
     givens: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise SchemaError(f"unknown table kind {self.kind!r}")
+        targets, givens = _check_fields(self.schema, self.kind, self.targets, self.givens)
         cleaned: dict[Config, Fraction] = {}
         for config, value in self.rows.items():
             config = tuple(config)
@@ -239,21 +260,22 @@ class Table:
                 raise SchemaError(f"duplicate configuration: {config}")
             if value:
                 cleaned[config] = value
-        object.__setattr__(self, "rows", cleaned)
-        if self.kind == JOINT:
-            if self.targets is not None or self.givens is not None:
-                raise SchemaError("joint tables do not take targets/givens")
-        else:
-            if self.targets is None or self.givens is None:
-                raise SchemaError(f"{self.kind} tables require targets and givens")
-            targets = self.schema.order(self.targets)
-            givens = self.schema.order(self.givens)
-            if set(targets) & set(givens):
-                raise SchemaError("targets and givens overlap")
-            if set(targets) | set(givens) != set(self.schema.names):
-                raise SchemaError("targets and givens must cover the schema")
-            object.__setattr__(self, "targets", targets)
-            object.__setattr__(self, "givens", givens)
+        vars(self).update(rows=cleaned, targets=targets, givens=givens)
+
+    @classmethod
+    def _built(cls, schema: VariableSchema, rows: dict[Config, Fraction], kind: str = JOINT,
+               targets: tuple | None = None, givens: tuple | None = None) -> "Table":
+        """A table from rows already checked, skipping ``__post_init__``.
+
+        The caller guarantees what it would check: the keys of ``rows`` are
+        distinct full configurations over ``schema``'s domains, its values are
+        positive ``Fraction``s, and ``kind``, ``targets`` and ``givens`` are as
+        ``_check_fields`` returns them.
+        """
+        table = object.__new__(cls)
+        vars(table).update(schema=schema, rows=rows, kind=kind, targets=targets,
+                           givens=givens)
+        return table
 
     # -- basic queries ----------------------------------------------------
 
@@ -328,14 +350,8 @@ def load_table(
 
 
 def _read_source(source: str | bytes | IO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
 def _parse_json(text: str) -> object:
@@ -359,20 +375,46 @@ def _load_json(text: str) -> Table:
         rows_doc = _json_list(doc, "rows")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
-    schema = VariableSchema(variables)
+    targets = _json_list(doc, "targets") if "targets" in doc else None
+    givens = _json_list(doc, "givens") if "givens" in doc else None
+    entries = map(_row_entry, rows_doc)
+    return _trusted(VariableSchema(variables), entries, kind, targets, givens)
+
+
+def _row_entry(entry: Mapping) -> tuple[tuple, object]:
+    try:
+        return tuple(_json_list(entry, "config")), entry["p"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed row entry: {entry!r}") from exc
+
+
+def _trusted(schema: VariableSchema, entries: Iterable[tuple[tuple, object]],
+             kind: str = JOINT, targets=None, givens=None) -> Table:
+    """``Table(schema, dict(entries), kind, targets, givens)``, each of its checks made
+    once as the rows are read, each distinct literal parsed once. Zero rows are
+    dropped after the duplicate check; the support keeps document order."""
+    targets, givens = _check_fields(schema, kind, targets, givens)
+    indexes, width = list(schema.value_index.values()), len(schema.variables)
     rows: dict[Config, Fraction] = {}
-    for entry in rows_doc:
-        try:
-            config = tuple(map(str, _json_list(entry, "config")))
-            prob = entry["p"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed row entry: {entry!r}") from exc
+    memo: dict[str, Fraction] = {}
+    for config, prob in entries:
+        try:  # values that are not domain strings are checked as str(value)
+            known = len(config) == width and all(map(dict.__contains__, indexes, config))
+        except TypeError:
+            known = False
+        if not known:
+            config = tuple(map(str, config))
+            schema.check_config(config)
         if config in rows:
             raise SchemaError(f"duplicate configuration: {config}")
-        rows[config] = _to_fraction(prob)
-    targets = tuple(_json_list(doc, "targets")) if "targets" in doc else None
-    givens = tuple(_json_list(doc, "givens")) if "givens" in doc else None
-    return Table(schema, rows, kind, targets, givens)
+        if type(prob) is not str:
+            value = _to_fraction(prob)
+        elif (value := memo.get(prob)) is None:
+            value = memo[prob] = _to_fraction(prob)
+        rows[config] = value
+    if not all(rows.values()):
+        rows = {config: value for config, value in rows.items() if value}
+    return Table._built(schema, rows, kind, targets, givens)
 
 
 def _json_list(doc: Mapping, key: str) -> list:
@@ -396,25 +438,17 @@ def _load_csv(text: str) -> Table:
     if not names:
         raise ParseError("CSV document declares no variables")
     domains: list[dict[str, None]] = [{} for _ in names]
-    configs: list[tuple[Config, Fraction]] = []
+    entries: list[tuple[Config, str]] = []
     for lineno, record in enumerate(reader, start=2):
         if not record:
             continue
         if len(record) != len(header):
             raise ParseError(f"CSV line {lineno} has {len(record)} fields")
-        config = tuple(record[:-1])
-        for value, domain in zip(config, domains):
+        for value, domain in zip(record, domains):
             domain.setdefault(value)
-        configs.append((config, _to_fraction(record[-1])))
-    schema = VariableSchema(
-        tuple(Variable(n, tuple(d)) for n, d in zip(names, domains))
-    )
-    rows: dict[Config, Fraction] = {}
-    for config, value in configs:
-        if config in rows:
-            raise SchemaError(f"duplicate configuration: {config}")
-        rows[config] = value
-    return Table(schema, rows, JOINT)
+        entries.append((tuple(record[:-1]), record[-1]))
+    variables = tuple(map(Variable, names, map(tuple, domains)))
+    return _trusted(VariableSchema(variables), entries)
 
 
 def serialize_table(table: Table, format: str = "json") -> str:
@@ -424,18 +458,11 @@ def serialize_table(table: Table, format: str = "json") -> str:
     of the document ``load_table`` reads (``indent`` runs json's Python encoder).
     """
     if format == "json":
-        esc = encode_basestring_ascii  # json.dumps's escaper under ensure_ascii
-        variables = [
-            f'{{\n      "name": {esc(v.name)},\n      "domain": '
-            + _json_array(list(map(esc, v.domain)), "      ") + "\n    }"
-            for v in table.schema.variables
-        ]
-        parts = ['{\n  "variables": ', _json_array(variables, "  "), ',\n  "kind": ']
-        parts.append(esc(table.kind))
+        doc = {"variables": [{"name": v.name, "domain": v.domain}
+                             for v in table.schema.variables], "kind": table.kind}
         if table.kind != JOINT:
-            for key, names in (("targets", table.targets), ("givens", table.givens)):
-                parts += [f',\n  "{key}": ', _json_array(list(map(esc, names)), "  ")]
-        encoded = [{d: esc(d) for d in v.domain} for v in table.schema.variables]
+            doc.update(targets=table.targets, givens=table.givens)
+        encoded = [{d: _esc(d) for d in v.domain} for v in table.schema.variables]
         head = '{\n      "config": ' + ("[\n        " if encoded else "[")
         tail = ("\n      ]" if encoded else "]") + ',\n      "p": "'
         lines = [
@@ -443,7 +470,8 @@ def serialize_table(table: Table, format: str = "json") -> str:
             + tail + frac_str(table.rows[config]) + '"\n    }'
             for config in sorted(table.rows, key=table.schema.sort_key)
         ]
-        return "".join(parts + [',\n  "rows": ', _json_array(lines, "  "), "\n}\n"])
+        # The document up to its closing "\n}", then its rows.
+        return write_json(doc)[:-2] + ',\n  "rows": ' + _json_array(lines, "  ") + "\n}\n"
     if format == "csv":
         if table.kind != JOINT:
             raise SchemaError("CSV serialization is for joint tables only")
@@ -456,12 +484,33 @@ def serialize_table(table: Table, format: str = "json") -> str:
     raise ParseError(f"unknown format {format!r}")
 
 
-def _json_array(items: Sequence[str], indent: str) -> str:
-    """``json.dumps(..., indent=2)`` layout of a list of encoded items."""
+def _json_array(items: Sequence[str], indent: str, brackets: str = "[]") -> str:
+    """``json.dumps(..., indent=2)`` layout of encoded list (``"{}"``: object) items."""
     if not items:
-        return "[]"
+        return brackets
     inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def write_json(doc: object, indent: str = "") -> str:
+    """``json.dumps(doc, indent=2)``, written directly, one string per subtree: dicts
+    with ``str`` keys, lists and tuples (as arrays), ``str``, ``int``, ``bool`` and
+    ``None``. Any other type raises ``TypeError``."""
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        items = [f"{_esc(k)}: {_esc(v) if type(v) is str else write_json(v, inner)}"
+                 for k, v in doc.items()]
+        return _json_array(items, indent, "{}")
+    if isinstance(doc, (list, tuple)):
+        items = [_esc(v) if type(v) is str else write_json(v, inner) for v in doc]
+        return _json_array(items, indent)
+    if isinstance(doc, str):
+        return _esc(doc)
+    if doc is None or type(doc) is bool:
+        return "null" if doc is None else "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 def uniform_joint_extension(table: Table) -> Table:
@@ -481,7 +530,7 @@ def uniform_joint_extension(table: Table) -> Table:
     if not total:
         raise SchemaError("cannot extend a table with empty support")
     rows = {config: Fraction(w, total) for config, w in zip(table.rows, weights)}
-    return Table(table.schema, rows, JOINT)
+    return Table._built(table.schema, rows, JOINT)
 
 
 def random_joint_table(
@@ -504,4 +553,4 @@ def random_joint_table(
     rows = {
         config: Fraction(w, total) for config, w in zip(configs, weights) if w > 0
     }
-    return Table(schema, rows, JOINT)
+    return Table._built(schema, rows, JOINT)

@@ -43,7 +43,16 @@ by the total mass.
 ``naive_serialize_table`` is the twin of ``tables.serialize_table``'s JSON
 form: it builds the canonical document as dicts and lists, sorts rows by
 ``domain.index`` per value, and runs ``json.dumps(doc, indent=2)``, where
-the package writes the same bytes directly.
+the package writes the same bytes directly. ``naive_write_json`` is
+``json.dumps(doc, indent=2)`` itself, the twin of ``tables.write_json``,
+which writes every report.
+
+``naive_load_table`` is the twin of ``tables.load_table``: it collects every
+row, zero rows included, and hands them to the public ``Table`` constructor,
+which checks arity, domains, duplicates, values, kind, targets and givens
+again. The package checks each once as it reads the row and builds the table
+through the trusted ``Table._built``. Both read JSON text and literals with
+the package's ``_parse_json`` and ``_to_fraction``.
 
 The closure references reuse the package's literal rule functions but none
 of its fixed-point machinery: ``naive_closure`` tries every premise pair or
@@ -51,6 +60,8 @@ triple for CIWI2, and ``missing_conclusions`` checks closedness by key
 lookups over a finished statement set.
 """
 
+import csv
+import io
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -75,7 +86,14 @@ from weakind.axioms import (
     apply_wi3,
     repair,
 )
-from weakind.errors import LimitError, RuleShapeError, SchemaError, StatementError
+from weakind.errors import (
+    LimitError,
+    NormalizationError,
+    ParseError,
+    RuleShapeError,
+    SchemaError,
+    StatementError,
+)
 from weakind.granular import Attribute, NestedCell, NestedTable
 from weakind.independence import (
     ClassCounterexample,
@@ -84,7 +102,17 @@ from weakind.independence import (
     StrongCertificate,
 )
 from weakind.partitions import CommutationResult, Partition
-from weakind.tables import JOINT, RAW, Table
+from weakind.tables import (
+    JOINT,
+    RAW,
+    Table,
+    Variable,
+    VariableSchema,
+    _json_list,
+    _parse_json,
+    _read_source,
+    _to_fraction,
+)
 
 ZERO = Fraction(0)
 
@@ -566,6 +594,87 @@ def naive_serialize_table(table):
         for config, p in sorted(table.rows.items(), key=lambda item: key(item[0]))
     ]
     return json.dumps(doc, indent=2) + "\n"
+
+
+def naive_write_json(doc):
+    """Twin of ``tables.write_json(doc)``."""
+    return json.dumps(doc, indent=2)
+
+
+def naive_load_table(source, format="json", check=True):
+    """Twin of ``tables.load_table``: collect the rows, then ``Table(...)``."""
+    text = _read_source(source)
+    if format == "json":
+        table = _naive_load_json(text)
+    elif format == "csv":
+        table = _naive_load_csv(text)
+    else:
+        raise ParseError(f"unknown format {format!r}")
+    if check:
+        report = table.validate()
+        if not report.ok:
+            raise NormalizationError(report.violations[0].message)
+    return table
+
+
+def _naive_load_json(text):
+    doc = _parse_json(text)
+    if not isinstance(doc, dict):
+        raise ParseError("table document must be a JSON object")
+    try:
+        variables = tuple(
+            Variable(str(v["name"]), tuple(str(d) for d in _json_list(v, "domain")))
+            for v in _json_list(doc, "variables")
+        )
+        kind = doc.get("kind", JOINT)
+        rows_doc = _json_list(doc, "rows")
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"missing or malformed field: {exc}") from exc
+    schema = VariableSchema(variables)
+    rows = {}
+    for entry in rows_doc:
+        try:
+            config = tuple(map(str, _json_list(entry, "config")))
+            prob = entry["p"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed row entry: {entry!r}") from exc
+        if config in rows:
+            raise SchemaError(f"duplicate configuration: {config}")
+        rows[config] = _to_fraction(prob)
+    targets = tuple(_json_list(doc, "targets")) if "targets" in doc else None
+    givens = tuple(_json_list(doc, "givens")) if "givens" in doc else None
+    return Table(schema, rows, kind, targets, givens)
+
+
+def _naive_load_csv(text):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty CSV document") from None
+    if not header or header[-1] != "p":
+        raise ParseError("CSV header must end with a 'p' column")
+    names = header[:-1]
+    if not names:
+        raise ParseError("CSV document declares no variables")
+    domains = [{} for _ in names]
+    configs = []
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != len(header):
+            raise ParseError(f"CSV line {lineno} has {len(record)} fields")
+        config = tuple(record[:-1])
+        for value, domain in zip(config, domains):
+            domain.setdefault(value)
+        configs.append((config, _to_fraction(record[-1])))
+    schema = VariableSchema(tuple(Variable(n, tuple(d)) for n, d in zip(names, domains)))
+    rows = {}
+    for config, value in configs:
+        if config in rows:
+            raise SchemaError(f"duplicate configuration: {config}")
+        rows[config] = value
+    return Table(schema, rows, JOINT)
 
 
 # ---------------------------------------------------------------------------

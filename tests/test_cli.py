@@ -216,6 +216,20 @@ def test_usage_errors_exit_2(tmp_path):
     assert result.output.count("\n") == 1, result.output
 
 
+def test_non_string_targets_and_givens_exit_2(tmp_path):
+    """A ``targets`` or ``givens`` entry that is not a name is a one-line
+    ``ParseError``, not a ``TypeError`` from ordering or sorting the names."""
+    table = json.loads((DATA / "csi_cpt.json").read_text())
+    for field, value in (("targets", [["X"]]), ("givens", [{"x": 1}]), ("targets", [1, "X"])):
+        bad = tmp_path / "table.json"
+        bad.write_text(json.dumps({**table, field: value}))
+        for args in (["validate"], ["check", "--kind", "ci", "--x", "X", "--z", "Z"]):
+            result = run(*args, str(bad))
+            assert result.exit_code == 2, (field, value, result.output[-200:])
+            assert result.output.count("\n") == 1, result.output
+            assert "must be lists of variable names" in result.output
+
+
 def test_oversized_common_denominator_exits_2(tmp_path):
     """Two masses whose denominators print but whose lcm passes Python's
     4,300-digit cap: the total mass, and so the table, is an input error."""
@@ -296,18 +310,18 @@ def test_enumerate_bounds_variables(tmp_path):
 def test_oversized_literals_exit_2(tmp_path):
     """The smallest literals whose numerator or denominator passes Python's
     4,300-digit cap fail with one line, as a JSON number, a JSON string, a
-    CSV field and a nested document's number."""
+    CSV field and a nested document's number, decimal or integer."""
     digits = tables.MAX_LITERAL_DIGITS
     tiny, long_int = f"1e-{digits}", "1" * (digits + 1)
     variables = '"variables": [{"name": "A", "domain": ["0", "1"]}]'
     cases = [(f'{{{variables}, "rows": [{{"config": ["0"], "p": {p}}}]}}', "validate")
              for p in (tiny, long_int, f'"{tiny}"', f'"{long_int}"')]
     cases.append((f"A,p\n0,{tiny}\n1,1\n", "csv"))
-    cases.append((
+    cases += [(
         '{"attributes": [{"name": "A", "domain": ["0", "1"]}],'
-        f' "rows": [{{"cells": ["0"], "p": {tiny}}}, {{"cells": ["1"], "p": "1"}}]}}',
+        f' "rows": [{{"cells": ["0"], "p": {p}}}, {{"cells": ["1"], "p": "1"}}]}}',
         "nest",
-    ))
+    ) for p in (tiny, long_int)]
     for text, verb in cases:
         bad = tmp_path / "big.txt"
         bad.write_text(text)

@@ -2,7 +2,10 @@
 
 The digests pin every report verb and both table verbs on the fixtures, so
 a refactor that changes a single byte of output fails here. A digest is
-changed only together with an intended, documented output change.
+changed only together with an intended, documented output change. Before
+the digests are compared, each output is checked to be a fixed point: a
+report of ``json.dumps(doc, indent=2)``, a table verb's output of reloading
+and re-serializing it. Those checks fail with a readable diff.
 
 To print the digests of the current code:
 
@@ -15,6 +18,7 @@ import pathlib
 
 from click.testing import CliRunner
 
+from weakind import granular, tables
 from weakind.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -188,8 +192,25 @@ def _outputs(tmp_path):
     return out
 
 
+def _assert_fixed_point(name, out):
+    """A report is ``json.dumps(doc, indent=2)`` of itself, and a table verb's
+    output reloads and re-serializes to itself, so a layout slip shows as a diff."""
+    if name == "check-wi-pretty":
+        return
+    assert out == json.dumps(json.loads(out), indent=2) + "\n", name
+    if name.startswith(("nest", "unnest")):
+        if "attributes" in json.loads(out):
+            again = granular.serialize_nested(granular.load_nested(out))
+        else:
+            again = tables.serialize_table(tables.load_table(out))
+        assert again == out, name
+
+
 def test_golden_outputs(tmp_path):
-    got = {name: _digest(result) for name, result in _outputs(tmp_path).items()}
+    outputs = _outputs(tmp_path)
+    for name, result in sorted(outputs.items()):
+        _assert_fixed_point(name, result.stdout)
+    got = {name: _digest(result) for name, result in outputs.items()}
     assert sorted(got) == sorted(DIGESTS)
     changed = sorted(name for name in got if got[name] != DIGESTS[name])
     assert not changed

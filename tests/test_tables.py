@@ -1,14 +1,23 @@
+import csv
 import hashlib
+import io
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakind import tables
-from weakind.errors import LimitError, NormalizationError, ParseError, SchemaError
+from weakind.errors import (
+    LimitError,
+    NormalizationError,
+    ParseError,
+    SchemaError,
+    WeakindError,
+)
 
 import oracles
 from conftest import load_fixture
@@ -365,3 +374,241 @@ def test_common_denominator_bound():
     for call in (raw.total_mass, lambda: tables.uniform_joint_extension(raw)):
         with pytest.raises(LimitError):
             call()
+
+
+# -- trusted loader and report writer against their twins ---------------------
+
+# A small pool, so literals repeat across rows as they do in real documents:
+# ratio and decimal strings, JSON integers and numbers, and zeros.
+LITERALS = ["1/2", "1/4", "2/4", "0", "0/3", "0.125", "3", 0, 1, 2, 0.5, "1e-1"]
+
+
+@st.composite
+def table_docs(draw, min_vars=0, min_rows=0, kinds=tables.KINDS):
+    """Valid table documents, rows in any order, zero rows included.
+
+    Domains may hold digit strings that rows spell as JSON integers; the
+    loaders read every config value as ``str(value)``.
+    """
+    names = draw(st.lists(TEXT, min_size=min_vars, max_size=3, unique=True))
+    domains = [
+        draw(st.lists(st.one_of(TEXT, st.sampled_from("01")), min_size=1, max_size=3,
+                      unique=True))
+        for _ in names
+    ]
+    configs = list(product(*domains))
+    chosen = draw(st.lists(st.sampled_from(configs), unique=True, min_size=min_rows,
+                           max_size=8))
+    as_int = draw(st.booleans())
+    rows = [
+        {"config": [int(v) if as_int and v in ("0", "1") else v for v in config],
+         "p": draw(st.sampled_from(LITERALS))}
+        for config in chosen
+    ]
+    doc = {"variables": [{"name": n, "domain": d} for n, d in zip(names, domains)]}
+    kind = draw(st.sampled_from(kinds))
+    if kind != tables.JOINT or draw(st.booleans()):
+        doc["kind"] = kind
+    if kind != tables.JOINT:
+        givens = [n for n in names if draw(st.booleans())]
+        doc["targets"] = draw(st.permutations([n for n in names if n not in givens]))
+        doc["givens"] = givens
+    doc["rows"] = rows
+    return doc
+
+
+BAD = "\x00not a value"  # outside every drawn domain: TEXT has at most 4 characters
+
+
+def _fault_row(draw, doc):
+    return draw(st.sampled_from(doc["rows"]))
+
+
+def _arity(draw, doc):
+    row = _fault_row(draw, doc)
+    shorter = row["config"] and draw(st.booleans())
+    row["config"] = row["config"][:-1] if shorter else row["config"] + ["0"]
+
+
+def _domain(draw, doc):
+    row = _fault_row(draw, doc)
+    row["config"][draw(st.integers(0, len(row["config"]) - 1))] = BAD
+
+
+def _duplicate(draw, doc):
+    row = _fault_row(draw, doc)  # zero rows included
+    doc["rows"].insert(draw(st.integers(0, len(doc["rows"]))),
+                       {"config": list(row["config"]), "p": draw(st.sampled_from(LITERALS))})
+
+
+def _value(bad):
+    def fault(draw, doc):
+        _fault_row(draw, doc)["p"] = draw(st.sampled_from(bad))
+    return fault
+
+
+def _entry(draw, doc):
+    row = _fault_row(draw, doc)
+    if draw(st.booleans()):
+        del row["p"]
+    else:
+        row["config"] = "".join(map(str, row["config"]))
+
+
+def _kind(draw, doc):
+    doc["kind"] = draw(st.sampled_from(["bogus", "Joint", 1, None]))
+
+
+def _joint_fields(draw, doc):
+    doc[draw(st.sampled_from(["targets", "givens"]))] = []
+
+
+def _missing_field(draw, doc):
+    del doc[draw(st.sampled_from(["targets", "givens"]))]
+
+
+def _overlap(draw, doc):
+    source = draw(st.sampled_from([f for f in ("targets", "givens") if doc[f]]))
+    other = "givens" if source == "targets" else "targets"
+    doc[other].append(draw(st.sampled_from(doc[source])))
+
+
+def _uncovered(draw, doc):
+    field = draw(st.sampled_from([f for f in ("targets", "givens") if doc[f]]))
+    doc[field].pop(draw(st.integers(0, len(doc[field]) - 1)))
+
+
+def _field_name(draw, doc):
+    doc[draw(st.sampled_from(["targets", "givens"]))].append(
+        draw(st.sampled_from([BAD, 1, ["A"], {"x": 1}, None]))
+    )
+
+
+# (name, fault, min_vars, min_rows, kinds): one fault in a valid document.
+NON_JOINT = (tables.CONDITIONAL, tables.RAW)
+FAULTS = [
+    ("arity", _arity, 0, 1, tables.KINDS),
+    ("domain", _domain, 1, 1, tables.KINDS),
+    ("duplicate", _duplicate, 0, 1, tables.KINDS),
+    ("negative", _value(["-1/3", -1, -0.5, "-1e-2"]), 0, 1, tables.KINDS),
+    ("literal", _value(["x", "1/0", True, None, [1], {}, "", "1//2"]), 0, 1, tables.KINDS),
+    ("row-entry", _entry, 0, 1, tables.KINDS),
+    ("kind", _kind, 0, 0, tables.KINDS),
+    ("joint-fields", _joint_fields, 0, 0, (tables.JOINT,)),
+    ("missing-field", _missing_field, 0, 0, NON_JOINT),
+    ("overlap", _overlap, 1, 0, NON_JOINT),
+    ("uncovered", _uncovered, 1, 0, NON_JOINT),
+    ("field-name", _field_name, 0, 0, NON_JOINT),
+]
+
+
+def _load_outcome(load, text, check):
+    try:
+        table = load(text, check=check)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return table.schema, table.kind, table.targets, table.givens, list(table.rows.items())
+
+
+def _same_loads(text, check, format="json"):
+    got = _load_outcome(lambda t, check: tables.load_table(t, format, check), text, check)
+    assert got == _load_outcome(
+        lambda t, check: oracles.naive_load_table(t, format, check), text, check
+    )
+    return got
+
+
+@given(table_docs(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_naive_on_valid_documents(doc, check):
+    got = _same_loads(json.dumps(doc), check)
+    if not check:  # the support, in document order
+        rows = dict(got[4])
+        assert all(type(v) is Fraction and v > 0 for v in rows.values())
+        in_order = [tuple(map(str, r["config"])) for r in doc["rows"]]
+        assert list(rows) == [c for c in in_order if c in rows]
+
+
+@pytest.mark.parametrize("name, fault, min_vars, min_rows, kinds", FAULTS,
+                         ids=[f[0] for f in FAULTS])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_loader_matches_naive_on_one_fault(name, fault, min_vars, min_rows, kinds, data):
+    doc = data.draw(table_docs(min_vars, min_rows, kinds))
+    fault(data.draw, doc)
+    got = _same_loads(json.dumps(doc), check=False)
+    assert isinstance(got[0], type) and issubclass(got[0], WeakindError), got
+
+
+@pytest.mark.parametrize("first, second", [
+    (1, True), (0, False), ("1", True), (1, "1"), (0.5, "1/2"), (2, [2]),
+], ids=repr)
+def test_literal_memo_keeps_types_apart(first, second):
+    """Only strings are parsed once per load: a JSON ``true`` after a ``1`` is
+    still an invalid literal, not the cached value of ``1``."""
+    doc = {"variables": [{"name": "A", "domain": ["0", "1"]}],
+           "rows": [{"config": ["0"], "p": first}, {"config": ["1"], "p": second}]}
+    _same_loads(json.dumps(doc), check=False)
+
+
+@given(table_docs(kinds=(tables.JOINT,)), st.sampled_from([None, "duplicate", "negative",
+                                                           "literal", "fields"]))
+@settings(max_examples=200, deadline=None)
+def test_csv_loader_matches_naive(doc, fault):
+    rows = [[str(v) for v in r["config"]] + [str(r["p"])] for r in doc["rows"]]
+    if fault == "duplicate" and rows:
+        rows.append(rows[0][:-1] + ["1/3"])
+    elif fault in ("negative", "literal") and rows:
+        rows[-1][-1] = "-1/3" if fault == "negative" else "x"
+    elif fault == "fields" and rows:
+        rows[0].append("1")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([v["name"] for v in doc["variables"]] + ["p"])
+    writer.writerows(rows)
+    _same_loads(out.getvalue(), check=False, format="csv")
+
+
+# Report-shaped documents: nested dicts, lists and tuples of text that needs
+# escapes, integers of any size and sign, booleans and None.
+REPORT_LEAVES = st.one_of(
+    TEXT, st.text(), st.integers(), st.integers(-(10**60), 10**60), st.booleans(), st.none()
+)
+REPORTS = st.recursive(
+    REPORT_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(TEXT, st.text(max_size=6)), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+NOT_JSON = st.sampled_from([Fraction(1, 2), {1, 2}, b"x", object(), 1j, frozenset()])
+
+
+@given(REPORTS)
+@settings(max_examples=500, deadline=None)
+@example({})
+@example([])
+@example(())
+@example({"a": [], "b": {}, "c": [[], ()], "d": [{}]})
+def test_write_json_matches_json_dumps(doc):
+    assert tables.write_json(doc) == oracles.naive_write_json(doc)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_write_json_rejects_other_types_like_json_dumps(data):
+    bad = data.draw(NOT_JSON)
+    doc = data.draw(st.recursive(
+        st.just(bad),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3),
+            st.dictionaries(TEXT, inner, min_size=1, max_size=3),
+        ),
+        max_leaves=5,
+    ))
+    with pytest.raises(TypeError):
+        oracles.naive_write_json(doc)
+    with pytest.raises(TypeError):
+        tables.write_json(doc)
