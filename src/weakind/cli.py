@@ -233,11 +233,10 @@ def probe(
 
 
 def _load_table_or_nested(path: str) -> tables.Table | granular.NestedTable:
-    text = _read(path)
-    doc = tables._parse_json(text)
+    doc = tables._parse_json(_read(path))
     if isinstance(doc, dict) and "attributes" in doc:
-        return granular.load_nested(text)
-    return tables.load_table(text)
+        return granular._load_nested(doc)
+    return tables._checked(tables._load_json(doc))
 
 
 @main.command()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -202,6 +203,7 @@ class NestedTable:
 
         The caller guarantees what it would check: distinct attribute names,
         keys whose cells fit the attributes, and positive ``Fraction`` values.
+        ``rows``, which may be a joint ``Table``'s own, is never mutated.
         """
         table = object.__new__(cls)
         object.__setattr__(table, "attributes", attributes)
@@ -256,14 +258,20 @@ def _cell_to_json(value: CellValue):
 
 
 def as_nested(table: Table | NestedTable) -> NestedTable:
+    """A joint table as a nested one of plain attributes, sharing its rows."""
     if isinstance(table, NestedTable):
         return table
     if table.kind != JOINT:
         raise SchemaError("only joint tables can be coarsened directly")
-    attributes = tuple(
-        Attribute(v.name, domain=v.domain) for v in table.schema.variables
-    )
-    return NestedTable._built(attributes, dict(table.rows))
+    return NestedTable._built(table.view.attributes, table.rows)
+
+
+def _weighted(table: Table | NestedTable) -> tuple[tuple[Attribute, ...], int, dict]:
+    """Attributes, ``L`` and the rows' integer weights over ``L``, a ``Table``'s from its view."""
+    if isinstance(table, NestedTable):
+        lcm, weights = common_weights(table.rows.values())
+        return table.attributes, lcm, dict(zip(table.rows, weights))
+    return as_nested(table).attributes, *table.view.weights
 
 
 def nest(
@@ -276,10 +284,8 @@ def nest(
     holds the group's projections with probabilities normalized by that sum.
     The new attribute takes the position of the first coarsened attribute.
     """
-    nt = as_nested(table)
-    lcm, weights = common_weights(nt.rows.values())
-    attributes, rows = _nest(nt.attributes, dict(zip(nt.rows, weights)), b_name, names)
-    return _scaled(attributes, rows, lcm)
+    attributes, lcm, rows = _weighted(table)
+    return _scaled(*_nest(attributes, rows, b_name, names), lcm)
 
 
 def _nest(attributes: tuple[Attribute, ...], rows: dict, b_name: str, names):
@@ -365,17 +371,20 @@ def canonical_equal(a: Table | NestedTable, b: Table | NestedTable) -> bool:
     if any(by_name_a[n] != by_name_b[n] for n in by_name_a):
         return False
     perm = [nb.names.index(n) for n in na.names]
-    aligned = {}
-    for key, value in nb.rows.items():
-        aligned[tuple(key[p] for p in perm)] = value
-    return dict(na.rows) == aligned
+    return na.rows == {tuple(key[p] for p in perm): value for key, value in nb.rows.items()}
 
 
 @dataclass(frozen=True)
 class NestCommutationReport:
+    """Both nest orders' integer rows over ``lcm``, compared as integers; ``first``
+    (nest Z, then X) and ``second`` (X, then Z) are ``Fraction`` tables built when read."""
+
     equal: bool
-    first: NestedTable  # nest Z first, then X
-    second: NestedTable  # nest X first, then Z
+    lcm: int
+    _first: tuple  # (attributes, integer-weighted rows)
+    _second: tuple
+    first = cached_property(lambda self: _scaled(*self._first, self.lcm))
+    second = cached_property(lambda self: _scaled(*self._second, self.lcm))
 
     def to_json_dict(self) -> dict:
         return {
@@ -403,14 +412,10 @@ def nest_commutes(
         raise SchemaError("both attribute sets must be nonempty")
     if xs & zs:
         raise SchemaError("attribute sets overlap")
-    nt = as_nested(table)
-    lcm, weights = common_weights(nt.rows.values())
-    rows = dict(zip(nt.rows, weights))
-    a1, first = _nest(*_nest(nt.attributes, rows, b_z, zs), b_x, xs)
-    a2, second = _nest(*_nest(nt.attributes, rows, b_x, xs), b_z, zs)
-    return NestCommutationReport(
-        first == second, _scaled(a1, first, lcm), _scaled(a2, second, lcm)
-    )
+    attributes, lcm, rows = _weighted(table)
+    first = _nest(*_nest(attributes, rows, b_z, zs), b_x, xs)
+    second = _nest(*_nest(attributes, rows, b_x, xs), b_z, zs)
+    return NestCommutationReport(first[1] == second[1], lcm, first, second)
 
 
 @dataclass(frozen=True)
@@ -469,11 +474,21 @@ def serialize_nested(table: NestedTable) -> str:
 
 
 def load_nested(text: str | bytes) -> NestedTable:
-    text = _read_source(text)
-    doc = _parse_json(text)
+    return _load_nested(_parse_json(_read_source(text)))
+
+
+def _load_nested(doc: object) -> NestedTable:
+    """``load_nested`` of a parsed document; only string literals are memoized."""
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ParseError("nested table document requires an 'attributes' field")
     attributes = tuple(_attribute_from_json(a) for a in _json_list(doc, "attributes"))
+    memo: dict[str, Fraction] = {}
+
+    def literal(value: object) -> Fraction:
+        if type(value) is not str:
+            return _to_fraction(value)
+        return memo.get(value) or memo.setdefault(value, _to_fraction(value))
+
     rows: dict[RowKey, Fraction] = {}
     for entry in _json_list(doc, "rows") if "rows" in doc else ():
         try:
@@ -483,12 +498,10 @@ def load_nested(text: str | bytes) -> NestedTable:
             raise ParseError(f"malformed row entry: {entry!r}") from exc
         if len(cells) != len(attributes):
             raise ParseError("row arity does not match attributes")
-        key = tuple(
-            _cell_from_json(cell, attr) for cell, attr in zip(cells, attributes)
-        )
+        key = tuple(_cell_from_json(cell, attr, literal) for cell, attr in zip(cells, attributes))
         if key in rows:
             raise SchemaError(f"duplicate row: {key}")
-        rows[key] = _to_fraction(prob)
+        rows[key] = literal(prob)
     table = NestedTable(attributes, rows)
     total = table.total_mass()
     if total != 1:
@@ -509,7 +522,7 @@ def _attribute_from_json(doc: Mapping) -> Attribute:
     raise ParseError(f"attribute {name!r} needs either a domain or nested attributes")
 
 
-def _cell_from_json(value, attr: Attribute) -> CellValue:
+def _cell_from_json(value, attr: Attribute, literal) -> CellValue:
     if not attr.is_nested:
         if not isinstance(value, str):
             raise ParseError(f"cell for plain attribute {attr.name!r} must be a string")
@@ -526,8 +539,8 @@ def _cell_from_json(value, attr: Attribute) -> CellValue:
             raise ParseError(f"malformed nested cell entry: {entry!r}") from exc
         if len(config) != len(inner_attrs):
             raise ParseError("nested config arity does not match inner attributes")
-        key = tuple(_cell_from_json(v, a) for v, a in zip(config, inner_attrs))
+        key = tuple(_cell_from_json(v, a, literal) for v, a in zip(config, inner_attrs))
         if key in rows:
             raise SchemaError(f"duplicate nested row in {attr.name!r}: {key}")
-        rows[key] = _to_fraction(prob)
+        rows[key] = literal(prob)
     return NestedCell.make(inner_attrs, rows)

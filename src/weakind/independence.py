@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import LimitError, StatementError
 from .partitions import (
+    Partition,
     SupportSet,
     commutes,
     projected_domain,
@@ -42,7 +43,7 @@ from .partitions import (
     restrict_context,
     theta,
 )
-from .tables import JOINT, RAW, ZERO, Config, Table, common_weights, frac_str
+from .tables import JOINT, RAW, ZERO, Config, Table, frac_str
 
 CI = "CI"
 CSI = "CSI"
@@ -269,7 +270,7 @@ def _strong_check(
     schema = table.schema
     ctx_of = projector(schema.names, context)
     in_context = ctx_of(tuple(map(context.get, schema.names)))
-    rows = [(c, v) for c, v in table.rows.items() if ctx_of(c) == in_context]
+    rows = [c for c in table.rows if ctx_of(c) == in_context]
     context_in_support = not context or bool(rows)
     comparisons = 0
     vacuous = 0
@@ -284,9 +285,9 @@ def _strong_check(
         mass_yz: dict[tuple[Config, Config], int] = {}
         mass_yx: dict[tuple[Config, Config], int] = {}
         mass_yzx: dict[tuple[Config, Config, Config], int] = {}
-        _, weights = common_weights(v for _, v in rows)
-        for (cfg, _), w in zip(rows, weights):
-            yv, zv, xv = y_of(cfg), z_of(cfg), x_of(cfg)
+        weights = table.view.weights[1]
+        for cfg in rows:
+            w, yv, zv, xv = weights[cfg], y_of(cfg), z_of(cfg), x_of(cfg)
             mass_y[yv] = mass_y.get(yv, 0) + w
             mass_yz[yv, zv] = mass_yz.get((yv, zv), 0) + w
             mass_yx[yv, xv] = mass_yx.get((yv, xv), 0) + w
@@ -322,7 +323,7 @@ def _strong_check(
     parts = tuple(x_vars) + tuple(y_vars) + tuple(context) + tuple(z_vars)
     full_pos = [parts.index(n) for n in schema.names]
     given_of = projector(schema.names, table.givens)
-    given_support = {given_of(cfg) for cfg, _ in rows}
+    given_support = set(map(given_of, rows))
     ctx_cfg = tuple(context.values())
     strict = table.kind != RAW
     for y_cfg in schema.configs(y_vars):
@@ -407,29 +408,29 @@ def _class_report(
     y_vars: Sequence[str],
     z_vars: Sequence[str],
 ) -> ClassReport:
-    x_values = _sorted_configs(table, x_vars, projected_domain(block, support, x_vars))
     y_values = _sorted_configs(table, y_vars, projected_domain(block, support, y_vars))
-    z_values = _sorted_configs(table, z_vars, projected_domain(block, support, z_vars))
     assert len(y_values) == 1, "composed class spans several Y-values"
     counterexample: ClassCounterexample | None = None
 
     # X, Y and Z cover the schema and the class is a join block with one
     # Y-value, so every supported (x, y, z) with x and z in the class's
-    # projected domains is a row of this block: its cells are read here, as
-    # integer weights over one denominator.
+    # projected domains is a row of this block: its cells, and those domains,
+    # are read here, as the table's integer weights over its one denominator.
     x_of = projector(support.variables, x_vars)
     z_of = projector(support.variables, z_vars)
-    configs = [support.rows[i][1] for i in block]
-    lcm, weights = common_weights(map(table.rows.__getitem__, configs))
+    lcm, weights = table.view.weights
     cells: dict[tuple[Config, Config], int] = {}
     mass_x: dict[Config, int] = {}
     mass_z: dict[Config, int] = {}
-    for cfg, w in zip(configs, weights):
-        xv, zv = x_of(cfg), z_of(cfg)
+    for i in block:
+        cfg = support.rows[i][1]
+        w, xv, zv = weights[cfg], x_of(cfg), z_of(cfg)
         cells[xv, zv] = w
         mass_x[xv] = mass_x.get(xv, 0) + w
         mass_z[zv] = mass_z.get(zv, 0) + w
-    total = sum(weights)
+    total = sum(mass_x.values())
+    x_values = _sorted_configs(table, x_vars, mass_x)
+    z_values = _sorted_configs(table, z_vars, mass_z)
     # Joint tables compare class-restricted conditionals c / m_z, which must
     # also equal the class marginal m_x / total; conditional-shaped tables
     # compare the stored values c / L. The first z-value is the baseline.
@@ -467,11 +468,13 @@ def _weak_certificate(
     x_vars: Sequence[str],
     y_vars: Sequence[str],
     z_vars: Sequence[str],
+    thetas: dict[frozenset[str], Partition],
 ) -> WeakCertificate:
+    """The certificate over ``support``, whose ``theta`` partitions ``thetas`` keeps."""
     if len(support) == 0:
         return WeakCertificate((), True, None, (), True)
-    p = theta(support, tuple(x_vars) + tuple(y_vars))
-    q = theta(support, tuple(y_vars) + tuple(z_vars))
+    keys = frozenset((*x_vars, *y_vars)), frozenset((*y_vars, *z_vars))
+    p, q = (thetas.get(k) or thetas.setdefault(k, theta(support, k)) for k in keys)
     result = commutes(p, q)
     if not result.commutes:
         assert result.witness is not None
@@ -521,8 +524,8 @@ def check_cwi(
     xs, zs, _ = _check_nonembedded(table, x, z, (), context)
     ctx_vars = table.schema.order(context)
     _require_alignment(table, xs, tuple(ctx_vars) + tuple(zs))
-    support = restrict_context(table.support(), context)
-    cert = _weak_certificate(table, support, xs, ctx_vars, zs)
+    support = restrict_context(table.view.support, context)
+    cert = _weak_certificate(table, support, xs, ctx_vars, zs, {})
     if cert.vacuous:
         holds = True
     elif not cert.commutes:
@@ -549,8 +552,8 @@ def check_wi(
     """
     xs, zs, ys = _check_nonembedded(table, x, z, y, None)
     _require_alignment(table, xs, tuple(ys) + tuple(zs))
-    support = table.support()
-    cert = _weak_certificate(table, support, xs, ys, zs)
+    view = table.view
+    cert = _weak_certificate(table, view.support, xs, ys, zs, view.thetas)
     if cert.vacuous:
         holds = True
     elif not cert.commutes:

@@ -30,7 +30,7 @@ from operator import getitem
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import LimitError, NormalizationError, ParseError, SchemaError
-from .partitions import SupportSet, projector
+from .partitions import Partition, SupportSet, projector
 
 Config = tuple[str, ...]
 
@@ -68,7 +68,7 @@ class VariableSchema:
         if len(set(names)) != len(names):
             raise SchemaError("duplicate variable names in schema")
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
@@ -86,7 +86,7 @@ class VariableSchema:
     def order(self, names: Iterable[str]) -> tuple[str, ...]:
         """The given subset in schema order."""
         wanted = set(names)
-        unknown = wanted - set(self.names)
+        unknown = wanted.difference(self.names)
         if unknown:
             raise SchemaError(f"unknown variables: {sorted(unknown)}")
         return tuple(n for n in self.names if n in wanted)
@@ -195,7 +195,10 @@ def common_weights(values: Iterable[Fraction]) -> tuple[int, list[int]]:
 
 def mass_sum(values: Iterable[Fraction]) -> Fraction:
     """The exact sum over ``common_weights``; ``LimitError`` if it would not print."""
-    lcm, weights = common_weights(values)
+    return _summed(*common_weights(values))
+
+
+def _summed(lcm: int, weights: Iterable[int]) -> Fraction:
     total = Fraction(sum(weights), lcm)
     if total.numerator >= _DIGITS_CAP:
         raise LimitError(f"sum of masses passes {MAX_LITERAL_DIGITS} digits")
@@ -234,12 +237,43 @@ class ValidationReport:
         }
 
 
+class TableView:
+    """A table's derived structure, each part built on first read: the rows' integer
+    weights, the support, ``theta`` of the support per variable set (``independence``
+    fills ``thetas``) and ``granular``'s attributes. It never holds a verdict."""
+
+    def __init__(self, schema: VariableSchema, rows: Mapping[Config, Fraction]) -> None:
+        self._schema, self._rows = schema, rows
+        self.thetas: dict[frozenset[str], Partition] = {}
+
+    @cached_property
+    def weights(self) -> tuple[int, dict[Config, int]]:
+        """``common_weights`` of the rows, the weights keyed by configuration."""
+        lcm, weights = common_weights(self._rows.values())
+        return lcm, dict(zip(self._rows, weights))
+
+    @cached_property
+    def support(self) -> SupportSet:
+        """Positive rows in document order, labelled t1, t2, ..."""
+        rows = tuple((f"t{i}", config) for i, config in enumerate(self._rows, 1))
+        return SupportSet(self._schema.names, rows)
+
+    @cached_property
+    def attributes(self) -> tuple:
+        """``granular.as_nested``'s attributes: one plain attribute per variable."""
+        from .granular import Attribute  # granular imports this module
+
+        return tuple(Attribute(v.name, domain=v.domain) for v in self._schema.variables)
+
+
 @dataclass(frozen=True)
 class Table:
     """Immutable mapping from full configurations to exact probabilities.
 
     Absent configurations read as zero. Explicit zero rows are accepted on
     input but dropped internally, so ``rows`` holds the support exactly.
+    ``view``, the derived structure the checks and ``granular`` read, is
+    built once per table on first use, so ``rows`` must never be mutated.
     """
 
     schema: VariableSchema
@@ -270,7 +304,8 @@ class Table:
         The caller guarantees what it would check: the keys of ``rows`` are
         distinct full configurations over ``schema``'s domains, its values are
         positive ``Fraction``s, and ``kind``, ``targets`` and ``givens`` are as
-        ``_check_fields`` returns them.
+        ``_check_fields`` returns them. The caller hands ``rows`` over and must
+        never mutate it: the table's cached ``view`` is derived from it.
         """
         table = object.__new__(cls)
         vars(table).update(schema=schema, rows=rows, kind=kind, targets=targets,
@@ -280,14 +315,17 @@ class Table:
     # -- basic queries ----------------------------------------------------
 
     def total_mass(self) -> Fraction:
-        return mass_sum(self.rows.values())
+        lcm, weights = self.view.weights
+        return _summed(lcm, weights.values())
+
+    @cached_property
+    def view(self) -> TableView:
+        """This table's derived structure, built on first use and kept."""
+        return TableView(self.schema, self.rows)
 
     def support(self) -> SupportSet:
-        """Positive rows in document order, labelled t1, t2, ..."""
-        rows = tuple(
-            (f"t{i + 1}", config) for i, config in enumerate(self.rows.keys())
-        )
-        return SupportSet(self.schema.names, rows)
+        """Positive rows in document order, labelled t1, t2, ...; built once."""
+        return self.view.support
 
     # -- validation --------------------------------------------------------
 
@@ -337,15 +375,18 @@ def load_table(
     """
     text = _read_source(source)
     if format == "json":
-        table = _load_json(text)
+        table = _load_json(_parse_json(text))
     elif format == "csv":
         table = _load_csv(text)
     else:
         raise ParseError(f"unknown format {format!r}")
-    if check:
-        report = table.validate()
-        if not report.ok:
-            raise NormalizationError(report.violations[0].message)
+    return _checked(table) if check else table
+
+
+def _checked(table: Table) -> Table:
+    report = table.validate()
+    if not report.ok:
+        raise NormalizationError(report.violations[0].message)
     return table
 
 
@@ -362,8 +403,8 @@ def _parse_json(text: str) -> object:
         raise ParseError(f"malformed JSON document: {exc}") from exc
 
 
-def _load_json(text: str) -> Table:
-    doc = _parse_json(text)
+def _load_json(doc: object) -> Table:
+    """A table from a parsed JSON document, its kind's sums not checked."""
     if not isinstance(doc, dict):
         raise ParseError("table document must be a JSON object")
     try:
@@ -525,11 +566,11 @@ def uniform_joint_extension(table: Table) -> Table:
     """
     if table.kind == JOINT:
         return table
-    _, weights = common_weights(table.rows.values())
-    total = sum(weights)
+    weights = table.view.weights[1]
+    total = sum(weights.values())
     if not total:
         raise SchemaError("cannot extend a table with empty support")
-    rows = {config: Fraction(w, total) for config, w in zip(table.rows, weights)}
+    rows = {config: Fraction(w, total) for config, w in weights.items()}
     return Table._built(table.schema, rows, JOINT)
 
 

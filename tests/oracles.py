@@ -28,6 +28,12 @@ runs both orders on integer masses and compares them as integers; its
 answer is checked against ``canonical_equal`` of the two naive double
 nests.
 
+``naive_nest_commutes`` is ``nest_commutes`` as it was before each table
+cached its view: it copies the rows, computes their ``common_weights`` per
+call, builds both ``Fraction`` tables at once and compares those. The
+package reads the weights from ``Table.view`` and builds the report's
+``first`` and ``second`` tables only when they are read.
+
 ``naive_strong_check`` and ``naive_class_report`` are the twins of the
 checkers' inner steps ``independence._strong_check`` and
 ``independence._class_report``: they rebuild every compared cell from the
@@ -63,6 +69,7 @@ lookups over a finished statement set.
 import csv
 import io
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -94,7 +101,7 @@ from weakind.errors import (
     SchemaError,
     StatementError,
 )
-from weakind.granular import Attribute, NestedCell, NestedTable
+from weakind.granular import Attribute, NestedCell, NestedTable, _nest, _scaled
 from weakind.independence import (
     ClassCounterexample,
     ClassReport,
@@ -112,6 +119,7 @@ from weakind.tables import (
     _parse_json,
     _read_source,
     _to_fraction,
+    common_weights,
 )
 
 ZERO = Fraction(0)
@@ -239,6 +247,38 @@ def naive_nest(table, b_name, names):
         )
         rows[outer[:insert_at] + (cell,) + outer[insert_at:]] = total
     return NestedTable(tuple(new_attrs), rows)
+
+
+@dataclass(frozen=True)
+class NaiveCommutation:
+    equal: bool
+    first: NestedTable
+    second: NestedTable
+
+    def to_json_dict(self):
+        return {"equal": self.equal, "first": self.first.to_json_dict(),
+                "second": self.second.to_json_dict()}
+
+
+def naive_nest_commutes(table, x, z, b_x="B1", b_z="B2"):
+    """Eager twin of ``granular.nest_commutes``: per-call weights, both tables built."""
+    xs, zs = set(x), set(z)
+    if not xs or not zs:
+        raise SchemaError("both attribute sets must be nonempty")
+    if xs & zs:
+        raise SchemaError("attribute sets overlap")
+    if not isinstance(table, NestedTable):
+        if table.kind != JOINT:
+            raise SchemaError("only joint tables can be coarsened directly")
+        attributes = tuple(
+            Attribute(v.name, domain=v.domain) for v in table.schema.variables
+        )
+        table = NestedTable(attributes, dict(table.rows))
+    lcm, weights = common_weights(table.rows.values())
+    rows = dict(zip(table.rows, weights))
+    first = _scaled(*_nest(*_nest(table.attributes, rows, b_z, zs), b_x, xs), lcm)
+    second = _scaled(*_nest(*_nest(table.attributes, rows, b_x, xs), b_z, zs), lcm)
+    return NaiveCommutation(first.rows == second.rows, first, second)
 
 
 def _positions(table, names):

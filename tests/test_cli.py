@@ -5,10 +5,12 @@ import pathlib
 import weakref
 from contextlib import redirect_stdout
 
+import pytest
 from click.testing import CliRunner
 
-from weakind import tables
+from weakind import granular, tables
 from weakind.cli import main
+from weakind.errors import WeakindError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -333,3 +335,45 @@ def test_oversized_literals_exit_2(tmp_path):
             result = run("validate", str(bad))
         assert result.exit_code == 2, (text[-60:], result.output)
         assert result.output.count("\n") == 1, result.output
+
+
+def test_nest_verbs_load_documents_like_the_library(tmp_path):
+    """``nest`` and ``unnest`` parse a document once and hand it to the loader
+    of its kind. A fault exits 2 with that loader's one-line message, and a
+    valid document nests and unnests as the library does."""
+    demo = (DATA / "nest_demo.json").read_text()
+    nested = granular.serialize_nested(
+        granular.nest(tables.load_table(demo), "B", ("A2", "A3"))
+    )
+    long_int = "1" * (tables.MAX_LITERAL_DIGITS + 1)
+    faults = [
+        ('{"attributes": [', tables.load_table),  # malformed JSON
+        ("[1, 2]", tables.load_table),  # not an object
+        (demo.replace("0.125", long_int, 1), tables.load_table),  # oversized literal
+        (demo.replace("0.125", "0.5", 1), tables.load_table),  # sums to 11/8
+        (nested.replace('"p": "1/2"', f'"p": {long_int}', 1), granular.load_nested),
+        (nested.replace('"P(Y)": "1/2"', '"P(Y)": true', 1), granular.load_nested),
+        (nested.replace('"p": "1/2"', '"p": "1/4"', 1), granular.load_nested),
+    ]
+    path = tmp_path / "doc.json"
+    for text, loader in faults:
+        with pytest.raises(WeakindError) as fault:
+            loader(text)
+        path.write_text(text)
+        for args in (["nest", "--by", "A1", "--as", "Q"], ["unnest", "--attr", "B"]):
+            result = run(*args, str(path))
+            assert result.exit_code == 2, (args, text[-80:])
+            assert result.output == f"Error: {fault.value}\n", (args, result.output)
+
+    path.write_text(nested)
+    table = granular.load_nested(nested)
+    result = run("nest", "--by", "A1", "--as", "Q", str(path))
+    assert result.exit_code == 0
+    assert result.output == granular.serialize_nested(granular.nest(table, "Q", ("A1",)))
+    result = run("unnest", "--attr", "B", str(path))
+    assert result.exit_code == 0
+    assert result.output == tables.serialize_table(granular.unnest(table, "B"))
+    path.write_text(demo)
+    assert run("unnest", "--attr", "B", str(path)).output == (
+        "Error: input has no nested attributes\n"
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakind import granular, tables
-from weakind.errors import SchemaError
+from weakind import granular, independence, tables
+from weakind.errors import ParseError, SchemaError
 from weakind.granular import (
     Attribute,
+    EquivalenceReport,
     NestedCell,
     NestedTable,
     canonical_equal,
@@ -22,7 +24,7 @@ from weakind.granular import (
 )
 
 import util
-from oracles import naive_nest
+from oracles import naive_nest, naive_nest_commutes
 
 
 def cell(inner_attrs, mapping):
@@ -379,3 +381,86 @@ def test_public_constructor_rejects_noncanonical_cells():
     table = NestedTable((outer,), {(good,): Fraction(1)})
     assert good == cell((a,), {("1",): "1/2", ("0",): "1/2"})
     assert unnest(table, "B").total_mass() == 1
+
+
+@given(util.kinded_tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_commutation_reports_match_eager_twin(table, data):
+    """``nest_commutes`` reads the view's weights and builds its tables only when
+    read; its report, and the equivalence report built on it, print as the
+    eager twin's, also on a forced disagreement, which prints both tables."""
+    try:
+        joint = tables.uniform_joint_extension(table)
+    except SchemaError:
+        return  # empty support
+    names = data.draw(st.permutations(table.schema.names))
+    i = data.draw(st.integers(1, len(names) - 1))
+    j = data.draw(st.integers(i + 1, len(names)))
+    x, z, y = names[:i], names[i:j], names[j:]
+    naive = naive_nest_commutes(joint, x, z)
+    for _ in range(2):  # a cold view, then a warm one
+        report = nest_commutes(joint, x, z)
+        assert "first" not in vars(report) and "second" not in vars(report)
+        assert report.equal == naive.equal
+        assert_same_nest(report.first, naive.first)
+        assert_same_nest(report.second, naive.second)
+        assert report.to_json_dict() == naive.to_json_dict()
+
+    got = wi_nest_equivalence(table, x, z, y)
+    verdict = independence.check_wi(joint, x, z, y)
+    twin = EquivalenceReport(verdict.holds, naive.equal, table.kind != "joint", verdict, naive)
+    assert got.agree and got.to_json_dict() == twin.to_json_dict()
+    assert "first" not in vars(got.commutation)
+    flipped = dataclasses.replace(got, wi_holds=not got.wi_holds)
+    doc = flipped.to_json_dict()
+    assert doc["commutation"]["first"] == naive.first.to_json_dict()
+    assert doc == dataclasses.replace(twin, wi_holds=not twin.wi_holds).to_json_dict()
+
+
+@pytest.mark.parametrize("kind, values", [
+    ("conditional", ("1/2", "1/2", "1/3", "2/3")),
+    ("raw", ("2", "4", "1", "1")),
+])
+def test_joint_extension_gets_its_own_view(kind, values):
+    """The joint extension of a conditional-shaped table caches a view of its
+    own: its weights differ from the source's, and its support keeps the
+    source's labels."""
+    schema = tables.VariableSchema(
+        (tables.Variable("A", ("0", "1")), tables.Variable("B", ("0", "1")))
+    )
+    configs = [("0", "0"), ("1", "0"), ("0", "1"), ("1", "1")]
+    source = tables.Table(schema, dict(zip(configs, map(Fraction, values))), kind,
+                          ("A",), ("B",))
+    source_weights = source.view.weights
+    joint = tables.uniform_joint_extension(source)
+    assert "view" not in vars(joint)
+    assert joint.view is not source.view
+    assert joint.view.weights != source_weights == source.view.weights
+    assert joint.support().rows == source.support().rows
+    assert joint.support() is not source.support()
+    lcm, weights = joint.view.weights
+    assert {c: Fraction(w, lcm) for c, w in weights.items()} == joint.rows
+    assert joint.total_mass() == 1
+
+
+@pytest.mark.parametrize("first, second, ok", [
+    (1, True, False), (0, False, False), ("1", True, False), ("1/2", "1/2", True),
+    (0.5, "1/2", True), ("1/2", 0.5, True),
+], ids=repr)
+def test_nested_literal_memo_keeps_types_apart(first, second, ok):
+    """``load_nested`` parses each distinct string once; a JSON ``true`` after
+    a ``1`` is still an invalid literal, in a row and in a nested cell."""
+    attrs = [{"name": "A", "domain": ["0", "1"]}]
+    flat = {"attributes": attrs,
+            "rows": [{"cells": ["0"], "p": first}, {"cells": ["1"], "p": second}]}
+    cell = [{"config": ["0"], "P(Y)": first}, {"config": ["1"], "P(Y)": second}]
+    nested = {"attributes": [{"name": "B", "nested": attrs}],
+              "rows": [{"cells": [cell], "p": "1"}]}
+    for doc in (flat, nested):
+        if not ok:
+            with pytest.raises(ParseError, match="invalid probability literal"):
+                load_nested(json.dumps(doc))
+            continue
+        table = load_nested(json.dumps(doc))
+        flat_rows = (unnest(table, "B") if doc is nested else table).rows
+        assert flat_rows == {("0",): Fraction(1, 2), ("1",): Fraction(1, 2)}

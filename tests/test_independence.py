@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weakind import independence, tables
-from weakind.errors import SchemaError, StatementError
+from weakind import independence, partitions, tables
+from weakind.errors import LimitError, SchemaError, StatementError
 from weakind.independence import (
     Limits,
     check_ci,
@@ -364,41 +364,9 @@ def test_enumerate_unknown_kind(wi_cpt):
 
 
 @st.composite
-def kinded_tables(draw):
-    """Sparse joint, conditional or raw tables of 2-4 variables, domains 1-3."""
-    n = draw(st.integers(2, 4))
-    names = [f"V{i}" for i in range(n)]
-    variables = [(v, [str(d) for d in range(draw(st.integers(1, 3)))]) for v in names]
-    kind = draw(st.sampled_from(["joint", "conditional", "raw"]))
-    configs = list(product(*(d for _, d in variables)))
-    weights = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=len(configs),
-                            max_size=len(configs)))
-    if kind == "joint":
-        if not any(weights):
-            weights[0] = 1
-        # Rows a_i / b_i, normalized: their reduced denominators differ, so
-        # the checkers' common denominator scales the weights.
-        masses = [Fraction(w, draw(st.sampled_from((1, 2, 3, 5)))) for w in weights]
-        total = sum(masses)
-        return make_table(variables, [(c, m / total) for c, m in zip(configs, masses)])
-    targets = tuple(draw(st.sets(st.sampled_from(names), min_size=1, max_size=n - 1)))
-    givens = tuple(v for v in names if v not in targets)
-    rows = list(zip(configs, (Fraction(w, draw(st.integers(1, 3))) for w in weights)))
-    if kind == "conditional":
-        # Every supported given-column sums to 1; some columns stay empty.
-        g_pos = [names.index(v) for v in givens]
-        column = {}
-        for c, w in rows:
-            g = tuple(c[p] for p in g_pos)
-            column[g] = column.get(g, 0) + w
-        rows = [(c, w / column[tuple(c[p] for p in g_pos)]) for c, w in rows if w]
-    return make_table(variables, rows, kind, targets, givens)
-
-
-@st.composite
 def statements(draw):
     """A table with a random role per variable and a context drawn per role C."""
-    table = draw(kinded_tables())
+    table = draw(util.kinded_tables())
     names = table.schema.names
     if table.kind == "joint":
         # "-" leaves a variable out, which only strong statements allow.
@@ -459,3 +427,65 @@ def test_checks_match_naive_twins(case):
         return
     assert extension == oracles.naive_uniform_joint_extension(table)
     assert list(extension.rows) == list(table.rows)
+
+
+def _fresh(table):
+    """The same rows in a new table, whose view is not built yet."""
+    rows = dict(table.rows)
+    return tables.Table._built(table.schema, rows, table.kind, table.targets, table.givens)
+
+
+def _docs(verdicts):
+    return {k: v if isinstance(v, str) else v.to_json_dict() for k, v in verdicts.items()}
+
+
+@given(statements())
+@settings(max_examples=150, deadline=None)
+def test_verdicts_same_on_cold_and_warm_views(case):
+    """A table's cached view changes no verdict. Each kind's verdict on a fresh
+    table equals the one after ``enumerate_statements`` has warmed the view,
+    and the naive twins' on that warm table."""
+    table, groups, context = case
+    fresh = _fresh(table)
+    assert "view" not in vars(fresh)
+    cold = _docs(_verdicts(fresh, groups, context))
+    enumerate_statements(table, independence.STATEMENT_KINDS, Limits(max_contexts=2))
+    view = vars(table)["view"]
+    assert view.support is table.support()
+    assert _docs(_verdicts(table, groups, context)) == cold
+    assert vars(table)["view"] is view
+    with mock.patch.object(independence, "_strong_check", oracles.naive_strong_check), \
+            mock.patch.object(independence, "_class_report", oracles.naive_class_report):
+        assert _docs(_verdicts(table, groups, context)) == cold
+
+
+def test_wi_reuses_theta_per_variable_set(wi_cpt):
+    """``check_wi`` keeps ``theta`` of the full support per variable set, and
+    the partitions it keeps are the ones ``theta`` computes afresh."""
+    table = _fresh(wi_cpt)
+    first = check_wi(table, ("X",), ("Z", "W"), ("Y",))
+    thetas = dict(table.view.thetas)
+    assert set(thetas) == {frozenset({"X", "Y"}), frozenset({"Y", "Z", "W"})}
+    with mock.patch.object(independence, "theta", side_effect=AssertionError):
+        again = check_wi(table, ("X",), ("Z", "W"), ("Y",))
+    assert again == first
+    support = table.support()
+    assert all(part == partitions.theta(support, key) for key, part in thetas.items())
+
+
+def test_weights_share_one_denominator_per_table():
+    """The checks read a table's weights over its one common denominator, so
+    a table whose denominator passes ``MAX_LITERAL_DIGITS`` digits is a
+    ``LimitError`` even where each class's own denominator would print."""
+    a, b = 10**2200 + 1, 10**2200 + 3
+    table = make_table(
+        [("A", "0123"), ("B", "01")],
+        [(("0", "0"), Fraction(1, a)), (("1", "0"), Fraction(a - 1, a)),
+         (("2", "1"), Fraction(1, b)), (("3", "1"), Fraction(b - 1, b))],
+        "conditional", ("A",), ("B",),
+    )
+    assert table.validate().ok  # each given-column sums to 1 on its own
+    with pytest.raises(LimitError, match="passes 4300 digits"):
+        check_wi(table, ("A",), ("B",), ())
+    # The conditional-shaped strong path compares stored values, not weights.
+    assert not check_ci(table, ("A",), ("B",), ()).holds

@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 
 import random
+from fractions import Fraction
 from itertools import product
+
+from hypothesis import strategies as st
 
 from weakind import tables
 
@@ -74,3 +77,40 @@ def random_factorized_table(rng, names, max_dom=3):
         if value > 0:
             rows[config] = value
     return tables.Table(schema, rows, "joint")
+
+
+def _table(variables, rows, kind="joint", targets=None, givens=None):
+    schema = tables.VariableSchema(tuple(tables.Variable(n, tuple(d)) for n, d in variables))
+    return tables.Table(schema, dict(rows), kind, targets, givens)
+
+
+@st.composite
+def kinded_tables(draw):
+    """Sparse joint, conditional or raw tables of 2-4 variables, domains 1-3."""
+    n = draw(st.integers(2, 4))
+    names = [f"V{i}" for i in range(n)]
+    variables = [(v, [str(d) for d in range(draw(st.integers(1, 3)))]) for v in names]
+    kind = draw(st.sampled_from(["joint", "conditional", "raw"]))
+    configs = list(product(*(d for _, d in variables)))
+    weights = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=len(configs),
+                            max_size=len(configs)))
+    if kind == "joint":
+        if not any(weights):
+            weights[0] = 1
+        # Rows a_i / b_i, normalized: their reduced denominators differ, so
+        # the checkers' common denominator scales the weights.
+        masses = [Fraction(w, draw(st.sampled_from((1, 2, 3, 5)))) for w in weights]
+        total = sum(masses)
+        return _table(variables, [(c, m / total) for c, m in zip(configs, masses)])
+    targets = tuple(draw(st.sets(st.sampled_from(names), min_size=1, max_size=n - 1)))
+    givens = tuple(v for v in names if v not in targets)
+    rows = list(zip(configs, (Fraction(w, draw(st.integers(1, 3))) for w in weights)))
+    if kind == "conditional":
+        # Every supported given-column sums to 1; some columns stay empty.
+        g_pos = [names.index(v) for v in givens]
+        column = {}
+        for c, w in rows:
+            g = tuple(c[p] for p in g_pos)
+            column[g] = column.get(g, 0) + w
+        rows = [(c, w / column[tuple(c[p] for p in g_pos)]) for c, w in rows if w]
+    return _table(variables, rows, kind, targets, givens)
