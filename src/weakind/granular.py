@@ -261,9 +261,13 @@ def as_nested(table: Table | NestedTable) -> NestedTable:
     """A joint table as a nested one of plain attributes, sharing its rows."""
     if isinstance(table, NestedTable):
         return table
+    return NestedTable._built(_plain_attributes(table), table.rows)
+
+
+def _plain_attributes(table: Table) -> tuple[Attribute, ...]:
     if table.kind != JOINT:
         raise SchemaError("only joint tables can be coarsened directly")
-    return NestedTable._built(table.view.attributes, table.rows)
+    return tuple(Attribute(v.name, domain=v.domain) for v in table.schema.variables)
 
 
 def _weighted(table: Table | NestedTable) -> tuple[tuple[Attribute, ...], int, dict]:
@@ -271,7 +275,7 @@ def _weighted(table: Table | NestedTable) -> tuple[tuple[Attribute, ...], int, d
     if isinstance(table, NestedTable):
         lcm, weights = common_weights(table.rows.values())
         return table.attributes, lcm, dict(zip(table.rows, weights))
-    return as_nested(table).attributes, *table.view.weights
+    return _plain_attributes(table), *table.view.weights
 
 
 def nest(
@@ -371,7 +375,10 @@ def canonical_equal(a: Table | NestedTable, b: Table | NestedTable) -> bool:
     if any(by_name_a[n] != by_name_b[n] for n in by_name_a):
         return False
     perm = [nb.names.index(n) for n in na.names]
-    return na.rows == {tuple(key[p] for p in perm): value for key, value in nb.rows.items()}
+    aligned = {}
+    for key, value in nb.rows.items():
+        aligned[tuple(key[p] for p in perm)] = value
+    return dict(na.rows) == aligned
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .partitions import (
     restrict_context,
     theta,
 )
-from .tables import JOINT, RAW, ZERO, Config, Table, frac_str
+from .tables import JOINT, RAW, ZERO, Config, Table, common_weights, frac_str
 
 CI = "CI"
 CSI = "CSI"
@@ -415,15 +415,21 @@ def _class_report(
     # X, Y and Z cover the schema and the class is a join block with one
     # Y-value, so every supported (x, y, z) with x and z in the class's
     # projected domains is a row of this block: its cells, and those domains,
-    # are read here, as the table's integer weights over its one denominator.
+    # are read here, as integer weights over one denominator: a joint table's
+    # view's, which its sum check also uses, or for a conditional-shaped
+    # table the class's own, as its table-wide one may pass the digit cap.
     x_of = projector(support.variables, x_vars)
     z_of = projector(support.variables, z_vars)
-    lcm, weights = table.view.weights
+    configs = [support.rows[i][1] for i in block]
+    if table.kind == JOINT:
+        lcm, weights = table.view.weights
+    else:
+        lcm, scaled = common_weights(map(table.rows.__getitem__, configs))
+        weights = dict(zip(configs, scaled))
     cells: dict[tuple[Config, Config], int] = {}
     mass_x: dict[Config, int] = {}
     mass_z: dict[Config, int] = {}
-    for i in block:
-        cfg = support.rows[i][1]
+    for cfg in configs:
         w, xv, zv = weights[cfg], x_of(cfg), z_of(cfg)
         cells[xv, zv] = w
         mass_x[xv] = mass_x.get(xv, 0) + w
@@ -524,7 +530,7 @@ def check_cwi(
     xs, zs, _ = _check_nonembedded(table, x, z, (), context)
     ctx_vars = table.schema.order(context)
     _require_alignment(table, xs, tuple(ctx_vars) + tuple(zs))
-    support = restrict_context(table.view.support, context)
+    support = restrict_context(table.support(), context)
     cert = _weak_certificate(table, support, xs, ctx_vars, zs, {})
     if cert.vacuous:
         holds = True
@@ -552,8 +558,7 @@ def check_wi(
     """
     xs, zs, ys = _check_nonembedded(table, x, z, y, None)
     _require_alignment(table, xs, tuple(ys) + tuple(zs))
-    view = table.view
-    cert = _weak_certificate(table, view.support, xs, ys, zs, view.thetas)
+    cert = _weak_certificate(table, table.support(), xs, ys, zs, table.view.thetas)
     if cert.vacuous:
         holds = True
     elif not cert.commutes:

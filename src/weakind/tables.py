@@ -239,8 +239,8 @@ class ValidationReport:
 
 class TableView:
     """A table's derived structure, each part built on first read: the rows' integer
-    weights, the support, ``theta`` of the support per variable set (``independence``
-    fills ``thetas``) and ``granular``'s attributes. It never holds a verdict."""
+    weights, the support and ``theta`` of the support per variable set
+    (``independence`` fills ``thetas``). It never holds a verdict."""
 
     def __init__(self, schema: VariableSchema, rows: Mapping[Config, Fraction]) -> None:
         self._schema, self._rows = schema, rows
@@ -257,13 +257,6 @@ class TableView:
         """Positive rows in document order, labelled t1, t2, ..."""
         rows = tuple((f"t{i}", config) for i, config in enumerate(self._rows, 1))
         return SupportSet(self._schema.names, rows)
-
-    @cached_property
-    def attributes(self) -> tuple:
-        """``granular.as_nested``'s attributes: one plain attribute per variable."""
-        from .granular import Attribute  # granular imports this module
-
-        return tuple(Attribute(v.name, domain=v.domain) for v in self._schema.variables)
 
 
 @dataclass(frozen=True)

@@ -23,19 +23,7 @@ from weakind.independence import (
 
 import oracles
 import util
-
-
-def make_table(variables, rows, kind="joint", targets=None, givens=None):
-    schema = tables.VariableSchema(
-        tuple(tables.Variable(n, tuple(d)) for n, d in variables)
-    )
-    return tables.Table(
-        schema,
-        {tuple(c): Fraction(p) for c, p in rows},
-        kind,
-        targets,
-        givens,
-    )
+from util import make_table
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +461,23 @@ def test_wi_reuses_theta_per_variable_set(wi_cpt):
     assert all(part == partitions.theta(support, key) for key, part in thetas.items())
 
 
-def test_weights_share_one_denominator_per_table():
-    """The checks read a table's weights over its one common denominator, so
-    a table whose denominator passes ``MAX_LITERAL_DIGITS`` digits is a
-    ``LimitError`` even where each class's own denominator would print."""
+@pytest.mark.parametrize("kind", ["conditional", "raw"])
+def test_conditional_shaped_classes_keep_their_own_denominator(kind):
+    """A conditional-shaped table whose one common denominator passes
+    ``MAX_LITERAL_DIGITS`` digits still gets a weak verdict where each class's
+    own denominator prints: its classes are scaled alone, as the twin's are."""
     a, b = 10**2200 + 1, 10**2200 + 3
     table = make_table(
         [("A", "0123"), ("B", "01")],
         [(("0", "0"), Fraction(1, a)), (("1", "0"), Fraction(a - 1, a)),
          (("2", "1"), Fraction(1, b)), (("3", "1"), Fraction(b - 1, b))],
-        "conditional", ("A",), ("B",),
+        kind, ("A",), ("B",),
     )
     assert table.validate().ok  # each given-column sums to 1 on its own
     with pytest.raises(LimitError, match="passes 4300 digits"):
-        check_wi(table, ("A",), ("B",), ())
-    # The conditional-shaped strong path compares stored values, not weights.
+        table.total_mass()
+    verdict = check_wi(table, ("A",), ("B",), ())
+    with mock.patch.object(independence, "_class_report", oracles.naive_class_report):
+        assert check_wi(_fresh(table), ("A",), ("B",), ()) == verdict
+    assert verdict.holds and len(verdict.certificate.classes) == 2
     assert not check_ci(table, ("A",), ("B",), ()).holds

@@ -79,9 +79,17 @@ def random_factorized_table(rng, names, max_dom=3):
     return tables.Table(schema, rows, "joint")
 
 
-def _table(variables, rows, kind="joint", targets=None, givens=None):
-    schema = tables.VariableSchema(tuple(tables.Variable(n, tuple(d)) for n, d in variables))
-    return tables.Table(schema, dict(rows), kind, targets, givens)
+def make_table(variables, rows, kind="joint", targets=None, givens=None):
+    schema = tables.VariableSchema(
+        tuple(tables.Variable(n, tuple(d)) for n, d in variables)
+    )
+    return tables.Table(
+        schema,
+        {tuple(c): Fraction(p) for c, p in rows},
+        kind,
+        targets,
+        givens,
+    )
 
 
 @st.composite
@@ -101,7 +109,7 @@ def kinded_tables(draw):
         # the checkers' common denominator scales the weights.
         masses = [Fraction(w, draw(st.sampled_from((1, 2, 3, 5)))) for w in weights]
         total = sum(masses)
-        return _table(variables, [(c, m / total) for c, m in zip(configs, masses)])
+        return make_table(variables, [(c, m / total) for c, m in zip(configs, masses)])
     targets = tuple(draw(st.sets(st.sampled_from(names), min_size=1, max_size=n - 1)))
     givens = tuple(v for v in names if v not in targets)
     rows = list(zip(configs, (Fraction(w, draw(st.integers(1, 3))) for w in weights)))
@@ -113,4 +121,4 @@ def kinded_tables(draw):
             g = tuple(c[p] for p in g_pos)
             column[g] = column.get(g, 0) + w
         rows = [(c, w / column[tuple(c[p] for p in g_pos)]) for c, w in rows if w]
-    return _table(variables, rows, kind, targets, givens)
+    return make_table(variables, rows, kind, targets, givens)
