@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import independence
@@ -39,6 +38,7 @@ RULE_CIWI2 = "CIWI2"
 ALL_RULES = (RULE_WI1, RULE_WI2, RULE_WI3, RULE_CIWI1, RULE_CIWI2)
 
 MAX_PROBE_CONFIGS = 4096  # domain_size ** variables of one probe table
+MAX_PROBE_WORK = 2_000_000  # trials × 2·3^variables statements × configurations
 
 
 def _names(values: Iterable[str]) -> tuple[str, ...]:
@@ -289,12 +289,6 @@ def replay_trace(trace: DerivationTrace) -> bool:
     return fixed == trace.statement and removed == trace.repaired
 
 
-def _subsets(values: frozenset[str]) -> Iterable[tuple[str, ...]]:
-    ordered = sorted(values)
-    for size in range(len(ordered) + 1):
-        yield from combinations(ordered, size)
-
-
 def _active_rules(rules: Iterable[str]) -> tuple[str, ...]:
     """The requested rules in canonical order, reading ``rules`` once."""
     requested = set(rules)
@@ -314,130 +308,130 @@ def closure(
 
     Conclusions are canonicalized before insertion, which keeps the space
     finite (two kinds times three roles per variable); the literal forms and
-    any repairs live in the traces.
+    any repairs live in the traces. The engine derives over integer masks,
+    bit i standing for the i-th name of the sorted universe: a statement is
+    the key (kind, X, Z, Y), a conclusion is mask arithmetic, and its repair
+    clears Y's bits from X and Z. Statement and trace objects are built only
+    for keys not seen before, always over the sorted universe (premises are
+    rebuilt over it), so the keys of ``derived_rules`` lie in ``statements``.
 
-    Two rules are evaluated in closed form because their repaired
-    conclusions are known in advance. Every WI1 literal WI(X, U - Y | Y)
-    with X ⊆ Y repairs to WI(∅, U - Y | Y), so only X = ∅ is applied, which
-    is the first X a full enumeration would insert. WI2 on a popped
-    canonical WI(X, Z | Y) gives WI(X, Z ∪ W | Y) and WI(X ∪ W, Z | Y) for
-    each W ⊆ Y, and both repair back to the popped statement, so WI2 only
-    adds its tag to that statement's derived rules.
+    WI1 and WI2 run in closed form: every WI1 literal WI(X, U - Y | Y) with
+    X ⊆ Y repairs to WI(∅, U - Y | Y), the one applied, and both WI2
+    conclusions on a popped WI(X, Z | Y) repair back to it, so WI2 only tags it.
 
     CIWI2 runs semi-naively: its premises are fixed by a split (X, Z1, Z2,
     Y) of the universe, so each popped statement enumerates the subsets of
     its Y and looks up the other two premises among the popped canonical
-    statements, indexed by (X, Z). That is at most 2·2^|Y| lookups per pop,
-    not a scan of all WI×CI (or WI×WI) pairs. Matches fire in that scan's
-    order, so the traces equal those of a naive evaluation.
+    statements, indexed by (X, Z): at most 2·2^|Y| lookups per pop, not a
+    scan of all WI×CI (or WI×WI) pairs. Subsets come by size, then by name,
+    as the literal rules enumerate them, and matches fire in the scan's
+    order, so the traces equal those of the naive evaluation.
     """
     u = _names(universe)
     if len(u) > max_universe:
         raise LimitError(f"universe of {len(u)} variables exceeds bound {max_universe}")
     active = _active_rules(rules)
+    full = (1 << len(u)) - 1
+    bit = {name: 1 << i for i, name in enumerate(u)}
+    names = [tuple(n for n in u if bit[n] & mask) for mask in range(full + 1)]
+    sets = [frozenset(n) for n in names]
+    order = sorted(range(full + 1), key=lambda mask: (len(names[mask]), names[mask]))
+    subsets: dict[int, list[int]] = {}
+
+    def subsets_of(mask: int) -> list[int]:
+        if mask not in subsets:
+            subsets[mask] = [w for w in order if not w & ~mask]
+        return subsets[mask]
+
+    def build(key: tuple) -> AxiomStatement:
+        kind, x, z, y = key
+        return AxiomStatement(kind, sets[x], sets[z], sets[y], u)
 
     known: dict[tuple, AxiomStatement] = {}
+    tags: dict[tuple, set[str]] = {}
     traces: list[DerivationTrace] = []
-    derived_rules: dict[AxiomStatement, set[str]] = {}
-    worklist: deque[AxiomStatement] = deque()
+    worklist: deque[tuple] = deque()
 
-    def insert(
-        literal: AxiomStatement,
-        rule: str,
-        rule_premises: tuple[AxiomStatement, ...],
-        instantiation: tuple[tuple[str, tuple[str, ...]], ...],
-    ) -> None:
-        fixed, removed = repair(literal)
-        derived_rules.setdefault(fixed, set()).add(rule)
-        if fixed.key() in known:
+    def insert(literal: tuple, rule: str, rule_premises: tuple, inst: tuple) -> None:
+        kind, x, z, y = literal
+        key = (kind, x & ~y, z & ~y, y)
+        tags.setdefault(key, set()).add(rule)
+        if key in known:
             return
-        known[fixed.key()] = fixed
-        traces.append(
-            DerivationTrace(fixed, literal, rule, rule_premises, instantiation, removed)
-        )
-        worklist.append(fixed)
+        fixed = known[key] = build(key)
+        traces.append(DerivationTrace(
+            fixed, fixed if key == literal else build(literal), rule,
+            tuple(known[p] for p in rule_premises),
+            tuple((label, names[mask]) for label, mask in inst), names[(x | z) & y],
+        ))
+        worklist.append(key)
 
     for premise in premises:
         if set(premise.universe) != set(u):
             raise StatementError("premise universe does not match the closure universe")
-        if premise.key() not in known:
-            known[premise.key()] = premise
-            worklist.append(premise)
+        parts = (premise.x, premise.z, premise.y)
+        key = (premise.kind, *(sum(bit[n] for n in part) for part in parts))
+        if key not in known:
+            known[key] = premise if premise.universe == u else build(key)
+            worklist.append(key)
 
     if RULE_WI1 in active:
-        # Every X ⊆ Y repairs to WI(∅, U - Y | Y); X = ∅ comes first.
-        for y in _subsets(frozenset(u)):
-            insert(apply_wi1(u, (), y), RULE_WI1, (), (("X", ()), ("Y", y)))
+        for y in subsets_of(full):
+            insert((WI, 0, full & ~y, y), RULE_WI1, (), (("X", 0), ("Y", y)))
 
-    # (X, Z) -> (pop position, statement) for the popped canonical statements
-    wi_index: dict[tuple, tuple[int, AxiomStatement]] = {}
-    ci_index: dict[tuple, tuple[int, AxiomStatement]] = {}
+    # (X, Z) -> (pop position, key) for the popped canonical statements
+    wi_index: dict[tuple[int, int], tuple[int, tuple]] = {}
+    ci_index: dict[tuple[int, int], tuple[int, tuple]] = {}
 
-    def fire_ciwi2(
-        a: AxiomStatement, b: AxiomStatement, c: AxiomStatement
-    ) -> None:
-        try:
-            literal = apply_ciwi2(a, b, c)
-        except RuleShapeError:
-            return
-        insert(
-            literal,
-            RULE_CIWI2,
-            (a, b, c),
-            (("Z1", tuple(sorted(b.z))), ("Z2", tuple(sorted(a.z)))),
-        )
+    def fire_ciwi2(a: tuple, b: tuple, c: tuple) -> None:
+        """``apply_ciwi2`` on keys: its shape test, then its conclusion."""
+        (_, x, z2, a_y), (_, b_x, z1, b_y) = a, b
+        y = a_y & ~z1
+        if b_x == x and not z1 & ~a_y and b_y == y | z2 and c[1:] == (z1, z2, y | x):
+            insert((WI, x, z1 | z2, y), RULE_CIWI2, (a, b, c), (("Z1", z1), ("Z2", z2)))
 
     while worklist:
         current = worklist.popleft()
-        if not current.canonical:
-            continue
+        kind, x, z, y = current
+        if x & y or z & y or x & z or x | z | y != full:
+            continue  # not canonical
         found: list[tuple[tuple, tuple]] = []  # (scan order, CIWI2 premises)
-        if current.kind == WI:
-            wi_index[current.x, current.z] = (len(wi_index), current)
+        if kind == WI:
+            wi_index[x, z] = (len(wi_index), current)
             if RULE_WI2 in active:
-                # Both conclusions for every W ⊆ Y repair back to current.
-                derived_rules.setdefault(current, set()).add(RULE_WI2)
+                tags.setdefault(current, set()).add(RULE_WI2)
             if RULE_WI3 in active:
-                for w in _subsets(current.z):
-                    literal = apply_wi3(current, w)
-                    insert(literal, RULE_WI3, (current,), (("W", w),))
+                for w in subsets_of(z):
+                    insert((WI, x, z & ~w, y | w), RULE_WI3, (current,), (("W", w),))
             if RULE_CIWI2 in active:
-                # The partner is WI(X, Z) for Z ⊆ Y: the second premise with
-                # CI(Z ⊥ current.z), or the first premise with CI(current.z ⊥ Z).
-                # Both share one CI premise only if Z = current.z = ∅, where
-                # the partner is current itself, so the sort keys are unique.
-                for w in _subsets(current.y):
-                    z = frozenset(w)
-                    if (current.x, z) not in wi_index:
+                # The partner is WI(X, Z') for Z' ⊆ Y: the second premise with
+                # CI(Z' ⊥ Z), or the first with CI(Z ⊥ Z'). Both share one CI
+                # premise only if Z' = Z = ∅, the partner then being current.
+                for w in subsets_of(y):
+                    if (x, w) not in wi_index:
                         continue
-                    pos, other = wi_index[current.x, z]
-                    if (z, current.z) in ci_index:
-                        ci_pos, ci = ci_index[z, current.z]
+                    pos, other = wi_index[x, w]
+                    if (w, z) in ci_index:
+                        ci_pos, ci = ci_index[w, z]
                         found.append(((pos, ci_pos), (current, other, ci)))
-                    if (current.z, z) in ci_index and other is not current:
-                        ci_pos, ci = ci_index[current.z, z]
+                    if (z, w) in ci_index and other != current:
+                        ci_pos, ci = ci_index[z, w]
                         found.append(((pos, ci_pos), (other, current, ci)))
         else:
-            ci_index[current.x, current.z] = (len(ci_index), current)
+            ci_index[x, z] = (len(ci_index), current)
             if RULE_CIWI1 in active:
-                literal = apply_ciwi1(current)
-                insert(literal, RULE_CIWI1, (current,), ())
+                insert((WI, y, z, y), RULE_CIWI1, (current,), ())
             if RULE_CIWI2 in active:
-                for w in _subsets(current.y):
-                    x = frozenset(w)
-                    if (x, current.z) in wi_index and (x, current.x) in wi_index:
-                        pos_a, a = wi_index[x, current.z]
-                        pos_b, b = wi_index[x, current.x]
+                for w in subsets_of(y):
+                    if (w, z) in wi_index and (w, x) in wi_index:
+                        pos_a, a = wi_index[w, z]
+                        pos_b, b = wi_index[w, x]
                         found.append(((pos_a, pos_b), (a, b, current)))
         for _, triple in sorted(found, key=lambda c: c[0]):
             fire_ciwi2(*triple)
 
-    return ClosureResult(
-        u,
-        frozenset(known.values()),
-        tuple(traces),
-        {k: frozenset(v) for k, v in derived_rules.items()},
-    )
+    derived_rules = {known[key]: frozenset(tagged) for key, tagged in tags.items()}
+    return ClosureResult(u, frozenset(known.values()), tuple(traces), derived_rules)
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +548,21 @@ def soundness_probe(
     For each random joint table, the semantically holding statements are
     closed under the selected rules and every derived statement is evaluated
     semantically (after the documented repair for tagged forms). The report
-    is deterministic for a fixed seed. A universe past ``MAX_UNIVERSE``, or
-    tables of more than ``MAX_PROBE_CONFIGS`` configurations, raise
-    ``LimitError`` before any table is built.
+    is deterministic for a fixed seed. A universe past ``MAX_UNIVERSE``,
+    tables of more than ``MAX_PROBE_CONFIGS`` configurations, or more than
+    ``MAX_PROBE_WORK`` statement checks over one configuration each (a trial
+    checks at most 2·3^variables statements) raise ``LimitError`` at once.
     """
     if variables > MAX_UNIVERSE:
         raise LimitError(f"universe of {variables} variables exceeds bound {MAX_UNIVERSE}")
-    if domain_size ** variables > MAX_PROBE_CONFIGS:
+    configs = domain_size ** variables
+    if configs > MAX_PROBE_CONFIGS:
         limit = f"bound {MAX_PROBE_CONFIGS} on table configurations"
         raise LimitError(f"{domain_size}^{variables} exceeds {limit}")
+    statements = 2 * 3 ** variables
+    if trials * statements * configs > MAX_PROBE_WORK:
+        work = f"{trials} trials × {statements} statements × {configs} configurations"
+        raise LimitError(f"{work} exceeds bound {MAX_PROBE_WORK} on probe work")
     active = _active_rules(rules)
     rng = random.Random(seed)
     names = [chr(ord("A") + i) for i in range(variables)]

@@ -738,7 +738,9 @@ def naive_closure(
 
     Same fixed point, traces and ``derived_rules`` as ``axioms.closure``; it
     pops with ``list.pop(0)`` and, for each popped statement, tries every
-    WI×WI×CI combination that includes it.
+    WI×WI×CI combination that includes it. It applies the literal rules to
+    ``AxiomStatement`` objects, with no masks, and rebuilds every premise
+    over the sorted universe.
     """
     rules = tuple(rules)
     u = tuple(sorted(set(universe)))
@@ -773,6 +775,8 @@ def naive_closure(
     for premise in premises:
         if set(premise.universe) != set(u):
             raise StatementError("premise universe does not match the closure universe")
+        # Over the sorted universe, so that conclusions carry it too.
+        premise = AxiomStatement(premise.kind, premise.x, premise.z, premise.y, u)
         if premise.key() not in known:
             known[premise.key()] = premise
             worklist.append(premise)

@@ -265,6 +265,25 @@ def closure_inputs(draw):
     U3,
     axioms.ALL_RULES,
 ))
+@example((  # a premise whose universe tuple is not sorted
+    [statement("WI", ("A",), (), U3),
+     AxiomStatement("WI", fs("A"), fs("C"), fs("B"), ("C", "B", "A"))],
+    U3,
+    axioms.ALL_RULES,
+))
+@example((  # non-canonical premises: overlapping, and not covering
+    [AxiomStatement("CI", fs("A"), fs("A", "B"), fs("B"), U4),
+     AxiomStatement("WI", fs("A"), fs("B"), frozenset(), U4),
+     statement("CI", ("C",), ("A", "B"), U4)],
+    U4,
+    axioms.ALL_RULES,
+))
+@example((  # every rule but WI1
+    [statement("WI", ("A",), ("B", "C"), U4), statement("WI", ("A",), ("B", "D"), U4),
+     statement("CI", ("C",), ("A", "B"), U4)],
+    U4,
+    ("WI2", "WI3", "CIWI1", "CIWI2"),
+))
 @settings(max_examples=150, deadline=None)
 def test_closure_matches_naive(case):
     premises, names, rules = case
@@ -272,21 +291,38 @@ def test_closure_matches_naive(case):
     naive = oracles.naive_closure(premises, names, rules)
     assert indexed == naive
     assert indexed.to_json_dict() == naive.to_json_dict()
+    assert set(indexed.derived_rules) <= indexed.statements
 
 
-def test_closure_at_max_universe():
-    # One variable in X, one in Z, the rest in Y: such premises combine
-    # through CIWI2, unlike uniformly random roles at this size.
-    rng = random.Random(8)
-    names = tuple("ABCDEFGH")
-    assert len(names) == axioms.MAX_UNIVERSE
-    kinds = ["CI"] * 32 + ["WI"] * 48
+def bench_shaped_premises(seed, names, n_ci, count):
+    """Premises with one variable in X, one in Z and the rest in Y.
+
+    Unlike uniformly random roles at these sizes, such premises combine
+    through CIWI2. The first ``n_ci`` are CI, the rest WI.
+    """
+    rng = random.Random(seed)
+    kinds = ["CI"] * n_ci + ["WI"] * (count - n_ci)
     premises: dict[tuple, AxiomStatement] = {}
     while len(premises) < len(kinds):
         kind = kinds[len(premises)]
         x, z, *y = rng.sample(names, len(names))
         premises.setdefault((kind, x, z), statement(kind, (x,), y, names))
-    result = closure(premises.values(), names)
+    return list(premises.values())
+
+
+def test_closure_matches_naive_at_universe_6():
+    # The shape of the bench's largest premise sets: universe 6, 40 premises.
+    names = tuple("ABCDEF")
+    premises = bench_shaped_premises(6, names, 16, 40)
+    result = closure(premises, names)
+    assert any(t.rule == "CIWI2" for t in result.traces)
+    assert result == oracles.naive_closure(premises, names)
+
+
+def test_closure_at_max_universe():
+    names = tuple("ABCDEFGH")
+    assert len(names) == axioms.MAX_UNIVERSE
+    result = closure(bench_shaped_premises(8, names, 32, 80), names)
     assert any(t.rule == "CIWI2" for t in result.traces)
     assert all(replay_trace(t) for t in result.traces)
     assert oracles.missing_conclusions(result.statements, names) == []
@@ -357,6 +393,23 @@ def test_probe_domain_bound_before_any_table(monkeypatch, variables, domain_size
         soundness_probe(variables, domain_size, trials=1, seed=0)
     # The (variables, domain size) probes (3, 2), (4, 2) and (3, 3) stay inside.
     assert max(2**3, 2**4, 3**3) <= axioms.MAX_PROBE_CONFIGS
+
+
+@pytest.mark.parametrize("variables, domain_size", [(3, 2), (4, 8)])
+def test_probe_work_bound_before_any_table(monkeypatch, variables, domain_size):
+    class Built(Exception):
+        pass
+
+    def no_table(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(axioms, "random_joint_table", no_table)
+    per_trial = 2 * 3**variables * domain_size**variables
+    inside = axioms.MAX_PROBE_WORK // per_trial
+    with pytest.raises(Built):  # the guard lets the largest count through
+        soundness_probe(variables, domain_size, trials=inside, seed=0)
+    with pytest.raises(LimitError, match=f"bound {axioms.MAX_PROBE_WORK} on probe work"):
+        soundness_probe(variables, domain_size, trials=inside + 1, seed=0)
 
 
 @pytest.mark.parametrize("variables, trials", [(3, 100), (4, 10)])

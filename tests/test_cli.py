@@ -167,6 +167,9 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("probe", "--rules", "WI9").exit_code == 2
     assert run("probe", "--vars", "9", "--trials", "1").exit_code == 2
     assert run("probe", "--vars", "2", "--domain-size", "65", "--trials", "1").exit_code == 2
+    past_work = run("probe", "--vars", "6", "--domain-size", "4", "--trials", "1")
+    assert past_work.exit_code == 2 and "bound 2000000 on probe work" in past_work.output
+    assert len(past_work.output.splitlines()) == 1
 
     # Malformed field types in a table document, strings included: a string
     # is not read as a list of characters.
