@@ -20,9 +20,9 @@ from .errors import WeakindError
 
 def _read(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return tables._read_source(sys.stdin)
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        return tables._read_source(handle)
 
 
 def _echo(text: str, nl: bool = True) -> None:

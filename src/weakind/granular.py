@@ -157,6 +157,12 @@ def _check_cell(cell: CellValue, attr: Attribute) -> None:
             )
 
 
+def _check_names(attributes: tuple[Attribute, ...]) -> None:
+    names = [a.name for a in attributes]
+    if len(set(names)) != len(names):
+        raise SchemaError("duplicate attribute names")
+
+
 def _row_sort_key(key: RowKey) -> tuple:
     return tuple(_value_sort_key(v) for v in key)
 
@@ -178,9 +184,7 @@ class NestedTable:
     rows: Mapping[RowKey, Fraction]
 
     def __post_init__(self) -> None:
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
-            raise SchemaError("duplicate attribute names")
+        _check_names(self.attributes)
         cleaned: dict[RowKey, Fraction] = {}
         for key, value in self.rows.items():
             key = tuple(key)
@@ -485,7 +489,11 @@ def load_nested(text: str | bytes) -> NestedTable:
 
 
 def _load_nested(doc: object) -> NestedTable:
-    """``load_nested`` of a parsed document; only string literals are memoized."""
+    """``load_nested`` of a parsed document; only string literals are memoized.
+
+    Each check of the public ``NestedTable(...)`` is made once as the cells are
+    read (plain cells against their domain, nested cells by ``NestedCell.make``),
+    zero rows are dropped and the table is built through ``NestedTable._built``."""
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ParseError("nested table document requires an 'attributes' field")
     attributes = tuple(_attribute_from_json(a) for a in _json_list(doc, "attributes"))
@@ -494,7 +502,9 @@ def _load_nested(doc: object) -> NestedTable:
     def literal(value: object) -> Fraction:
         if type(value) is not str:
             return _to_fraction(value)
-        return memo.get(value) or memo.setdefault(value, _to_fraction(value))
+        if (result := memo.get(value)) is None:
+            result = memo[value] = _to_fraction(value)
+        return result
 
     rows: dict[RowKey, Fraction] = {}
     for entry in _json_list(doc, "rows") if "rows" in doc else ():
@@ -509,7 +519,8 @@ def _load_nested(doc: object) -> NestedTable:
         if key in rows:
             raise SchemaError(f"duplicate row: {key}")
         rows[key] = literal(prob)
-    table = NestedTable(attributes, rows)
+    _check_names(attributes)
+    table = NestedTable._built(attributes, {key: p for key, p in rows.items() if p})
     total = table.total_mass()
     if total != 1:
         raise NormalizationError(f"nested document probabilities sum to {total}, not 1")
@@ -533,6 +544,7 @@ def _cell_from_json(value, attr: Attribute, literal) -> CellValue:
     if not attr.is_nested:
         if not isinstance(value, str):
             raise ParseError(f"cell for plain attribute {attr.name!r} must be a string")
+        _check_cell(value, attr)
         return value
     if not isinstance(value, list):
         raise ParseError(f"cell for nested attribute {attr.name!r} must be a list")

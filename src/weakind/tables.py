@@ -26,10 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .errors import LimitError, NormalizationError, ParseError, SchemaError
+from .errors import LimitError, NormalizationError, ParseError, SchemaError, WeakindError
 from .partitions import Partition, SupportSet, projector
 
 Config = tuple[str, ...]
@@ -113,6 +113,17 @@ class VariableSchema:
 
     def sort_key(self, config: Config) -> tuple[int, ...]:
         return tuple(map(getitem, self.value_index.values(), config))
+
+    @cached_property
+    def str_ordered(self) -> bool:
+        """Whether every domain is listed in ``str`` order, so that plain tuple
+        comparison of configurations is the domain order ``sort_key`` gives."""
+        return all(list(v.domain) == sorted(v.domain) for v in self.variables)
+
+    def canonical(self, configs: Iterable[Config]) -> list[Config]:
+        """``configs`` sorted by domain order: by plain tuple comparison when the
+        domains are in ``str`` order, else by ``sort_key``."""
+        return sorted(configs) if self.str_ordered else sorted(configs, key=self.sort_key)
 
 
 def _parse_literal(text: str) -> Fraction:
@@ -384,8 +395,12 @@ def _checked(table: Table) -> Table:
 
 
 def _read_source(source: str | bytes | IO) -> str:
-    data = source if isinstance(source, (str, bytes)) else source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    """The document's text; ``ParseError`` if it is not UTF-8."""
+    try:
+        data = source if isinstance(source, (str, bytes)) else source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from exc
 
 
 def _parse_json(text: str) -> object:
@@ -397,7 +412,10 @@ def _parse_json(text: str) -> object:
 
 
 def _load_json(doc: object) -> Table:
-    """A table from a parsed JSON document, its kind's sums not checked."""
+    """A table from a parsed JSON document, its kind's sums not checked.
+
+    A document whose rows are all objects with a list ``config`` and a string
+    ``p`` is checked by columns (see ``_trusted``); any other goes row by row."""
     if not isinstance(doc, dict):
         raise ParseError("table document must be a JSON object")
     try:
@@ -411,8 +429,18 @@ def _load_json(doc: object) -> Table:
         raise ParseError(f"missing or malformed field: {exc}") from exc
     targets = _json_list(doc, "targets") if "targets" in doc else None
     givens = _json_list(doc, "givens") if "givens" in doc else None
+    columns = None
+    if set(map(type, rows_doc)) <= {dict}:
+        try:
+            configs = list(map(itemgetter("config"), rows_doc))
+            probs = list(map(itemgetter("p"), rows_doc))
+        except KeyError:
+            pass
+        else:
+            if set(map(type, configs)) <= {list} and set(map(type, probs)) <= {str}:
+                columns = list(map(tuple, configs)), probs
     entries = map(_row_entry, rows_doc)
-    return _trusted(VariableSchema(variables), entries, kind, targets, givens)
+    return _trusted(VariableSchema(variables), entries, kind, targets, givens, columns)
 
 
 def _row_entry(entry: Mapping) -> tuple[tuple, object]:
@@ -423,11 +451,49 @@ def _row_entry(entry: Mapping) -> tuple[tuple, object]:
 
 
 def _trusted(schema: VariableSchema, entries: Iterable[tuple[tuple, object]],
-             kind: str = JOINT, targets=None, givens=None) -> Table:
+             kind: str = JOINT, targets=None, givens=None,
+             columns: tuple[list[tuple], list[str]] | None = None) -> Table:
     """``Table(schema, dict(entries), kind, targets, givens)``, each of its checks made
     once as the rows are read, each distinct literal parsed once. Zero rows are
-    dropped after the duplicate check; the support keeps document order."""
+    dropped after the duplicate check; the support keeps document order.
+
+    ``columns``, the same rows as a list of configuration tuples and a list of
+    string literals, is tried first: when ``_column_rows`` passes them, ``entries``
+    is never read. Any fault sends the document through ``_row_by_row``, so a faulty
+    document reports the error that the row-by-row checks find first."""
     targets, givens = _check_fields(schema, kind, targets, givens)
+    rows = None if columns is None else _column_rows(schema, *columns)
+    if rows is None:
+        rows = _row_by_row(schema, entries)
+    return Table._built(schema, rows, kind, targets, givens)
+
+
+def _column_rows(schema: VariableSchema, configs: list[tuple],
+                 probs: list[str]) -> dict[Config, Fraction] | None:
+    """The nonzero rows, checked a column at a time; ``None`` at any fault: a wrong
+    arity, a value outside its domain (or not a string), a bad literal or a repeat."""
+    try:
+        if not set(map(len, configs)) <= {len(schema.variables)} or not all(
+            index.keys() >= set(map(itemgetter(i), configs))
+            for i, index in enumerate(schema.value_index.values())
+        ):
+            return None
+    except TypeError:  # an unhashable value
+        return None
+    try:
+        memo = {prob: _to_fraction(prob) for prob in set(probs)}
+    except WeakindError:
+        return None
+    rows = dict(zip(configs, map(memo.__getitem__, probs)))
+    if len(rows) != len(configs):
+        return None
+    return rows if all(memo.values()) else _nonzero(rows)
+
+
+def _row_by_row(schema: VariableSchema,
+                entries: Iterable[tuple[tuple, object]]) -> dict[Config, Fraction]:
+    """The nonzero rows, each checked as it is read: arity and domain values, repeats,
+    then the literal."""
     indexes, width = list(schema.value_index.values()), len(schema.variables)
     rows: dict[Config, Fraction] = {}
     memo: dict[str, Fraction] = {}
@@ -446,9 +512,11 @@ def _trusted(schema: VariableSchema, entries: Iterable[tuple[tuple, object]],
         elif (value := memo.get(prob)) is None:
             value = memo[prob] = _to_fraction(prob)
         rows[config] = value
-    if not all(rows.values()):
-        rows = {config: value for config, value in rows.items() if value}
-    return Table._built(schema, rows, kind, targets, givens)
+    return rows if all(rows.values()) else _nonzero(rows)
+
+
+def _nonzero(rows: dict[Config, Fraction]) -> dict[Config, Fraction]:
+    return {config: value for config, value in rows.items() if value}
 
 
 def _json_list(doc: Mapping, key: str) -> list:
@@ -461,7 +529,13 @@ def _json_list(doc: Mapping, key: str) -> list:
 
 def _load_csv(text: str) -> Table:
     """Joint tables only; domains are taken in order of first appearance."""
-    reader = csv.reader(io.StringIO(text))
+    try:
+        return _load_records(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise ParseError(f"malformed CSV document: {exc}") from exc
+
+
+def _load_records(reader: Iterator[list[str]]) -> Table:
     try:
         header = next(reader)
     except StopIteration:
@@ -471,23 +545,22 @@ def _load_csv(text: str) -> Table:
     names = header[:-1]
     if not names:
         raise ParseError("CSV document declares no variables")
-    domains: list[dict[str, None]] = [{} for _ in names]
-    entries: list[tuple[Config, str]] = []
+    records = []
     for lineno, record in enumerate(reader, start=2):
-        if not record:
-            continue
-        if len(record) != len(header):
+        if record and len(record) != len(header):
             raise ParseError(f"CSV line {lineno} has {len(record)} fields")
-        for value, domain in zip(record, domains):
-            domain.setdefault(value)
-        entries.append((tuple(record[:-1]), record[-1]))
-    variables = tuple(map(Variable, names, map(tuple, domains)))
-    return _trusted(VariableSchema(variables), entries)
+        records.append(record)
+    columns = list(zip(*filter(None, records))) or [()] * len(header)
+    variables = tuple(map(Variable, names, map(tuple, map(dict.fromkeys, columns))))
+    configs, probs = list(zip(*columns[:-1])), list(columns[-1])
+    return _trusted(VariableSchema(variables), zip(configs, probs), columns=(configs, probs))
 
 
 def serialize_table(table: Table, format: str = "json") -> str:
     """Canonical text form: rows sorted by domain order, fractions reduced.
 
+    When every domain is listed in ``str`` order, plain tuple comparison is that
+    order and the rows are sorted without a per-row key (``VariableSchema.canonical``).
     JSON is written directly, byte for byte ``json.dumps(doc, indent=2) + "\\n"``
     of the document ``load_table`` reads (``indent`` runs json's Python encoder).
     """
@@ -502,7 +575,7 @@ def serialize_table(table: Table, format: str = "json") -> str:
         lines = [
             head + ",\n        ".join(map(getitem, encoded, config))
             + tail + frac_str(table.rows[config]) + '"\n    }'
-            for config in sorted(table.rows, key=table.schema.sort_key)
+            for config in table.schema.canonical(table.rows)
         ]
         # The document up to its closing "\n}", then its rows.
         return write_json(doc)[:-2] + ',\n  "rows": ' + _json_array(lines, "  ") + "\n}\n"
@@ -512,7 +585,7 @@ def serialize_table(table: Table, format: str = "json") -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(list(table.schema.names) + ["p"])
-        for config in sorted(table.rows, key=table.schema.sort_key):
+        for config in table.schema.canonical(table.rows):
             writer.writerow(list(config) + [frac_str(table.rows[config])])
         return out.getvalue()
     raise ParseError(f"unknown format {format!r}")

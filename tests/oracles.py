@@ -46,10 +46,12 @@ into schema order, and share no projection code with the package's
 before it normalizes, where ``tables.uniform_joint_extension`` divides once
 by the total mass.
 
-``naive_serialize_table`` is the twin of ``tables.serialize_table``'s JSON
-form: it builds the canonical document as dicts and lists, sorts rows by
-``domain.index`` per value, and runs ``json.dumps(doc, indent=2)``, where
-the package writes the same bytes directly. ``naive_write_json`` is
+``naive_serialize_table`` is the twin of ``tables.serialize_table``: it sorts
+rows by ``domain.index`` per value, where the package sorts configurations
+as plain tuples whenever every domain is listed in ``str`` order. For JSON
+it builds the canonical document as dicts and lists and runs
+``json.dumps(doc, indent=2)``, where the package writes the same bytes
+directly. ``naive_write_json`` is
 ``json.dumps(doc, indent=2)`` itself, the twin of ``tables.write_json``,
 which writes every report.
 
@@ -58,7 +60,10 @@ row, zero rows included, and hands them to the public ``Table`` constructor,
 which checks arity, domains, duplicates, values, kind, targets and givens
 again. The package checks each once as it reads the row and builds the table
 through the trusted ``Table._built``. Both read JSON text and literals with
-the package's ``_parse_json`` and ``_to_fraction``.
+the package's ``_parse_json`` and ``_to_fraction``. ``naive_load_nested`` is
+the same twin of ``granular.load_nested``: it builds every row, then the
+public ``NestedTable`` constructor checks domains, attribute names and each
+cell again.
 
 The closure references reuse the package's literal rule functions but none
 of its fixed-point machinery: ``naive_closure`` tries every premise pair or
@@ -615,9 +620,22 @@ def naive_uniform_joint_extension(table):
     return Table(table.schema, {c: v / total for c, v in rows.items()}, JOINT)
 
 
-def naive_serialize_table(table):
-    """Twin of ``tables.serialize_table(table)``: ``json.dumps`` of the document."""
+def naive_serialize_table(table, format="json"):
+    """Twin of ``tables.serialize_table(table, format)``: ``json.dumps`` of the
+    document, or a ``csv.writer`` row per configuration."""
     variables = table.schema.variables
+
+    def key(config):
+        return tuple(v.domain.index(value) for v, value in zip(variables, config))
+
+    rows = [(list(config), f"{p.numerator}/{p.denominator}")
+            for config, p in sorted(table.rows.items(), key=lambda item: key(item[0]))]
+    if format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([v.name for v in variables] + ["p"])
+        writer.writerows(config + [p] for config, p in rows)
+        return out.getvalue()
     doc = {
         "variables": [{"name": v.name, "domain": list(v.domain)} for v in variables],
         "kind": table.kind,
@@ -625,14 +643,7 @@ def naive_serialize_table(table):
     if table.kind != JOINT:
         doc["targets"] = list(table.targets or ())
         doc["givens"] = list(table.givens or ())
-
-    def key(config):
-        return tuple(v.domain.index(value) for v, value in zip(variables, config))
-
-    doc["rows"] = [
-        {"config": list(config), "p": f"{p.numerator}/{p.denominator}"}
-        for config, p in sorted(table.rows.items(), key=lambda item: key(item[0]))
-    ]
+    doc["rows"] = [{"config": config, "p": p} for config, p in rows]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -687,7 +698,13 @@ def _naive_load_json(text):
 
 
 def _naive_load_csv(text):
-    reader = csv.reader(io.StringIO(text))
+    try:
+        return _naive_load_records(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV document: {exc}") from exc
+
+
+def _naive_load_records(reader):
     try:
         header = next(reader)
     except StopIteration:
@@ -715,6 +732,70 @@ def _naive_load_csv(text):
             raise SchemaError(f"duplicate configuration: {config}")
         rows[config] = value
     return Table(schema, rows, JOINT)
+
+
+def naive_load_nested(text):
+    """Twin of ``granular.load_nested``: builds every cell through
+    ``NestedCell.make``, then hands the rows to the public ``NestedTable``,
+    which checks domains, attribute names and every cell again."""
+    doc = _parse_json(_read_source(text))
+    if not isinstance(doc, dict) or "attributes" not in doc:
+        raise ParseError("nested table document requires an 'attributes' field")
+    attributes = tuple(_naive_attribute(a) for a in _json_list(doc, "attributes"))
+    rows = {}
+    for entry in _json_list(doc, "rows") if "rows" in doc else ():
+        try:
+            cells = _json_list(entry, "cells")
+            prob = entry["p"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed row entry: {entry!r}") from exc
+        if len(cells) != len(attributes):
+            raise ParseError("row arity does not match attributes")
+        key = tuple(_naive_cell(cell, attr) for cell, attr in zip(cells, attributes))
+        if key in rows:
+            raise SchemaError(f"duplicate row: {key}")
+        rows[key] = _to_fraction(prob)
+    table = NestedTable(attributes, rows)
+    total = sum(table.rows.values(), ZERO)
+    if total != 1:
+        raise NormalizationError(f"nested document probabilities sum to {total}, not 1")
+    return table
+
+
+def _naive_attribute(doc):
+    try:
+        name = str(doc["name"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed attribute: {exc}") from exc
+    if "nested" in doc:
+        inner = _json_list(doc, "nested")
+        return Attribute(name, nested=tuple(_naive_attribute(a) for a in inner))
+    if "domain" in doc:
+        return Attribute(name, domain=tuple(str(d) for d in _json_list(doc, "domain")))
+    raise ParseError(f"attribute {name!r} needs either a domain or nested attributes")
+
+
+def _naive_cell(value, attr):
+    if not attr.is_nested:
+        if not isinstance(value, str):
+            raise ParseError(f"cell for plain attribute {attr.name!r} must be a string")
+        return value
+    if not isinstance(value, list):
+        raise ParseError(f"cell for nested attribute {attr.name!r} must be a list")
+    rows = {}
+    for entry in value:
+        try:
+            config = _json_list(entry, "config")
+            prob = entry["P(Y)"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed nested cell entry: {entry!r}") from exc
+        if len(config) != len(attr.nested):
+            raise ParseError("nested config arity does not match inner attributes")
+        key = tuple(_naive_cell(v, a) for v, a in zip(config, attr.nested))
+        if key in rows:
+            raise SchemaError(f"duplicate nested row in {attr.name!r}: {key}")
+        rows[key] = _to_fraction(prob)
+    return NestedCell.make(attr.nested, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from weakind import granular, tables
 from weakind.cli import main
-from weakind.errors import WeakindError
+from weakind.errors import ParseError, WeakindError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -380,3 +380,35 @@ def test_nest_verbs_load_documents_like_the_library(tmp_path):
     assert run("unnest", "--attr", "B", str(path)).output == (
         "Error: input has no nested attributes\n"
     )
+
+
+def test_non_utf8_input_exits_2(tmp_path):
+    """Bytes that are not UTF-8 are a ``ParseError``: exit 2 with one line from
+    every verb that reads a file, and the same error from the library."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    for args in (["check", "--kind", "wi", "--x", "A", "--z", "B"], ["validate"],
+                 ["validate", "--format", "csv"], ["nest", "--by", "A", "--as", "Q"],
+                 ["derive", "--universe", "A,B", "--premises"]):
+        for path, stdin in ((str(bad), None), ("-", bad.read_bytes())):
+            result = run(*args, path, input=stdin)
+            assert result.exit_code == 2, (args, path, result.output)
+            assert result.output.startswith("Error: input is not UTF-8: "), result.output
+            assert result.output.count("\n") == 1, result.output
+    with open(bad, encoding="utf-8") as handle:
+        sources = [b"\xff", io.BytesIO(b"\xff\xfe{}"), handle]
+        for source in sources:
+            with pytest.raises(ParseError, match="^input is not UTF-8: "):
+                tables.load_table(source)
+    with pytest.raises(ParseError, match="^input is not UTF-8: "):
+        granular.load_nested(b'{"attributes": [], "rows": [], "x": "\xe9"}')
+
+
+def test_csv_reader_errors_exit_2(tmp_path):
+    """A CSV field past the csv module's size limit is a ``ParseError``."""
+    path = tmp_path / "big.csv"
+    path.write_text("A,p\n" + "x" * 200_000 + ",1\n")
+    result = run("validate", "--format", "csv", str(path))
+    assert result.exit_code == 2, result.output[-200:]
+    assert result.output.startswith("Error: malformed CSV document: field larger")
+    assert result.output.count("\n") == 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakind import granular, independence, tables
-from weakind.errors import ParseError, SchemaError
+from weakind.errors import ParseError, SchemaError, WeakindError
 from weakind.granular import (
     Attribute,
     EquivalenceReport,
@@ -24,7 +24,7 @@ from weakind.granular import (
 )
 
 import util
-from oracles import naive_nest, naive_nest_commutes
+from oracles import naive_load_nested, naive_nest, naive_nest_commutes
 
 
 def cell(inner_attrs, mapping):
@@ -464,3 +464,96 @@ def test_nested_literal_memo_keeps_types_apart(first, second, ok):
         table = load_nested(json.dumps(doc))
         flat_rows = (unnest(table, "B") if doc is nested else table).rows
         assert flat_rows == {("0",): Fraction(1, 2), ("1",): Fraction(1, 2)}
+
+
+BAD = "\x00not a value"
+
+
+def _cells(doc):
+    """(row, position) of every plain cell, and of every nested cell entry."""
+    plain, nested = [], []
+    for row in doc["rows"]:
+        for i, (value, attr) in enumerate(zip(row["cells"], doc["attributes"])):
+            (nested if "nested" in attr else plain).append((row["cells"], i))
+            if "nested" in attr:
+                nested.extend(entry for entry in value)
+    return plain, [e for e in nested if isinstance(e, dict)]
+
+
+def _nested_fault(name, draw, doc):
+    """Put fault ``name`` into ``doc``; False if ``doc`` has no place for it."""
+    rows = doc["rows"]
+    plain, entries = _cells(doc)
+    row = draw(st.sampled_from(rows))
+    if name == "domain" and plain:
+        cells, i = draw(st.sampled_from(plain))
+        cells[i] = BAD
+    elif name == "inner-domain":
+        entry = draw(st.sampled_from(entries))
+        entry["config"][draw(st.integers(0, len(entry["config"]) - 1))] = BAD
+    elif name == "names" and len(doc["attributes"]) > 1:
+        doc["attributes"][-1]["name"] = doc["attributes"][0]["name"]
+    elif name == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), json.loads(json.dumps(row)))
+    elif name == "literal":
+        row["p"] = draw(st.sampled_from(["x", "-1/2", True, "1/0"]))
+    elif name == "inner-literal":
+        draw(st.sampled_from(entries))["P(Y)"] = draw(st.sampled_from(["x", "-1/2", None]))
+    elif name == "cell-sum":
+        entry = draw(st.sampled_from(entries))
+        entry["P(Y)"] = tables.frac_str(Fraction(entry["P(Y)"]) + Fraction(1, 7))
+    elif name == "arity":
+        row["cells"].append("0")
+    elif name == "inner-arity":
+        draw(st.sampled_from(entries))["config"].append("0")
+    elif name == "mass":
+        row["p"] = tables.frac_str(Fraction(row["p"]) + Fraction(1, 7))
+    else:
+        return False
+    return True
+
+
+def _zero_row(draw, doc):
+    """Move one row's mass to another row, leaving an explicit zero row."""
+    row, other = draw(st.permutations(doc["rows"]))[:2]
+    other["p"] = tables.frac_str(Fraction(other["p"]) + Fraction(row["p"]))
+    row["p"] = "0"
+
+
+NESTED_FAULTS = ["domain", "inner-domain", "names", "duplicate", "literal", "inner-literal",
+                 "cell-sum", "arity", "inner-arity", "mass"]
+
+
+def _nested_outcome(load, text):
+    try:
+        table = load(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return table.attributes, list(table.rows.items())
+
+
+@pytest.mark.parametrize("name", NESTED_FAULTS + ["zero-row", None], ids=str)
+@given(shuffled_joint_tables(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_nested_loader_matches_naive_on_one_fault(name, table, data):
+    """``load_nested`` checks each cell once as it reads it; a document with
+    one fault, or none, loads as the public ``NestedTable(...)`` loads it."""
+    names = data.draw(st.permutations(table.schema.names))
+    i = data.draw(st.integers(1, len(names)))
+    nested = nest(table, "B", names[:i])
+    if i + 1 < len(names) and data.draw(st.booleans()):
+        nested = nest(nested, "C", ("B", names[i]))
+    doc = json.loads(serialize_nested(nested))
+    faulty = name in NESTED_FAULTS and _nested_fault(name, data.draw, doc)
+    if name == "zero-row" and len(doc["rows"]) > 1:
+        _zero_row(data.draw, doc)
+    text = json.dumps(doc)
+    got = _nested_outcome(load_nested, text)
+    assert got == _nested_outcome(naive_load_nested, text)
+    if faulty:
+        assert isinstance(got[0], type) and issubclass(got[0], WeakindError), got
+    elif name is None:
+        assert canonical_equal(load_nested(text), nested)
+    else:
+        assert all(p for _, p in got[1])
+        assert len(got[1]) == len(doc["rows"]) - (name == "zero-row" and len(doc["rows"]) > 1)

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -237,16 +238,46 @@ def any_tables(draw):
 EMPTY = tables.VariableSchema(())
 
 
+def _uniform(*domains):
+    """A joint table of full support over variables V0, V1, ... with these domains."""
+    schema = tables.VariableSchema(tuple(
+        tables.Variable(f"V{i}", tuple(domain)) for i, domain in enumerate(domains)
+    ))
+    configs = list(schema.configs())
+    return tables.Table(schema, {config: Fraction(1, len(configs)) for config in configs})
+
+
+# Domains in and out of str order: "10" < "9" and "a" < "b" as strings.
+IN_ORDER, OUT_OF_ORDER = (["0", "\u00e9"], ["0", "1"]), (["9", "10"], ["b", "a"])
+
+
+def test_str_order_is_decided_per_schema():
+    assert all(_uniform(d).schema.str_ordered for d in IN_ORDER)
+    assert not any(_uniform(d).schema.str_ordered for d in OUT_OF_ORDER)
+    assert not _uniform(*IN_ORDER, OUT_OF_ORDER[0]).schema.str_ordered
+    assert _uniform().schema.str_ordered
+
+
 @given(any_tables())
 @settings(max_examples=300, deadline=None)
 @example(tables.Table(EMPTY, {}))
 @example(tables.Table(EMPTY, {(): Fraction(1)}))
 @example(tables.Table(EMPTY, {}, "raw", (), ()))
+@example(_uniform(["9", "10"]))
+@example(_uniform(["b", "a"]))
+@example(_uniform(["0", "\u00e9"]))
+@example(_uniform(["0", "1"], ["9", "10"], ["0", "\u00e9"], ["b", "a"]))
+@example(_uniform(["0", "1"], ["0", "\u00e9"]))
 def test_serialize_matches_json_dumps_twin(table):
     text = tables.serialize_table(table)
     assert text == oracles.naive_serialize_table(table)
     assert table.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert tables.load_table(text, check=False) == table
+    if table.schema.str_ordered:  # the plain sort serialize_table uses is the keyed one
+        assert sorted(table.rows) == sorted(table.rows, key=table.schema.sort_key)
+    if table.kind == tables.JOINT:
+        assert tables.serialize_table(table, "csv") == oracles.naive_serialize_table(
+            table, "csv")
 
 
 DIGIT_SETS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
@@ -384,7 +415,7 @@ LITERALS = ["1/2", "1/4", "2/4", "0", "0/3", "0.125", "3", 0, 1, 2, 0.5, "1e-1"]
 
 
 @st.composite
-def table_docs(draw, min_vars=0, min_rows=0, kinds=tables.KINDS):
+def table_docs(draw, min_vars=0, min_rows=0, kinds=tables.KINDS, min_domain=1):
     """Valid table documents, rows in any order, zero rows included.
 
     Domains may hold digit strings that rows spell as JSON integers; the
@@ -392,8 +423,8 @@ def table_docs(draw, min_vars=0, min_rows=0, kinds=tables.KINDS):
     """
     names = draw(st.lists(TEXT, min_size=min_vars, max_size=3, unique=True))
     domains = [
-        draw(st.lists(st.one_of(TEXT, st.sampled_from("01")), min_size=1, max_size=3,
-                      unique=True))
+        draw(st.lists(st.one_of(TEXT, st.sampled_from("01")), min_size=min_domain,
+                      max_size=3, unique=True))
         for _ in names
     ]
     configs = list(product(*domains))
@@ -538,6 +569,161 @@ def test_loader_matches_naive_on_one_fault(name, fault, min_vars, min_rows, kind
     fault(data.draw, doc)
     got = _same_loads(json.dumps(doc), check=False)
     assert isinstance(got[0], type) and issubclass(got[0], WeakindError), got
+
+
+# Faults of row i of a document with at least three rows, for documents with
+# two faults. Each makes a configuration no other row has, except "duplicate".
+def _arity_at(draw, rows, i):
+    rows[i]["config"] = rows[i]["config"] + [f"{BAD}{i}"]
+
+
+def _domain_at(draw, rows, i):
+    config = rows[i]["config"]
+    config[draw(st.integers(0, len(config) - 1))] = f"{BAD}{i}"
+
+
+def _duplicate_at(draw, rows, i):  # i >= 1
+    rows[i]["config"] = list(rows[draw(st.integers(0, i - 1))]["config"])
+
+
+def _value_at(bad):
+    def fault(draw, rows, i):
+        rows[i]["p"] = draw(st.sampled_from(bad))
+    return fault
+
+
+def _entry_at(draw, rows, i):
+    if draw(st.booleans()):
+        del rows[i]["p"]
+    else:
+        rows[i]["config"] = "".join(map(str, rows[i]["config"]))
+
+
+ROW_FAULTS = {
+    "arity": _arity_at,
+    "domain": _domain_at,
+    "duplicate": _duplicate_at,
+    "negative": _value_at(["-1/3", -1, "-1e-2"]),
+    "literal": _value_at(["x", "1/0", True, None, [1], "", "1//2"]),
+    "row-entry": _entry_at,
+}
+# The public ``Table(...)`` checks arity and domains only after every row is
+# read, and the loader as it reads each row. The first of two faults is reported
+# by both when it is found as its row is read, or when both are arity or domain
+# faults.
+READ_FAULTS, SHAPE_FAULTS = ("duplicate", "negative", "literal", "row-entry"), ("arity", "domain")
+TWO_FAULTS = [(a, b) for a in READ_FAULTS for b in ROW_FAULTS] + [
+    (a, b) for a in SHAPE_FAULTS for b in SHAPE_FAULTS]
+
+
+def _two_faults(data, rows, first, second, faults):
+    """Put fault ``first`` in a row before the row of fault ``second``."""
+    i = data.draw(st.integers(first == "duplicate", len(rows) - 2))
+    faults[first](data.draw, rows, i)
+    faults[second](data.draw, rows, data.draw(st.integers(i + 1, len(rows) - 1)))
+
+
+@pytest.mark.parametrize("first, second", TWO_FAULTS, ids=["-".join(p) for p in TWO_FAULTS])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_loader_matches_naive_on_two_faults(first, second, data):
+    doc = data.draw(table_docs(min_vars=1, min_rows=3, min_domain=3))
+    _two_faults(data, doc["rows"], first, second, ROW_FAULTS)
+    got = _same_loads(json.dumps(doc), check=False)
+    assert isinstance(got[0], type) and issubclass(got[0], WeakindError), got
+
+
+def _csv_records(doc):
+    return [[str(v) for v in r["config"]] + [str(r["p"])] for r in doc["rows"]]
+
+
+def _csv_text(doc, records):
+    """Every field quoted: a value holding "\\r" unquoted is a fault of its own."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow([v["name"] for v in doc["variables"]] + ["p"])
+    writer.writerows(records)
+    return out.getvalue()
+
+
+def _fields_at(draw, records, i):
+    records[i].append("1")
+
+
+def _csv_duplicate_at(draw, records, i):  # i >= 1
+    records[i][:-1] = records[draw(st.integers(0, i - 1))][:-1]
+
+
+def _csv_value_at(bad):
+    def fault(draw, records, i):
+        records[i][-1] = draw(st.sampled_from(bad))
+    return fault
+
+
+CSV_FAULTS = {
+    "fields": _fields_at,
+    "duplicate": _csv_duplicate_at,
+    "negative": _csv_value_at(["-1/3", "-1e-2"]),
+    "literal": _csv_value_at(["x", "1/0", "", "1//2"]),
+}
+# The CSV twin checks field counts and literals as it reads each line, then
+# repeats; the loader checks every field count first, then each row's repeat
+# before its literal. Both report the first of two faults in these orders.
+CSV_TWO_FAULTS = [("fields", b) for b in CSV_FAULTS] + [
+    ("duplicate", "fields"), ("duplicate", "duplicate")] + [
+    (a, b) for a in ("negative", "literal") for b in ("negative", "literal", "duplicate")]
+
+
+@pytest.mark.parametrize("first, second", CSV_TWO_FAULTS,
+                         ids=["-".join(p) for p in CSV_TWO_FAULTS])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_csv_loader_matches_naive_on_two_faults(first, second, data):
+    doc = data.draw(table_docs(min_vars=1, min_rows=3, kinds=(tables.JOINT,), min_domain=3))
+    records = _csv_records(doc)
+    _two_faults(data, records, first, second, CSV_FAULTS)
+    got = _same_loads(_csv_text(doc, records), check=False, format="csv")
+    assert isinstance(got[0], type) and issubclass(got[0], WeakindError), got
+
+
+def _two_fault_doc(first, second, p="1/4"):
+    """Rows ["0"], ["1"], ["2"]; the first of p, faults in the second and third."""
+    edits = {"duplicate": {"config": ["0"]}, "literal": {"p": "x"},
+             "domain": {"config": ["9"]}, "arity": {"config": ["1", "0"]}}
+    rows = [{"config": [v], "p": "1/4"} for v in "012"]
+    rows[0]["p"] = p
+    rows[1].update(edits[first])
+    rows[2].update(edits[second])
+    return {"variables": [{"name": "A", "domain": ["0", "1", "2"]}], "rows": rows}
+
+
+@pytest.mark.parametrize("doc, error", [
+    (_two_fault_doc("duplicate", "literal"), "SchemaError: duplicate configuration: ('0',)"),
+    (_two_fault_doc("literal", "domain"), "ParseError: invalid probability literal: 'x'"),
+    (_two_fault_doc("duplicate", "arity", p="0"), "SchemaError: duplicate configuration: ('0',)"),
+], ids=["duplicate-literal", "literal-domain", "zero-duplicate-arity"])
+def test_first_of_two_faults_is_reported(doc, error):
+    got = _same_loads(json.dumps(doc), check=False)
+    assert f"{got[0].__name__}: {got[1]}" == error
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_column_checks_report_what_the_row_loop_reports(data):
+    """Two row faults of any kind, in any order: ``load_table`` reports what its
+    row-by-row loop alone reports, on JSON and on CSV documents."""
+    doc = data.draw(table_docs(min_vars=1, min_rows=3, min_domain=3))
+    first, second = (data.draw(st.sampled_from(sorted(ROW_FAULTS))) for _ in range(2))
+    _two_faults(data, doc["rows"], first, second, ROW_FAULTS)
+    texts = [(json.dumps(doc), "json")]
+    if all(isinstance(r["config"], list) and "p" in r for r in doc["rows"]):
+        texts.append((_csv_text(doc, _csv_records(doc)), "csv"))
+    for text, format in texts:
+        def load(text, check):
+            return tables.load_table(text, format, check)
+        got = _load_outcome(load, text, False)
+        with mock.patch.object(tables, "_column_rows", return_value=None):
+            assert _load_outcome(load, text, False) == got
 
 
 @pytest.mark.parametrize("first, second", [
