@@ -128,17 +128,8 @@ def check(
     """Check one independence statement and print its certificate."""
     table = _load_table(input, format_)
     x, z, y = _split_list(x_), _split_list(z_), _split_list(y_)
-    context = _parse_context(context_)
-    if kind == "ci":
-        verdict = independence.check_ci(table, x, z, y)
-    elif kind == "csi":
-        verdict = independence.check_csi(table, x, z, y, context)
-    elif kind == "pci":
-        verdict = independence.check_pci(table, x, z, context)
-    elif kind == "cwi":
-        verdict = independence.check_cwi(table, x, z, context)
-    else:
-        verdict = independence.check_wi(table, x, z, y)
+    checker = independence._KINDS[kind.upper()][3]
+    verdict = checker(table, {"X": x, "Z": z, "Y": y}, _parse_context(context_))
     if pretty:
         _echo(_render_verdict(verdict))
     else:
@@ -174,8 +165,8 @@ def _render_verdict(verdict: independence.Verdict) -> str:
 
 @main.command("enumerate")
 @click.option("--kinds", required=True, help="comma-separated statement kinds")
-@click.option("--max-context", type=int, default=None)
-@click.option("--max-statements", type=int, default=None)
+@click.option("--max-context", type=click.IntRange(min=0), default=None)
+@click.option("--max-statements", type=click.IntRange(min=0), default=None)
 @click.option("--format", "format_", default="json", type=click.Choice(["json", "csv"]))
 @click.argument("input", default="-")
 @_guard
@@ -217,9 +208,9 @@ def derive(premises_: str | None, universe_: str, rules_: str) -> None:
 
 
 @main.command()
-@click.option("--vars", "vars_", type=int, default=3)
+@click.option("--vars", "vars_", type=click.IntRange(min=0), default=3)
 @click.option("--domain-size", type=int, default=2)
-@click.option("--trials", type=int, default=100)
+@click.option("--trials", type=click.IntRange(min=0), default=100)
 @click.option("--seed", type=int, default=0)
 @click.option("--rules", "rules_", default=",".join(axioms.ALL_RULES))
 @_guard

@@ -275,11 +275,11 @@ def _plain_attributes(table: Table) -> tuple[Attribute, ...]:
 
 
 def _weighted(table: Table | NestedTable) -> tuple[tuple[Attribute, ...], int, dict]:
-    """Attributes, ``L`` and the rows' integer weights over ``L``, a ``Table``'s from its view."""
+    """Attributes, ``L`` and the rows' integer weights over ``L``: a ``Table``'s ``weights``."""
     if isinstance(table, NestedTable):
         lcm, weights = common_weights(table.rows.values())
         return table.attributes, lcm, dict(zip(table.rows, weights))
-    return _plain_attributes(table), *table.view.weights
+    return _plain_attributes(table), *table.weights
 
 
 def nest(
@@ -406,17 +406,14 @@ class NestCommutationReport:
 
 
 def nest_commutes(
-    table: Table | NestedTable,
-    x: Iterable[str],
-    z: Iterable[str],
-    b_x: str = "B1",
-    b_z: str = "B2",
+    table: Table | NestedTable, x: Iterable[str], z: Iterable[str]
 ) -> NestCommutationReport:
     """Run both coarsening orders over disjoint attribute sets and compare.
 
-    Both orders nest the same integer weights, and either order puts each new
-    attribute where its set's first attribute was, so the two results share
-    one attribute tuple and compare row by row, as integers.
+    X is nested as ``B1`` and Z as ``B2``. Both orders nest the same integer
+    weights, and either order puts each new attribute where its set's first
+    attribute was, so the two results share one attribute tuple and compare
+    row by row, as integers.
     """
     xs, zs = set(x), set(z)
     if not xs or not zs:
@@ -424,8 +421,8 @@ def nest_commutes(
     if xs & zs:
         raise SchemaError("attribute sets overlap")
     attributes, lcm, rows = _weighted(table)
-    first = _nest(*_nest(attributes, rows, b_z, zs), b_x, xs)
-    second = _nest(*_nest(attributes, rows, b_x, xs), b_z, zs)
+    first = _nest(*_nest(attributes, rows, "B2", zs), "B1", xs)
+    second = _nest(*_nest(attributes, rows, "B1", xs), "B2", zs)
     return NestCommutationReport(first[1] == second[1], lcm, first, second)
 
 
@@ -489,7 +486,7 @@ def load_nested(text: str | bytes) -> NestedTable:
 
 
 def _load_nested(doc: object) -> NestedTable:
-    """``load_nested`` of a parsed document; only string literals are memoized.
+    """``load_nested`` of a parsed document.
 
     Each check of the public ``NestedTable(...)`` is made once as the cells are
     read (plain cells against their domain, nested cells by ``NestedCell.make``),
@@ -497,15 +494,6 @@ def _load_nested(doc: object) -> NestedTable:
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ParseError("nested table document requires an 'attributes' field")
     attributes = tuple(_attribute_from_json(a) for a in _json_list(doc, "attributes"))
-    memo: dict[str, Fraction] = {}
-
-    def literal(value: object) -> Fraction:
-        if type(value) is not str:
-            return _to_fraction(value)
-        if (result := memo.get(value)) is None:
-            result = memo[value] = _to_fraction(value)
-        return result
-
     rows: dict[RowKey, Fraction] = {}
     for entry in _json_list(doc, "rows") if "rows" in doc else ():
         try:
@@ -515,10 +503,10 @@ def _load_nested(doc: object) -> NestedTable:
             raise ParseError(f"malformed row entry: {entry!r}") from exc
         if len(cells) != len(attributes):
             raise ParseError("row arity does not match attributes")
-        key = tuple(_cell_from_json(cell, attr, literal) for cell, attr in zip(cells, attributes))
+        key = tuple(_cell_from_json(cell, attr) for cell, attr in zip(cells, attributes))
         if key in rows:
             raise SchemaError(f"duplicate row: {key}")
-        rows[key] = literal(prob)
+        rows[key] = _to_fraction(prob)
     _check_names(attributes)
     table = NestedTable._built(attributes, {key: p for key, p in rows.items() if p})
     total = table.total_mass()
@@ -540,7 +528,7 @@ def _attribute_from_json(doc: Mapping) -> Attribute:
     raise ParseError(f"attribute {name!r} needs either a domain or nested attributes")
 
 
-def _cell_from_json(value, attr: Attribute, literal) -> CellValue:
+def _cell_from_json(value, attr: Attribute) -> CellValue:
     if not attr.is_nested:
         if not isinstance(value, str):
             raise ParseError(f"cell for plain attribute {attr.name!r} must be a string")
@@ -558,8 +546,8 @@ def _cell_from_json(value, attr: Attribute, literal) -> CellValue:
             raise ParseError(f"malformed nested cell entry: {entry!r}") from exc
         if len(config) != len(inner_attrs):
             raise ParseError("nested config arity does not match inner attributes")
-        key = tuple(_cell_from_json(v, a, literal) for v, a in zip(config, inner_attrs))
+        key = tuple(_cell_from_json(v, a) for v, a in zip(config, inner_attrs))
         if key in rows:
             raise SchemaError(f"duplicate nested row in {attr.name!r}: {key}")
-        rows[key] = literal(prob)
+        rows[key] = _to_fraction(prob)
     return NestedCell.make(inner_attrs, rows)

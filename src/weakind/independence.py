@@ -27,6 +27,7 @@ Semantics notes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -276,16 +277,17 @@ def _strong_check(
     vacuous = 0
     counterexample: Counterexample | None = None
     x_configs = list(schema.configs(x_vars))
+    # The context's rows, read by their (y, z, x) projections.
+    y_of, z_of, x_of = (projector(schema.names, v) for v in (y_vars, z_vars, x_vars))
 
     if table.kind == JOINT:
-        # Group the context's integer weights once, keyed by (y, z, x)
-        # projections; conditionals are compared by cross-multiplication.
-        y_of, z_of, x_of = (projector(schema.names, v) for v in (y_vars, z_vars, x_vars))
+        # Group the context's integer weights once; conditionals are compared
+        # by cross-multiplication.
         mass_y: dict[Config, int] = {}
         mass_yz: dict[tuple[Config, Config], int] = {}
         mass_yx: dict[tuple[Config, Config], int] = {}
         mass_yzx: dict[tuple[Config, Config, Config], int] = {}
-        weights = table.view.weights[1]
+        weights = table.weights[1]
         for cfg in rows:
             w, yv, zv, xv = weights[cfg], y_of(cfg), z_of(cfg), x_of(cfg)
             mass_y[yv] = mass_y.get(yv, 0) + w
@@ -316,34 +318,34 @@ def _strong_check(
             comparisons, vacuous, context_in_support, counterexample
         )
 
-    # Conditional-shaped path: constancy of stored values across z. X, Y, the
-    # context and Z cover the schema, so each cell is one full configuration,
-    # assembled from the parts in schema order.
-    assert table.givens is not None
-    parts = tuple(x_vars) + tuple(y_vars) + tuple(context) + tuple(z_vars)
-    full_pos = [parts.index(n) for n in schema.names]
-    given_of = projector(schema.names, table.givens)
-    given_support = set(map(given_of, rows))
-    ctx_cfg = tuple(context.values())
-    strict = table.kind != RAW
+    # Conditional-shaped path: constancy of stored values across z, per (y, x).
+    # X, Y, the context and Z cover the schema, so each row is one cell. A
+    # strict table compares, at each y, the z supported there (a given-column
+    # with a positive row), in domain order; the rest are vacuous. A raw table
+    # compares every declared z, absent cells reading as zero. Both counts come
+    # from the domain sizes; cells are read until the first counterexample.
+    cells = {(y_of(c), z_of(c), x_of(c)): table.rows[c] for c in rows}
+    n_z = math.prod(len(schema.variable(n).domain) for n in z_vars)
+    declared = list(schema.configs(z_vars)) if table.kind == RAW else None
+    supported: dict[Config, set[Config]] = {}
+    for y_cfg, z_cfg, _ in cells:
+        supported.setdefault(y_cfg, set()).add(z_cfg)
     for y_cfg in schema.configs(y_vars):
+        z_configs = declared or _sorted_configs(table, z_vars, supported.get(y_cfg, ()))
+        vacuous += len(x_configs) * (n_z - len(z_configs))
+        comparisons += len(x_configs) * max(len(z_configs) - 1, 0)
+        if counterexample is not None or y_cfg not in supported:
+            continue  # a y with no row holds no cell that differs
+        z0 = z_configs[0]  # the baseline
         for x_cfg in x_configs:
-            baseline: tuple[Config, Fraction] | None = None
-            for z_cfg in schema.configs(z_vars):
-                cell = x_cfg + y_cfg + ctx_cfg + z_cfg
-                full = tuple(cell[p] for p in full_pos)
-                if strict and given_of(full) not in given_support:
-                    vacuous += 1
-                    continue
-                value = table.rows.get(full, ZERO)
-                if baseline is None:
-                    baseline = (z_cfg, value)
-                    continue
-                comparisons += 1
-                if value != baseline[1] and counterexample is None:
-                    counterexample = Counterexample(
-                        x_cfg, y_cfg, z_cfg, value, baseline[0], baseline[1]
-                    )
+            baseline = cells.get((y_cfg, z0, x_cfg), ZERO)
+            for z_cfg in z_configs:
+                value = cells.get((y_cfg, z_cfg, x_cfg), ZERO)
+                if value != baseline:
+                    counterexample = Counterexample(x_cfg, y_cfg, z_cfg, value, z0, baseline)
+                    break
+            if counterexample is not None:
+                break
     return counterexample is None, StrongCertificate(
         comparisons, vacuous, context_in_support, counterexample
     )
@@ -416,13 +418,13 @@ def _class_report(
     # Y-value, so every supported (x, y, z) with x and z in the class's
     # projected domains is a row of this block: its cells, and those domains,
     # are read here, as integer weights over one denominator: a joint table's
-    # view's, which its sum check also uses, or for a conditional-shaped
+    # cached ones, which its sum check also uses, or for a conditional-shaped
     # table the class's own, as its table-wide one may pass the digit cap.
     x_of = projector(support.variables, x_vars)
     z_of = projector(support.variables, z_vars)
     configs = [support.rows[i][1] for i in block]
     if table.kind == JOINT:
-        lcm, weights = table.view.weights
+        lcm, weights = table.weights
     else:
         lcm, scaled = common_weights(map(table.rows.__getitem__, configs))
         weights = dict(zip(configs, scaled))
@@ -558,7 +560,7 @@ def check_wi(
     """
     xs, zs, ys = _check_nonembedded(table, x, z, y, None)
     _require_alignment(table, xs, tuple(ys) + tuple(zs))
-    cert = _weak_certificate(table, table.support(), xs, ys, zs, table.view.thetas)
+    cert = _weak_certificate(table, table.support(), xs, ys, zs, table.thetas)
     if cert.vacuous:
         holds = True
     elif not cert.commutes:
@@ -569,8 +571,8 @@ def check_wi(
 
 
 # kind -> (roles, roles that must be nonempty, context role, checker), for
-# enumeration and replay. The checkers are looked up as module globals at
-# call time.
+# enumeration, replay and the CLI's check. The checkers are looked up as
+# module globals at call time.
 _KINDS = {
     CI: ("XZY", "XZ", None, lambda t, g, c: check_ci(t, g["X"], g["Z"], g["Y"])),
     CSI: ("XZYC", "XZC", "C", lambda t, g, c: check_csi(t, g["X"], g["Z"], g["Y"], c)),

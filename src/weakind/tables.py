@@ -248,36 +248,15 @@ class ValidationReport:
         }
 
 
-class TableView:
-    """A table's derived structure, each part built on first read: the rows' integer
-    weights, the support and ``theta`` of the support per variable set
-    (``independence`` fills ``thetas``). It never holds a verdict."""
-
-    def __init__(self, schema: VariableSchema, rows: Mapping[Config, Fraction]) -> None:
-        self._schema, self._rows = schema, rows
-        self.thetas: dict[frozenset[str], Partition] = {}
-
-    @cached_property
-    def weights(self) -> tuple[int, dict[Config, int]]:
-        """``common_weights`` of the rows, the weights keyed by configuration."""
-        lcm, weights = common_weights(self._rows.values())
-        return lcm, dict(zip(self._rows, weights))
-
-    @cached_property
-    def support(self) -> SupportSet:
-        """Positive rows in document order, labelled t1, t2, ..."""
-        rows = tuple((f"t{i}", config) for i, config in enumerate(self._rows, 1))
-        return SupportSet(self._schema.names, rows)
-
-
 @dataclass(frozen=True)
 class Table:
     """Immutable mapping from full configurations to exact probabilities.
 
     Absent configurations read as zero. Explicit zero rows are accepted on
     input but dropped internally, so ``rows`` holds the support exactly.
-    ``view``, the derived structure the checks and ``granular`` read, is
-    built once per table on first use, so ``rows`` must never be mutated.
+    What the checks and ``granular`` derive from ``rows`` (``weights``, the
+    support, ``thetas``) is built once per table on first use, so ``rows``
+    must never be mutated.
     """
 
     schema: VariableSchema
@@ -309,7 +288,7 @@ class Table:
         distinct full configurations over ``schema``'s domains, its values are
         positive ``Fraction``s, and ``kind``, ``targets`` and ``givens`` are as
         ``_check_fields`` returns them. The caller hands ``rows`` over and must
-        never mutate it: the table's cached ``view`` is derived from it.
+        never mutate it: the table's cached weights and support are derived from it.
         """
         table = object.__new__(cls)
         vars(table).update(schema=schema, rows=rows, kind=kind, targets=targets,
@@ -319,17 +298,28 @@ class Table:
     # -- basic queries ----------------------------------------------------
 
     def total_mass(self) -> Fraction:
-        lcm, weights = self.view.weights
+        lcm, weights = self.weights
         return _summed(lcm, weights.values())
 
     @cached_property
-    def view(self) -> TableView:
-        """This table's derived structure, built on first use and kept."""
-        return TableView(self.schema, self.rows)
+    def weights(self) -> tuple[int, dict[Config, int]]:
+        """``common_weights`` of the rows, the weights keyed by configuration."""
+        lcm, weights = common_weights(self.rows.values())
+        return lcm, dict(zip(self.rows, weights))
+
+    @cached_property
+    def thetas(self) -> dict[frozenset[str], Partition]:
+        """``theta`` of the support per variable set, filled by ``independence``."""
+        return {}
 
     def support(self) -> SupportSet:
         """Positive rows in document order, labelled t1, t2, ...; built once."""
-        return self.view.support
+        return self._support
+
+    @cached_property
+    def _support(self) -> SupportSet:
+        rows = tuple((f"t{i}", config) for i, config in enumerate(self.rows, 1))
+        return SupportSet(self.schema.names, rows)
 
     # -- validation --------------------------------------------------------
 
@@ -632,7 +622,7 @@ def uniform_joint_extension(table: Table) -> Table:
     """
     if table.kind == JOINT:
         return table
-    weights = table.view.weights[1]
+    weights = table.weights[1]
     total = sum(weights.values())
     if not total:
         raise SchemaError("cannot extend a table with empty support")
@@ -643,9 +633,8 @@ def uniform_joint_extension(table: Table) -> Table:
 def random_joint_table(
     rng: random.Random,
     variables: Iterable[tuple[str, int]],
-    max_weight: int = 9,
 ) -> Table:
-    """Random joint table with exact rational masses, for probes and tests."""
+    """Random joint table with exact rational masses (weights 0-9), for probes and tests."""
     schema = VariableSchema(
         tuple(
             Variable(name, tuple(str(i) for i in range(size)))
@@ -653,7 +642,7 @@ def random_joint_table(
         )
     )
     configs = list(schema.configs())
-    weights = [rng.randint(0, max_weight) for _ in configs]
+    weights = [rng.randint(0, 9) for _ in configs]
     if not any(weights):
         weights[rng.randrange(len(weights))] = 1
     total = sum(weights)

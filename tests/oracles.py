@@ -29,16 +29,20 @@ answer is checked against ``canonical_equal`` of the two naive double
 nests.
 
 ``naive_nest_commutes`` is ``nest_commutes`` as it was before each table
-cached its view: it copies the rows, computes their ``common_weights`` per
+cached its weights: it copies the rows, computes their ``common_weights`` per
 call, builds both ``Fraction`` tables at once and compares those. The
-package reads the weights from ``Table.view`` and builds the report's
+package reads the weights cached as ``Table.weights`` and builds the report's
 ``first`` and ``second`` tables only when they are read.
 
 ``naive_strong_check`` and ``naive_class_report`` are the twins of the
 checkers' inner steps ``independence._strong_check`` and
 ``independence._class_report``: they rebuild every compared cell from the
 declared domains, merging per-value assignments into full configurations
-and looking each one up, instead of reading the rows already in hand. They
+and looking each one up, instead of reading the rows already in hand. On a
+conditional-shaped table the twin walks the whole declared Y × X × Z
+product and counts each vacuous cell; the package reads each y's supported
+z (every declared z, for ``raw``) and computes both counts from the domain
+sizes. They
 project configurations through this module's own ``_positions``, sorted
 into schema order, and share no projection code with the package's
 ``partitions.projector``.

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weakind import axioms
+from weakind import axioms, independence
 from weakind.axioms import (
     AxiomStatement,
     apply_ciwi1,
@@ -410,6 +411,68 @@ def test_probe_work_bound_before_any_table(monkeypatch, variables, domain_size):
         soundness_probe(variables, domain_size, trials=inside, seed=0)
     with pytest.raises(LimitError, match=f"bound {axioms.MAX_PROBE_WORK} on probe work"):
         soundness_probe(variables, domain_size, trials=inside + 1, seed=0)
+
+
+@pytest.mark.parametrize("variables, trials", [(-1, 1), (3, -5), (-2, -2)])
+def test_probe_negative_counts(monkeypatch, variables, trials):
+    monkeypatch.setattr(axioms, "random_joint_table", None)
+    with pytest.raises(LimitError, match="negative count"):
+        soundness_probe(variables, 2, trials, seed=0)
+
+
+def test_probe_reads_verdicts_by_membership(monkeypatch):
+    """Each trial's verdicts agree with the checkers: every closure statement
+    outside the holding set is degenerate, or fails when checked. A
+    nondegenerate false statement added to the closure gives one violation
+    per rule tagged on it, each noted ``direct``."""
+    real_closure, real_table = axioms.closure, axioms.random_joint_table
+    tables, added = [], []
+
+    def table(*args):
+        tables.append(real_table(*args))
+        return tables[-1]
+
+    def closure_plus_false(premises, universe, rules):
+        premises = frozenset(premises)
+        result = real_closure(premises, universe, rules)
+        for stmt in result.ordered():
+            if stmt not in premises:
+                assert stmt.degenerate or not _holds(tables[-1], stmt)
+        false = next(s for s in _canonical_statements(result.universe)
+                     if s not in result.statements)
+        assert not _holds(tables[-1], false)
+        added.append(false)
+        tags = {**result.derived_rules, false: frozenset({"WI3", "CIWI2"})}
+        return axioms.ClosureResult(result.universe, result.statements | {false},
+                                    result.traces, tags)
+
+    monkeypatch.setattr(axioms, "random_joint_table", table)
+    report = soundness_probe(3, 2, trials=4, seed=0)
+    assert report.repaired == 0 and report.vacuous == report.evaluated > 0
+    monkeypatch.setattr(axioms, "closure", closure_plus_false)
+    patched = soundness_probe(3, 2, trials=4, seed=0)
+    assert len(added) == 4
+    assert patched.violations == tuple(
+        axioms.ProbeViolation(trial, rule, stmt, "direct")
+        for trial, stmt in enumerate(added) for rule in ("CIWI2", "WI3")
+    )
+    assert patched.evaluated == report.evaluated + 4
+    assert patched.vacuous == report.vacuous and patched.repaired == 0
+
+
+def _canonical_statements(universe):
+    for kind in ("CI", "WI"):
+        for roles in itertools.product("XZY", repeat=len(universe)):
+            x = [n for n, r in zip(universe, roles) if r == "X"]
+            z = [n for n, r in zip(universe, roles) if r == "Z"]
+            if x and z:
+                yield statement(kind, x, [n for n, r in zip(universe, roles) if r == "Y"],
+                                universe)
+
+
+def _holds(table, stmt):
+    check = independence.check_ci if stmt.kind == "CI" else independence.check_wi
+    return check(table, stmt.x, stmt.z, stmt.y).holds
 
 
 @pytest.mark.parametrize("variables, trials", [(3, 100), (4, 10)])

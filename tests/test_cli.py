@@ -155,6 +155,21 @@ def test_in_process_run_releases_stdout():
     assert ref() is None
 
 
+@pytest.mark.parametrize("args, option", [
+    (("probe", "--vars", "-1"), "--vars"),
+    (("probe", "--trials", "-5"), "--trials"),
+    (("enumerate", "--kinds", "wi", "--max-statements", "-1"), "--max-statements"),
+    (("enumerate", "--kinds", "wi", "--max-context", "-1"), "--max-context"),
+])
+def test_negative_counts_exit_2(args, option):
+    """A negative count is refused before any work, with one error line."""
+    result = run(*args, str(DATA / "wi_cpt.json")) if args[0] == "enumerate" else run(*args)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and option in errors[0] and "x>=0" in errors[0]
+    assert "{" not in result.output
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run("check", "--kind", "nope", "--x", "X", "--z", "Z").exit_code == 2
     assert run("check", "--kind", "wi", "--x", "X", "--z", "X,W", "--y", "Y",

@@ -386,7 +386,7 @@ def test_public_constructor_rejects_noncanonical_cells():
 @given(util.kinded_tables(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_commutation_reports_match_eager_twin(table, data):
-    """``nest_commutes`` reads the view's weights and builds its tables only when
+    """``nest_commutes`` reads the table's cached weights and builds its tables only when
     read; its report, and the equivalence report built on it, print as the
     eager twin's, also on a forced disagreement, which prints both tables."""
     try:
@@ -398,7 +398,7 @@ def test_commutation_reports_match_eager_twin(table, data):
     j = data.draw(st.integers(i + 1, len(names)))
     x, z, y = names[:i], names[i:j], names[j:]
     naive = naive_nest_commutes(joint, x, z)
-    for _ in range(2):  # a cold view, then a warm one
+    for _ in range(2):  # cold weights, then warm ones
         report = nest_commutes(joint, x, z)
         assert "first" not in vars(report) and "second" not in vars(report)
         assert report.equal == naive.equal
@@ -422,23 +422,23 @@ def test_commutation_reports_match_eager_twin(table, data):
     ("raw", ("2", "4", "1", "1")),
 ])
 def test_joint_extension_gets_its_own_view(kind, values):
-    """The joint extension of a conditional-shaped table caches a view of its
-    own: its weights differ from the source's, and its support keeps the
-    source's labels."""
+    """The joint extension of a conditional-shaped table caches weights and a
+    support of its own: its weights differ from the source's, and its support
+    keeps the source's labels."""
     schema = tables.VariableSchema(
         (tables.Variable("A", ("0", "1")), tables.Variable("B", ("0", "1")))
     )
     configs = [("0", "0"), ("1", "0"), ("0", "1"), ("1", "1")]
     source = tables.Table(schema, dict(zip(configs, map(Fraction, values))), kind,
                           ("A",), ("B",))
-    source_weights = source.view.weights
+    source_weights = source.weights
     joint = tables.uniform_joint_extension(source)
-    assert "view" not in vars(joint)
-    assert joint.view is not source.view
-    assert joint.view.weights != source_weights == source.view.weights
+    assert not {"weights", "_support", "thetas"} & vars(joint).keys()
+    assert joint.weights != source_weights
+    assert source.weights is source_weights
     assert joint.support().rows == source.support().rows
     assert joint.support() is not source.support()
-    lcm, weights = joint.view.weights
+    lcm, weights = joint.weights
     assert {c: Fraction(w, lcm) for c, w in weights.items()} == joint.rows
     assert joint.total_mass() == 1
 
@@ -447,8 +447,8 @@ def test_joint_extension_gets_its_own_view(kind, values):
     (1, True, False), (0, False, False), ("1", True, False), ("1/2", "1/2", True),
     (0.5, "1/2", True), ("1/2", 0.5, True),
 ], ids=repr)
-def test_nested_literal_memo_keeps_types_apart(first, second, ok):
-    """``load_nested`` parses each distinct string once; a JSON ``true`` after
+def test_nested_literals_keep_types_apart(first, second, ok):
+    """``load_nested`` reads each literal by its JSON type: a JSON ``true`` after
     a ``1`` is still an invalid literal, in a row and in a nested cell."""
     attrs = [{"name": "A", "domain": ["0", "1"]}]
     flat = {"attributes": attrs,

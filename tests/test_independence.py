@@ -96,6 +96,52 @@ def test_pci_trivial_singleton_z():
     assert check_pci(table, ("A",), ("B",), {"C": "0"}).holds
 
 
+def _one_row(kind, n, size, row):
+    """A conditional-shaped table over X, G0..G(n-2) of domain ``size`` with one
+    row: target X, all the G given."""
+    names = ["X"] + [f"G{i}" for i in range(n - 1)]
+    domain = [str(d) for d in range(size)]
+    return make_table([(v, domain) for v in names], [(row, "1")], kind,
+                      ("X",), tuple(names[1:]))
+
+
+@pytest.mark.parametrize("kind", ["conditional", "raw"])
+def test_one_row_counts_from_domain_sizes(kind):
+    """X ⊥ G0..G6 on one row of a table over 8 variables of domain 6. A strict
+    table has 1,679,610 = 6 · (6^7 - 1) vacuous cells, counted without visiting
+    them; a raw one as many comparisons, and fails at the first absent cell."""
+    table = _one_row(kind, 8, 6, ("0",) * 8)
+    verdict = check_ci(table, ("X",), [f"G{i}" for i in range(7)])
+    if kind == "conditional":
+        expected = independence.StrongCertificate(0, 1_679_610, True, None)
+    else:
+        first_absent = independence.Counterexample(
+            ("0",), (), ("0",) * 6 + ("1",), Fraction(0), ("0",) * 7, Fraction(1))
+        expected = independence.StrongCertificate(1_679_610, 0, True, first_absent)
+    assert verdict.certificate == expected
+
+
+@pytest.mark.parametrize("kind", ["conditional", "raw"])
+@pytest.mark.parametrize("y", [(), ("G0", "G1")])
+def test_one_row_certificates_match_twin(kind, y):
+    """One row of a table over 5 variables of domain 4: a strict table's
+    cells are all vacuous but one per x, a raw one compares every declared z,
+    absent cells reading as zero, and fails at the row."""
+    table = _one_row(kind, 5, 4, ("1", "2", "3", "0", "1"))
+    z = [v for v in ("G0", "G1", "G2", "G3") if v not in y]
+    verdict = check_ci(table, ("X",), z, y)
+    _, twin = oracles.naive_strong_check(table, ("X",), z, y, {})
+    assert verdict.certificate == twin
+    cert = verdict.certificate
+    if kind == "conditional":
+        assert verdict.holds and (cert.comparisons, cert.vacuous) == (0, 1020)
+        return
+    ce, given = cert.counterexample, ("2", "3", "0", "1")  # the row's G values
+    assert (cert.comparisons, cert.vacuous) == (960 if y else 1020, 0)
+    assert (ce.x, ce.y, ce.z) == (("1",), given[:len(y)], given[len(y):])
+    assert (ce.value, ce.reference) == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # weak family
 # ---------------------------------------------------------------------------
@@ -417,8 +463,12 @@ def test_checks_match_naive_twins(case):
     assert list(extension.rows) == list(table.rows)
 
 
+CACHED = {"weights", "_support", "thetas"}  # the cached properties of a Table
+
+
 def _fresh(table):
-    """The same rows in a new table, whose view is not built yet."""
+    """The same rows in a new table, whose cached weights, support and thetas
+    are not built yet."""
     rows = dict(table.rows)
     return tables.Table._built(table.schema, rows, table.kind, table.targets, table.givens)
 
@@ -430,18 +480,19 @@ def _docs(verdicts):
 @given(statements())
 @settings(max_examples=150, deadline=None)
 def test_verdicts_same_on_cold_and_warm_views(case):
-    """A table's cached view changes no verdict. Each kind's verdict on a fresh
-    table equals the one after ``enumerate_statements`` has warmed the view,
-    and the naive twins' on that warm table."""
+    """A table's cached weights, support and thetas change no verdict. Each
+    kind's verdict on a fresh table equals the one after
+    ``enumerate_statements`` has warmed them, and the naive twins' on that warm
+    table."""
     table, groups, context = case
     fresh = _fresh(table)
-    assert "view" not in vars(fresh)
+    assert not CACHED & vars(fresh).keys()
     cold = _docs(_verdicts(fresh, groups, context))
     enumerate_statements(table, independence.STATEMENT_KINDS, Limits(max_contexts=2))
-    view = vars(table)["view"]
-    assert view.support is table.support()
+    warm = {name: vars(table)[name] for name in CACHED & vars(table).keys()}
+    assert warm["_support"] is table.support()
     assert _docs(_verdicts(table, groups, context)) == cold
-    assert vars(table)["view"] is view
+    assert all(vars(table)[name] is part for name, part in warm.items())
     with mock.patch.object(independence, "_strong_check", oracles.naive_strong_check), \
             mock.patch.object(independence, "_class_report", oracles.naive_class_report):
         assert _docs(_verdicts(table, groups, context)) == cold
@@ -452,7 +503,7 @@ def test_wi_reuses_theta_per_variable_set(wi_cpt):
     the partitions it keeps are the ones ``theta`` computes afresh."""
     table = _fresh(wi_cpt)
     first = check_wi(table, ("X",), ("Z", "W"), ("Y",))
-    thetas = dict(table.view.thetas)
+    thetas = dict(table.thetas)
     assert set(thetas) == {frozenset({"X", "Y"}), frozenset({"Y", "Z", "W"})}
     with mock.patch.object(independence, "theta", side_effect=AssertionError):
         again = check_wi(table, ("X",), ("Z", "W"), ("Y",))

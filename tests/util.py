@@ -94,10 +94,13 @@ def make_table(variables, rows, kind="joint", targets=None, givens=None):
 
 @st.composite
 def kinded_tables(draw):
-    """Sparse joint, conditional or raw tables of 2-4 variables, domains 1-3."""
+    """Sparse joint, conditional or raw tables of 2-4 variables, domains 1-3.
+
+    Domains are listed in any order, so some are out of ``str`` order."""
     n = draw(st.integers(2, 4))
     names = [f"V{i}" for i in range(n)]
-    variables = [(v, [str(d) for d in range(draw(st.integers(1, 3)))]) for v in names]
+    variables = [(v, [str(d) for d in draw(st.permutations(range(draw(st.integers(1, 3)))))])
+                 for v in names]
     kind = draw(st.sampled_from(["joint", "conditional", "raw"]))
     configs = list(product(*(d for _, d in variables)))
     weights = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=len(configs),
