@@ -69,21 +69,28 @@ class _Die(click.ClickException):
     exit_code = 2
 
 
-def _guard(fn):
-    """Map package and file errors to exit status 2 with a one-line diagnostic."""
-
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (WeakindError, OSError, json.JSONDecodeError) as exc:
-            raise _Die(str(exc)) from exc
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+def _one_line(call, *args):
+    """``call(*args)``, with package, file and click usage errors mapped to exit
+    status 2 and a one-line diagnostic: no traceback, usage or help hint."""
+    try:
+        return call(*args)
+    except click.UsageError as exc:
+        raise _Die(exc.format_message()) from exc
+    except (WeakindError, OSError, json.JSONDecodeError) as exc:
+        raise _Die(str(exc)) from exc
 
 
-@click.group()
+class _Main(click.Group):
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        if not args:  # a bare ``weakind`` prints the help, as click does
+            return super().parse_args(ctx, args)
+        return _one_line(super().parse_args, ctx, args)
+
+    def invoke(self, ctx: click.Context):
+        return _one_line(super().invoke, ctx)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main() -> None:
     """Independence detection and granular coarsening for probability tables."""
@@ -93,7 +100,6 @@ def main() -> None:
 @click.option("--format", "format_", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--assert", "assert_", is_flag=True, help="exit 1 when invalid")
 @click.argument("input", default="-")
-@_guard
 def validate(format_: str, assert_: bool, input: str) -> None:
     """Report every violated table invariant."""
     table = _load_table(input, format_, check=False)
@@ -113,7 +119,6 @@ def validate(format_: str, assert_: bool, input: str) -> None:
 @click.option("--format", "format_", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--pretty", is_flag=True, help="human-readable rendering")
 @click.argument("input", default="-")
-@_guard
 def check(
     kind: str,
     x_: str,
@@ -169,7 +174,6 @@ def _render_verdict(verdict: independence.Verdict) -> str:
 @click.option("--max-statements", type=click.IntRange(min=0), default=None)
 @click.option("--format", "format_", default="json", type=click.Choice(["json", "csv"]))
 @click.argument("input", default="-")
-@_guard
 def enumerate_cmd(
     kinds: str,
     max_context: int | None,
@@ -192,7 +196,6 @@ def enumerate_cmd(
 @click.option("--premises", "premises_", default=None, help="JSON premise file")
 @click.option("--universe", "universe_", required=True, help="comma-separated variables")
 @click.option("--rules", "rules_", default=",".join(axioms.ALL_RULES))
-@_guard
 def derive(premises_: str | None, universe_: str, rules_: str) -> None:
     """Forward-chain the inference rules to a closure with derivation traces."""
     universe = _split_list(universe_)
@@ -213,7 +216,6 @@ def derive(premises_: str | None, universe_: str, rules_: str) -> None:
 @click.option("--trials", type=click.IntRange(min=0), default=100)
 @click.option("--seed", type=int, default=0)
 @click.option("--rules", "rules_", default=",".join(axioms.ALL_RULES))
-@_guard
 def probe(
     vars_: int, domain_size: int, trials: int, seed: int, rules_: str
 ) -> None:
@@ -234,7 +236,6 @@ def _load_table_or_nested(path: str) -> tables.Table | granular.NestedTable:
 @click.option("--by", "by_", required=True, help="comma-separated attributes to coarsen")
 @click.option("--as", "as_", required=True, help="name of the new nested attribute")
 @click.argument("input", default="-")
-@_guard
 def nest(by_: str, as_: str, input: str) -> None:
     """Coarsen attributes into a nested attribute; emits the nested document."""
     table = _load_table_or_nested(input)
@@ -245,7 +246,6 @@ def nest(by_: str, as_: str, input: str) -> None:
 @main.command()
 @click.option("--attr", required=True, help="nested attribute to reveal")
 @click.argument("input", default="-")
-@_guard
 def unnest(attr: str, input: str) -> None:
     """Reveal a nested attribute; emits the refined document."""
     table = _load_table_or_nested(input)
@@ -264,7 +264,6 @@ def unnest(attr: str, input: str) -> None:
 @click.option("--format", "format_", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--assert", "assert_", is_flag=True, help="exit 1 when orders disagree")
 @click.argument("input", default="-")
-@_guard
 def commute(x_: str, z_: str, format_: str, assert_: bool, input: str) -> None:
     """Run both coarsening orders and report whether they agree."""
     table = _load_table(input, format_)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import getitem
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import LimitError, StatementError
 from .partitions import (
@@ -273,79 +273,71 @@ def _strong_check(
     in_context = ctx_of(tuple(map(context.get, schema.names)))
     rows = [c for c in table.rows if ctx_of(c) == in_context]
     context_in_support = not context or bool(rows)
-    comparisons = 0
-    vacuous = 0
-    counterexample: Counterexample | None = None
-    x_configs = list(schema.configs(x_vars))
-    # The context's rows, read by their (y, z, x) projections.
+    # The context's rows grouped y -> z -> x -> value: a joint table's integer
+    # weights, summed over the variables an embedded statement leaves out, or a
+    # conditional-shaped table's stored values (X, Y, the context and Z cover
+    # its schema, so each row is one cell).
+    values = table.weights[1] if table.kind == JOINT else table.rows
     y_of, z_of, x_of = (projector(schema.names, v) for v in (y_vars, z_vars, x_vars))
+    cells: dict[Config, dict[Config, dict[Config, int | Fraction]]] = {}
+    for cfg in rows:
+        at = cells.setdefault(y_of(cfg), {}).setdefault(z_of(cfg), {})
+        x_cfg = x_of(cfg)
+        at[x_cfg] = at.get(x_cfg, 0) + values[cfg]
 
+    # A cell can differ only at a supported y and z, and at an x with a row at
+    # that y: elsewhere both sides read zero. Both counts come from the domain
+    # sizes and the supported counts. A joint table compares every x at each
+    # supported (y, z) and skips each unsupported y or z as one vacuous cell; a
+    # strict conditional table compares each supported z against the first; a
+    # raw one compares every declared z, absent cells reading as zero.
+    n_x, n_y, n_z = (
+        math.prod(len(schema.variable(n).domain) for n in names)
+        for names in (x_vars, y_vars, z_vars)
+    )
+    n_yz = sum(map(len, cells.values()))  # supported (y, z)
     if table.kind == JOINT:
-        # Group the context's integer weights once; conditionals are compared
-        # by cross-multiplication.
-        mass_y: dict[Config, int] = {}
-        mass_yz: dict[tuple[Config, Config], int] = {}
-        mass_yx: dict[tuple[Config, Config], int] = {}
-        mass_yzx: dict[tuple[Config, Config, Config], int] = {}
-        weights = table.weights[1]
-        for cfg in rows:
-            w, yv, zv, xv = weights[cfg], y_of(cfg), z_of(cfg), x_of(cfg)
-            mass_y[yv] = mass_y.get(yv, 0) + w
-            mass_yz[yv, zv] = mass_yz.get((yv, zv), 0) + w
-            mass_yx[yv, xv] = mass_yx.get((yv, xv), 0) + w
-            mass_yzx[yv, zv, xv] = mass_yzx.get((yv, zv, xv), 0) + w
+        comparisons, vacuous = n_x * n_yz, n_y + len(cells) * (n_z - 1) - n_yz
+    elif table.kind == RAW:
+        comparisons, vacuous = n_x * n_y * (n_z - 1), 0
+    else:
+        comparisons, vacuous = n_x * (n_yz - len(cells)), n_x * (n_y * n_z - n_yz)
 
-        for y_cfg in schema.configs(y_vars):
-            m_y = mass_y.get(y_cfg, 0)
-            if not m_y:
-                vacuous += 1
+    # Walk the supported keys in domain order; the first cell that differs is
+    # the counterexample. A joint table is walked by (y, z, x), comparing
+    # m(yzx)·m(y) with m(yx)·m(yz) by cross-multiplication; a conditional-shaped
+    # one by (y, x, z), against the value at the first z. At a raw table's zero
+    # baseline the first differing z is the first that holds x; at a nonzero
+    # one, the declared z are walked lazily up to the first absent one.
+    def differing() -> Iterator[Counterexample]:
+        for y_cfg in _sorted_configs(table, y_vars, cells):
+            by_z = cells[y_cfg]
+            z_configs = _sorted_configs(table, z_vars, by_z)
+            m_yx: dict[Config, int | Fraction] = {}
+            for at in by_z.values():
+                for x_cfg, value in at.items():
+                    m_yx[x_cfg] = m_yx.get(x_cfg, 0) + value
+            x_configs = _sorted_configs(table, x_vars, m_yx)
+            if table.kind == JOINT:
+                m_y = sum(m_yx.values())
+                for z_cfg in z_configs:
+                    at, m_yz = by_z[z_cfg], sum(by_z[z_cfg].values())
+                    for x_cfg in x_configs:
+                        m_yzx, m_x = at.get(x_cfg, 0), m_yx[x_cfg]
+                        if m_yzx * m_y != m_x * m_yz:
+                            yield Counterexample(x_cfg, y_cfg, z_cfg, Fraction(m_yzx, m_yz),
+                                                 None, Fraction(m_x, m_y))
                 continue
-            m_yx = [mass_yx.get((y_cfg, x_cfg), 0) for x_cfg in x_configs]
-            for z_cfg in schema.configs(z_vars):
-                m_yz = mass_yz.get((y_cfg, z_cfg), 0)
-                if not m_yz:
-                    vacuous += 1
-                    continue
-                for x_cfg, m_x in zip(x_configs, m_yx):
-                    comparisons += 1
-                    m_yzx = mass_yzx.get((y_cfg, z_cfg, x_cfg), 0)
-                    if m_yzx * m_y != m_x * m_yz and counterexample is None:
-                        value, reference = Fraction(m_yzx, m_yz), Fraction(m_x, m_y)
-                        counterexample = Counterexample(
-                            x_cfg, y_cfg, z_cfg, value, None, reference
-                        )
-        return counterexample is None, StrongCertificate(
-            comparisons, vacuous, context_in_support, counterexample
-        )
+            z0 = next(schema.configs(z_vars)) if table.kind == RAW else z_configs[0]
+            for x_cfg in x_configs:
+                baseline = by_z.get(z0, {}).get(x_cfg, ZERO)
+                walk = schema.configs(z_vars) if table.kind == RAW and baseline else z_configs
+                for z_cfg in walk:
+                    value = by_z.get(z_cfg, {}).get(x_cfg, ZERO)
+                    if value != baseline:
+                        yield Counterexample(x_cfg, y_cfg, z_cfg, value, z0, baseline)
 
-    # Conditional-shaped path: constancy of stored values across z, per (y, x).
-    # X, Y, the context and Z cover the schema, so each row is one cell. A
-    # strict table compares, at each y, the z supported there (a given-column
-    # with a positive row), in domain order; the rest are vacuous. A raw table
-    # compares every declared z, absent cells reading as zero. Both counts come
-    # from the domain sizes; cells are read until the first counterexample.
-    cells = {(y_of(c), z_of(c), x_of(c)): table.rows[c] for c in rows}
-    n_z = math.prod(len(schema.variable(n).domain) for n in z_vars)
-    declared = list(schema.configs(z_vars)) if table.kind == RAW else None
-    supported: dict[Config, set[Config]] = {}
-    for y_cfg, z_cfg, _ in cells:
-        supported.setdefault(y_cfg, set()).add(z_cfg)
-    for y_cfg in schema.configs(y_vars):
-        z_configs = declared or _sorted_configs(table, z_vars, supported.get(y_cfg, ()))
-        vacuous += len(x_configs) * (n_z - len(z_configs))
-        comparisons += len(x_configs) * max(len(z_configs) - 1, 0)
-        if counterexample is not None or y_cfg not in supported:
-            continue  # a y with no row holds no cell that differs
-        z0 = z_configs[0]  # the baseline
-        for x_cfg in x_configs:
-            baseline = cells.get((y_cfg, z0, x_cfg), ZERO)
-            for z_cfg in z_configs:
-                value = cells.get((y_cfg, z_cfg, x_cfg), ZERO)
-                if value != baseline:
-                    counterexample = Counterexample(x_cfg, y_cfg, z_cfg, value, z0, baseline)
-                    break
-            if counterexample is not None:
-                break
+    counterexample = next(differing(), None)
     return counterexample is None, StrongCertificate(
         comparisons, vacuous, context_in_support, counterexample
     )

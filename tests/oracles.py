@@ -38,11 +38,11 @@ package reads the weights cached as ``Table.weights`` and builds the report's
 checkers' inner steps ``independence._strong_check`` and
 ``independence._class_report``: they rebuild every compared cell from the
 declared domains, merging per-value assignments into full configurations
-and looking each one up, instead of reading the rows already in hand. On a
-conditional-shaped table the twin walks the whole declared Y × X × Z
-product and counts each vacuous cell; the package reads each y's supported
-z (every declared z, for ``raw``) and computes both counts from the domain
-sizes. They
+and looking each one up, instead of reading the rows already in hand. The
+strong twin walks the whole declared Y × Z × X product (Y × X × Z for a
+conditional-shaped table), counting each comparison and vacuous cell as it
+meets it; the package walks only the supported keys of its grouped rows
+and computes both counts from the domain sizes. They
 project configurations through this module's own ``_positions``, sorted
 into schema order, and share no projection code with the package's
 ``partitions.projector``.
@@ -452,9 +452,14 @@ def cwi_oracle(table, x_vars, z_vars, context):
 def naive_strong_check(table, x_vars, z_vars, y_vars, context):
     """Twin of ``independence._strong_check``: every cell from the declared domains.
 
-    The joint path keys its masses by schema-ordered projections that
-    include the context; the conditional-shaped path merges each full
-    configuration from per-value maps and looks it up.
+    It visits every declared cell, supported or not, and counts each
+    comparison and vacuous cell as it meets it, where the package walks only
+    supported keys and counts the rest from the domain sizes. The joint path
+    keys its ``Fraction`` masses by schema-ordered projections that include
+    the context and keeps walking past its first counterexample; the
+    conditional-shaped path merges each full configuration from per-value
+    maps and looks it up. Its cost is the declared product, so differential
+    tests keep that product small.
     """
     schema = table.schema
     context_in_support = True if not context else _partial_mass(table, context) > 0

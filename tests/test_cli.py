@@ -165,18 +165,39 @@ def test_negative_counts_exit_2(args, option):
     """A negative count is refused before any work, with one error line."""
     result = run(*args, str(DATA / "wi_cpt.json")) if args[0] == "enumerate" else run(*args)
     assert result.exit_code == 2
-    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert len(errors) == 1 and option in errors[0] and "x>=0" in errors[0]
-    assert "{" not in result.output
+    assert result.output.count("\n") == 1 and result.output.startswith("Error:")
+    assert option in result.output and "x>=0" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (("check", "--kind", "nope", "--x", "X", "--z", "Z"), "Invalid value for '--kind'"),
+    (("probe", "--trials", "x"), "Invalid value for '--trials'"),
+    (("check", "--kind", "ci", "--x", "X"), "Missing option '--z'"),
+    (("check", "--kind", "cwi", "--x", "X", "--z", "Z,W", "--context", "Y0",
+      str(DATA / "cwi_cpt.json")), "malformed context assignment 'Y0'"),
+    (("nope",), "No such command 'nope'"),
+    (("--nope",), "No such option '--nope'"),
+])
+def test_click_usage_errors_are_one_line(args, message):
+    """A usage error click finds (a bad choice, a non-integer, a missing
+    option or verb) prints one ``Error:`` line, like every other error."""
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.output.startswith(f"Error: {message}")
+    assert result.output.count("\n") == 1, result.output
+
+
+def test_help_is_still_clicks():
+    """``--help``, and a bare ``weakind``, print click's full help."""
+    for args in (("--help",), ()):
+        assert "Usage:" in run(*args).output and "Commands:" in run(*args).output
+    assert run("check", "--help").output.startswith("Usage: main check [OPTIONS] [INPUT]")
 
 
 def test_usage_errors_exit_2(tmp_path):
-    assert run("check", "--kind", "nope", "--x", "X", "--z", "Z").exit_code == 2
     assert run("check", "--kind", "wi", "--x", "X", "--z", "X,W", "--y", "Y",
                str(DATA / "wi_cpt.json")).exit_code == 2
     assert run("validate", "missing-file.json").exit_code == 2
-    assert run("check", "--kind", "cwi", "--x", "X", "--z", "Z,W",
-               "--context", "Y0", str(DATA / "cwi_cpt.json")).exit_code == 2
     assert run("nest", "--by", "NOPE", "--as", "B",
                str(DATA / "nest_demo.json")).exit_code == 2
     assert run("probe", "--rules", "WI9").exit_code == 2

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -140,6 +141,32 @@ def test_one_row_certificates_match_twin(kind, y):
     assert (cert.comparisons, cert.vacuous) == (960 if y else 1020, 0)
     assert (ce.x, ce.y, ce.z) == (("1",), given[:len(y)], given[len(y):])
     assert (ce.value, ce.reference) == (1, 0)
+
+
+_HOSTILE = {
+    # One supported (y, z) of 8,000,000 declared; each x compared there.
+    "wide_z": independence.StrongCertificate(2, 7_999_999, True, None),
+    "wider_z": independence.StrongCertificate(2, 999_999_999, True, None),
+    # The 1,000,000 x-values are compared at the row's z; the other z is vacuous.
+    "wide_x": independence.StrongCertificate(1_000_000, 1, True, None),
+    # 6 · (6^7 - 1) comparisons; the first z holding the row's x differs from
+    # the zero baseline at the first declared z.
+    "raw": independence.StrongCertificate(1_679_610, 0, True, independence.Counterexample(
+        ("5",), (), ("5",) * 7, Fraction(1), ("0",) * 7, Fraction(0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+def test_hostile_one_row_certificates(name):
+    """A declared product of millions of cells around one row is counted, not
+    walked: each check returns its pinned certificate well inside a second
+    (the declared-product walk took 0.5-1.4 s on a 2-CPU host)."""
+    table, x, z = util.hostile_tables()[name]
+    start = time.perf_counter()
+    verdict = check_ci(table, x, z)
+    assert time.perf_counter() - start < 0.1
+    assert verdict.certificate == _HOSTILE[name]
+    assert verdict.holds == (name != "raw")
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +425,9 @@ def test_enumerate_unknown_kind(wi_cpt):
 
 
 @st.composite
-def statements(draw):
+def statements(draw, drawn_tables=util.kinded_tables()):
     """A table with a random role per variable and a context drawn per role C."""
-    table = draw(util.kinded_tables())
+    table = draw(drawn_tables)
     names = table.schema.names
     if table.kind == "joint":
         # "-" leaves a variable out, which only strong statements allow.
@@ -416,7 +443,7 @@ def statements(draw):
     return table, groups, context
 
 
-def _verdicts(table, g, context):
+def _verdicts(table, g, context, kinds=independence.STATEMENT_KINDS):
     calls = {
         "CI": lambda: check_ci(table, g["X"], g["Z"], g["Y"] + g["C"]),
         "CSI": lambda: check_csi(table, g["X"], g["Z"], g["Y"], context),
@@ -425,9 +452,9 @@ def _verdicts(table, g, context):
         "WI": lambda: check_wi(table, g["X"], g["Z"], g["Y"] + g["C"]),
     }
     out = {}
-    for kind, call in calls.items():
+    for kind in kinds:
         try:
-            out[kind] = call()
+            out[kind] = calls[kind]()
         except StatementError as exc:
             out[kind] = str(exc)
     return out
@@ -461,6 +488,47 @@ def test_checks_match_naive_twins(case):
         return
     assert extension == oracles.naive_uniform_joint_extension(table)
     assert list(extension.rows) == list(table.rows)
+
+
+@st.composite
+def wide_statements(draw):
+    """``statements`` over ``util.wide_tables``; half the time the context is a
+    row's, so that it meets the few rows of its wide domains."""
+    table, groups, context = draw(statements(util.wide_tables()))
+    if context and draw(st.booleans()):
+        row = draw(st.sampled_from(list(table.rows)))
+        context = {v: row[table.schema.names.index(v)] for v in context}
+    return table, groups, context
+
+
+@given(wide_statements())
+@settings(max_examples=150, deadline=None)
+@example((make_table(  # a raw baseline of 1: the declared z walked to the first absent
+    [("X", "01"), ("G0", [str(d) for d in range(50)]), ("G1", [str(d) for d in range(50)])],
+    [(("1", "0", "0"), "1"), (("1", "0", "1"), "1"), (("1", "0", "10"), "1"),
+     (("0", "49", "49"), "1/2")],
+    "raw", ("X",), ("G0", "G1"),
+), {"X": ("X",), "Z": ("G0", "G1"), "Y": (), "C": ()}, {}))
+@example((make_table(  # rows at y = 10 first; y = 2 comes first in domain order
+    [("Y", [str(d) for d in range(12)]), ("X", "01"), ("Z", "01")],
+    [(("10", "0", "0"), "1/4"), (("10", "1", "1"), "1/4"), (("2", "0", "0"), "1/4"),
+     (("2", "1", "1"), "1/4")],
+), {"X": ("X",), "Z": ("Z",), "Y": ("Y",), "C": ()}, {}))
+@example((make_table(  # rows at z = 10 first; z = 2 comes first in domain order
+    [("X", "01"), ("Z", [str(d) for d in range(12)])],
+    [(("0", "10"), "1/4"), (("0", "2"), "1/4"), (("1", "2"), "1/2")],
+), {"X": ("X",), "Z": ("Z",), "Y": (), "C": ()}, {}))
+@example((make_table(  # embedded: two rows share the (y, z, x) cell X = Z = 0
+    [("W", [str(d) for d in range(20)]), ("X", "01"), ("Z", "01")],
+    [(("5", "0", "0"), "1/4"), (("17", "0", "0"), "1/4"), (("5", "1", "1"), "1/2")],
+), {"X": ("X",), "Z": ("Z",), "Y": (), "C": ()}, {}))
+def test_strong_checks_match_twin_on_wide_domains(case):
+    """CI, CSI and PCI walk only supported keys; the twin walks every declared
+    cell. Their verdicts and certificates agree on few rows over wide domains."""
+    table, groups, context = case
+    fast = _verdicts(table, groups, context, ("CI", "CSI", "PCI"))
+    with mock.patch.object(independence, "_strong_check", oracles.naive_strong_check):
+        assert _verdicts(table, groups, context, ("CI", "CSI", "PCI")) == fast
 
 
 CACHED = {"weights", "_support", "thetas"}  # the cached properties of a Table

@@ -105,6 +105,43 @@ def kinded_tables(draw):
     configs = list(product(*(d for _, d in variables)))
     weights = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=len(configs),
                             max_size=len(configs)))
+    return _kinded_table(draw, variables, kind, configs, weights)
+
+
+@st.composite
+def wide_tables(draw):
+    """Joint, conditional or raw tables of 1-4 rows over 2-4 variables of up to
+    50 values each, so that the declared products dwarf the support.
+
+    Each domain is listed in numeric order (out of ``str`` order past 10
+    values), in ``str`` order or shuffled. Each row value is half the time one
+    of its variable's last two, so that rows sit late in domain order. The
+    declared product stays at 5,000 cells or fewer, as the naive twins walk it.
+    """
+    variables, cells = [], 1
+    for i in range(draw(st.integers(2, 4))):
+        size = draw(st.integers(1, min(50, 5000 // cells)))
+        cells *= size
+        domain = [str(d) for d in range(size)]
+        order = draw(st.sampled_from(("numeric", "str", "shuffled")))
+        if order == "str":
+            domain.sort()
+        elif order == "shuffled":
+            domain = draw(st.permutations(domain))
+        variables.append((f"V{i}", domain))
+    kind = draw(st.sampled_from(["joint", "conditional", "raw"]))
+    late = [st.one_of(st.sampled_from(d[-2:]), st.sampled_from(d)) for _, d in variables]
+    configs = sorted(draw(st.sets(st.tuples(*late), min_size=1, max_size=4)))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(configs), max_size=len(configs)))
+    return _kinded_table(draw, variables, kind, configs, weights)
+
+
+def _kinded_table(draw, variables, kind, configs, weights):
+    """A table of ``kind`` whose rows are ``configs`` with ``weights``, a zero
+    weight dropping its row: a normalized joint table, or a conditional or raw
+    one with a drawn target-set."""
+    names = [v for v, _ in variables]
+    n = len(names)
     if kind == "joint":
         if not any(weights):
             weights[0] = 1
@@ -125,3 +162,29 @@ def kinded_tables(draw):
             column[g] = column.get(g, 0) + w
         rows = [(c, w / column[tuple(c[p] for p in g_pos)]) for c, w in rows if w]
     return make_table(variables, rows, kind, targets, givens)
+
+
+def hostile_tables():
+    """Name -> (one-row table, X, Z) for ``CI(X ⊥ Z)``: declared products of
+    millions of cells around a single row, which a strong check must not walk.
+
+    ``wide_z``: X binary, Z three variables of domain 200 (8,000,000 z-values).
+    ``wider_z``: the same at domain 1,000, a 45 KB canonical document that
+    declares 10^9 z-values.
+    ``wide_x``: X three variables of domain 100, Z binary.
+    ``raw``: a raw table over X and G0..G6 of domain 6, its row at ``5…5``,
+    last in domain order.
+    """
+    d1000, d200, d100 = ([str(d) for d in range(n)] for n in (1000, 200, 100))
+    z3 = ("Z0", "Z1", "Z2")
+    wide_z, wider_z = (make_table([("X", "01")] + [(v, d) for v in z3],
+                                  [(("1", "7", "199", "3"), "1")]) for d in (d200, d1000))
+    x3 = ("X0", "X1", "X2")
+    wide_x = make_table([(v, d100) for v in x3] + [("Z", "01")],
+                        [(("99", "5", "0", "1"), "1")])
+    g7 = tuple(f"G{i}" for i in range(7))
+    raw = make_table([(v, "012345") for v in ("X",) + g7], [(("5",) * 8, "1")],
+                     "raw", ("X",), g7)
+    return {"wide_z": (wide_z, ("X",), z3), "wider_z": (wider_z, ("X",), z3),
+            "wide_x": (wide_x, x3, ("Z",)),
+            "raw": (raw, ("X",), g7)}
