@@ -272,6 +272,94 @@ def test_raw_alignment_enforced(wi_cpt):
         check_wi(wi_cpt, ("Y",), ("Z", "W"), ("X",))
 
 
+UNKNOWN_Q = "SchemaError: unknown variables: ['Q']"
+NONEMPTY = "StatementError: X and Z must be nonempty"
+DISJOINT = "StatementError: variable sets must be pairwise disjoint"
+COVER = "StatementError: weak statements must cover the full variable set"
+TARGETS = "StatementError: X must equal the table's target-set"
+
+# (kind, X, Z, Y, context, outcome on the joint table, outcome on the
+# conditional-shaped ones): statements that each break two or more
+# preconditions, with the error that wins. "ok" is a verdict.
+ORDER_CASES = [
+    ("CI", "", "Q", "", None, UNKNOWN_Q, UNKNOWN_Q),
+    ("CI", "P", "Q", "", None, *["SchemaError: unknown variables: ['P']"] * 2),
+    ("CI", "A", "B", "Q", None, UNKNOWN_Q, UNKNOWN_Q),
+    ("CI", "A", "", "A", None, NONEMPTY, NONEMPTY),
+    ("CI", "A", "A", "B", None, DISJOINT, DISJOINT),
+    ("CI", "B", "C", "", None, "ok", TARGETS),
+    ("CSI", "P", "B", "", {}, *["StatementError: CSI requires a nonempty context"] * 2),
+    ("CSI", "", "B", "", {}, *["StatementError: CSI requires a nonempty context"] * 2),
+    ("CSI", "", "B", "", {"Q": "0"}, NONEMPTY, NONEMPTY),
+    ("CSI", "A", "B", "Q", {"Q": "0"}, UNKNOWN_Q, UNKNOWN_Q),
+    ("CSI", "A", "B", "", {"Q": "0", "C": "7"}, *["SchemaError: unknown variable 'Q'"] * 2),
+    ("CSI", "A", "B", "", {"C": "7", "Q": "0"},
+     *["SchemaError: value '7' outside domain of variable 'C'"] * 2),
+    ("CSI", "A", "B", "", {"B": "7"},
+     *["SchemaError: value '7' outside domain of variable 'B'"] * 2),
+    ("CSI", "A", "B", "", {"B": "0"}, DISJOINT, DISJOINT),
+    ("CSI", "B", "C", "", {"D": "0"}, "ok", TARGETS),
+    ("PCI", "P", "B", "", {},
+     *["StatementError: PCI requires a fixed conditioning value"] * 2),
+    ("PCI", "", "B", "", {"Q": "0"}, NONEMPTY, NONEMPTY),
+    ("PCI", "A", "Q", "", {"Q": "0"}, UNKNOWN_Q, UNKNOWN_Q),
+    ("PCI", "A", "B", "", {"Q": "0", "C": "7"}, *["SchemaError: unknown variable 'Q'"] * 2),
+    ("PCI", "A", "B", "", {"A": "9"},
+     *["SchemaError: value '9' outside domain of variable 'A'"] * 2),
+    ("PCI", "A", "B", "", {"B": "0"}, DISJOINT, DISJOINT),
+    ("PCI", "B", "C", "", {"D": "0"}, "ok", TARGETS),
+    ("CWI", "P", "B", "", {}, *["StatementError: CWI requires a nonempty context"] * 2),
+    ("CWI", "", "Q", "", {"B": "0"}, UNKNOWN_Q, UNKNOWN_Q),
+    ("CWI", "", "B", "", {"Q": "0"}, NONEMPTY, NONEMPTY),
+    ("CWI", "A", "B", "", {"Q": "0"}, *["SchemaError: unknown variable 'Q'"] * 2),
+    ("CWI", "A", "B", "", {"C": "5"},
+     *["SchemaError: value '5' outside domain of variable 'C'"] * 2),
+    ("CWI", "A", "B", "", {"B": "0"}, DISJOINT, DISJOINT),
+    ("CWI", "A", "B", "", {"C": "0"}, COVER, COVER),
+    ("CWI", "B", "AC", "", {"D": "0"}, "ok", TARGETS),
+    ("WI", "Q", "B", "CD", None, UNKNOWN_Q, UNKNOWN_Q),
+    ("WI", "", "B", "CD", None, NONEMPTY, NONEMPTY),
+    ("WI", "A", "BC", "B", None, DISJOINT, DISJOINT),
+    ("WI", "A", "A", "BCD", None, DISJOINT, DISJOINT),
+    ("WI", "A", "B", "", None, COVER, COVER),
+    ("WI", "AB", "C", "D", None, "ok", TARGETS),
+]
+
+
+def _outcome(table, kind, x, z, y, context):
+    call = {
+        "CI": lambda: check_ci(table, tuple(x), tuple(z), tuple(y)),
+        "CSI": lambda: check_csi(table, tuple(x), tuple(z), tuple(y), context),
+        "PCI": lambda: check_pci(table, tuple(x), tuple(z), context),
+        "CWI": lambda: check_cwi(table, tuple(x), tuple(z), context),
+        "WI": lambda: check_wi(table, tuple(x), tuple(z), tuple(y)),
+    }[kind]
+    try:
+        call()
+    except (SchemaError, StatementError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+@pytest.mark.parametrize("table_kind", ["joint", "conditional", "raw"])
+@pytest.mark.parametrize("kind", independence.STATEMENT_KINDS)
+def test_statement_checks_keep_their_order(kind, table_kind):
+    """Each check refuses a statement at the first broken precondition: a
+    contextual kind's empty context, then unknown names in X, Z and Y, empty X
+    or Z, the context's unknown names and values in its own order, overlapping
+    sets, a weak statement short of the schema, and last a conditional-shaped
+    table's target-set."""
+    configs = list(product("01", repeat=4))
+    if table_kind == "joint":
+        table = make_table([(v, "01") for v in "ABCD"], [(c, "1/16") for c in configs])
+    else:
+        table = make_table([(v, "01") for v in "ABCD"], [(c, "1/2") for c in configs],
+                           table_kind, ("A",), ("B", "C", "D"))
+    cases = [case for case in ORDER_CASES if case[0] == kind]
+    got = [_outcome(table, *case[:5]) for case in cases]
+    assert got == [case[5 if table_kind == "joint" else 6] for case in cases]
+
+
 def test_ci_implies_wi_random():
     rng = random.Random(100)
     stream = list(util.random_tables(seed=101, count=80)) + [
