@@ -532,13 +532,16 @@ def soundness_probe(
     fails, unless it is degenerate (an empty independent set), which is
     vacuously true. Closure statements are already repaired, so ``repaired``
     is always 0. The report is deterministic for a fixed seed. A negative
-    ``variables`` or ``trials``, a universe past ``MAX_UNIVERSE``, tables of
-    more than ``MAX_PROBE_CONFIGS`` configurations, or more than
-    ``MAX_PROBE_WORK`` statement checks over one configuration each (a trial
-    checks at most 2·3^variables statements) raise ``LimitError`` at once.
+    ``variables`` or ``trials``, a ``domain_size`` below 1, a universe past
+    ``MAX_UNIVERSE``, tables of more than ``MAX_PROBE_CONFIGS``
+    configurations, or more than ``MAX_PROBE_WORK`` statement checks over one
+    configuration each (a trial checks at most 2·3^variables statements)
+    raise ``LimitError`` at once.
     """
     if variables < 0 or trials < 0:
         raise LimitError(f"negative count: {variables} variables, {trials} trials")
+    if domain_size < 1:
+        raise LimitError(f"domain size {domain_size} is below 1")
     if variables > MAX_UNIVERSE:
         raise LimitError(f"universe of {variables} variables exceeds bound {MAX_UNIVERSE}")
     configs = domain_size ** variables

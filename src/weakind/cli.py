@@ -133,7 +133,7 @@ def check(
     """Check one independence statement and print its certificate."""
     table = _load_table(input, format_)
     x, z, y = _split_list(x_), _split_list(z_), _split_list(y_)
-    checker = independence._KINDS[kind.upper()][3]
+    checker = independence._KINDS[kind.upper()][-1]
     verdict = checker(table, {"X": x, "Z": z, "Y": y}, _parse_context(context_))
     if pretty:
         _echo(_render_verdict(verdict))

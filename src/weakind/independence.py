@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -53,6 +53,7 @@ CWI = "CWI"
 WI = "WI"
 STATEMENT_KINDS = (CI, CSI, PCI, CWI, WI)
 MAX_UNIVERSE = 8  # variables; enumeration walks up to 4**n role vectors
+MAX_STATEMENTS = 20_000  # enumerated statements, counted before the first check
 
 
 @dataclass(frozen=True)
@@ -201,52 +202,62 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# statement validation helpers
+# statements
 # ---------------------------------------------------------------------------
 
 
-def _normalize_sets(
+# kind -> (roles, context role, checker), for statement checks, enumeration,
+# replay and the CLI's check. X, Z and the context role must be nonempty; a
+# PCI's context is its fixed conditioning value. The checkers are looked up
+# as module globals at call time.
+_KINDS = {
+    CI: ("XZY", None, lambda t, g, c: check_ci(t, g["X"], g["Z"], g["Y"])),
+    CSI: ("XZYC", "C", lambda t, g, c: check_csi(t, g["X"], g["Z"], g["Y"], c)),
+    PCI: ("XZY", "Y", lambda t, g, c: check_pci(t, g["X"], g["Z"], c)),
+    CWI: ("XZC", "C", lambda t, g, c: check_cwi(t, g["X"], g["Z"], c)),
+    WI: ("XZY", None, lambda t, g, c: check_wi(t, g["X"], g["Z"], g["Y"])),
+}
+
+
+def _statement(
     table: Table,
+    kind: str,
     x: Iterable[str],
     z: Iterable[str],
-    y: Iterable[str],
-    context: Mapping[str, str] | None,
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    schema = table.schema
+    y: Iterable[str] = (),
+    context: Mapping[str, str] | None = None,
+) -> Statement:
+    """The statement with X, Z, Y and the context in schema order.
+
+    Its preconditions are checked in this order, and the first broken one
+    raises: a contextual kind has a nonempty context; X, Z and Y name known
+    variables; X and Z are nonempty; the context assigns known values to known
+    variables; the sets are pairwise disjoint; a weak statement covers the
+    schema; a conditional-shaped table reads X as its target-set and the rest
+    as its given-set.
+    """
+    ctx_role = _KINDS[kind][1]
+    if ctx_role and not context:
+        needs = "a nonempty context" if ctx_role == "C" else "a fixed conditioning value"
+        raise StatementError(f"{kind} requires {needs}")
+    schema, context = table.schema, context or {}
     xs, zs, ys = schema.order(x), schema.order(z), schema.order(y)
     if not xs or not zs:
         raise StatementError("X and Z must be nonempty")
-    groups = [set(xs), set(zs), set(ys)]
-    if context is not None:
-        schema.check_partial(context)
-        groups.append(set(context))
-    for i, a in enumerate(groups):
-        for b in groups[i + 1 :]:
-            if a & b:
-                raise StatementError("variable sets must be pairwise disjoint")
-    return xs, zs, ys
-
-
-def _require_alignment(
-    table: Table, x: Sequence[str], given_side: Iterable[str]
-) -> None:
-    """Conditional-shaped tables fix which sets are readable directly."""
-    if table.kind == JOINT:
-        return
-    assert table.targets is not None and table.givens is not None
-    if set(x) != set(table.targets):
-        raise StatementError("X must equal the table's target-set")
-    if set(given_side) != set(table.givens):
-        raise StatementError(
-            "conditioning variables must equal the table's given-set"
-        )
-
-
-def _context_tuple(
-    table: Table, context: Mapping[str, str]
-) -> tuple[tuple[str, str], ...]:
-    names = table.schema.order(context)
-    return tuple((n, context[n]) for n in names)
+    schema.check_partial(context)
+    named = (*xs, *zs, *ys, *context)  # each part already free of repeats
+    if len(set(named)) < len(named):
+        raise StatementError("variable sets must be pairwise disjoint")
+    if kind in (CWI, WI) and len(named) != len(schema.names):
+        raise StatementError("weak statements must cover the full variable set")
+    if table.kind != JOINT:
+        if set(xs) != set(table.targets):
+            raise StatementError("X must equal the table's target-set")
+        if set(named[len(xs):]) != set(table.givens):
+            raise StatementError("conditioning variables must equal the table's given-set")
+    if ctx_role is None:
+        return Statement(kind, xs, zs, ys)
+    return Statement(kind, xs, zs, ys, tuple((n, context[n]) for n in schema.order(context)))
 
 
 def _sorted_configs(
@@ -350,10 +361,8 @@ def check_ci(
     y: Iterable[str] = (),
 ) -> Verdict:
     """Strong conditional independence of X and Z given Y."""
-    xs, zs, ys = _normalize_sets(table, x, z, y, None)
-    _require_alignment(table, xs, tuple(ys) + tuple(zs))
-    holds, cert = _strong_check(table, xs, zs, ys, {})
-    return Verdict(Statement(CI, xs, zs, ys), holds, cert)
+    s = _statement(table, CI, x, z, y)
+    return Verdict(s, *_strong_check(table, s.x, s.z, s.y, {}))
 
 
 def check_csi(
@@ -364,13 +373,8 @@ def check_csi(
     context: Mapping[str, str],
 ) -> Verdict:
     """Strong independence of X and Z given Y under a fixed context."""
-    if not context:
-        raise StatementError("CSI requires a nonempty context")
-    xs, zs, ys = _normalize_sets(table, x, z, y, context)
-    _require_alignment(table, xs, tuple(ys) + tuple(zs) + tuple(context))
-    holds, cert = _strong_check(table, xs, zs, ys, context)
-    statement = Statement(CSI, xs, zs, ys, _context_tuple(table, context))
-    return Verdict(statement, holds, cert)
+    s = _statement(table, CSI, x, z, y, context)
+    return Verdict(s, *_strong_check(table, s.x, s.z, s.y, context))
 
 
 def check_pci(
@@ -380,13 +384,8 @@ def check_pci(
     y_value: Mapping[str, str],
 ) -> Verdict:
     """Irrelevance of Z to X at one fixed conditioning value."""
-    if not y_value:
-        raise StatementError("PCI requires a fixed conditioning value")
-    xs, zs, ys = _normalize_sets(table, x, z, (), y_value)
-    _require_alignment(table, xs, tuple(zs) + tuple(y_value))
-    holds, cert = _strong_check(table, xs, zs, ys, y_value)
-    statement = Statement(PCI, xs, zs, (), _context_tuple(table, y_value))
-    return Verdict(statement, holds, cert)
+    s = _statement(table, PCI, x, z, (), y_value)
+    return Verdict(s, *_strong_check(table, s.x, s.z, (), y_value))
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +488,6 @@ def _weak_certificate(
     return WeakCertificate(support.labels, True, None, classes, False)
 
 
-def _check_nonembedded(
-    table: Table,
-    x: Iterable[str],
-    z: Iterable[str],
-    y: Iterable[str],
-    context: Mapping[str, str] | None,
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    xs, zs, ys = _normalize_sets(table, x, z, y, context)
-    covered = set(xs) | set(zs) | set(ys)
-    if context is not None:
-        covered |= set(context)
-    if covered != set(table.schema.names):
-        raise StatementError(
-            "weak statements must cover the full variable set"
-        )
-    return xs, zs, ys
-
-
 def check_cwi(
     table: Table,
     x: Iterable[str],
@@ -519,24 +500,15 @@ def check_cwi(
     support and some composed class passes the class-restricted check
     nonvacuously (or vacuously, if it is the only class).
     """
-    if not context:
-        raise StatementError("CWI requires a nonempty context")
-    xs, zs, _ = _check_nonembedded(table, x, z, (), context)
-    ctx_vars = table.schema.order(context)
-    _require_alignment(table, xs, tuple(ctx_vars) + tuple(zs))
+    s = _statement(table, CWI, x, z, (), context)
     support = restrict_context(table.support(), context)
-    cert = _weak_certificate(table, support, xs, ctx_vars, zs, {})
-    if cert.vacuous:
-        holds = True
-    elif not cert.commutes:
-        holds = False
-    else:
-        witnesses = [c for c in cert.classes if c.satisfied and not c.vacuous]
-        holds = bool(witnesses) or (
-            len(cert.classes) == 1 and cert.classes[0].satisfied
-        )
-    statement = Statement(CWI, xs, zs, (), _context_tuple(table, context))
-    return Verdict(statement, holds, cert)
+    cert = _weak_certificate(table, support, s.x, tuple(n for n, _ in s.context), s.z, {})
+    classes = cert.classes
+    holds = cert.vacuous or cert.commutes and (
+        any(c.satisfied and not c.vacuous for c in classes)
+        or len(classes) == 1 and classes[0].satisfied
+    )
+    return Verdict(s, holds, cert)
 
 
 def check_wi(
@@ -550,28 +522,10 @@ def check_wi(
     Holds when the compositions commute and every composed class passes the
     class-restricted check over its projected domains.
     """
-    xs, zs, ys = _check_nonembedded(table, x, z, y, None)
-    _require_alignment(table, xs, tuple(ys) + tuple(zs))
-    cert = _weak_certificate(table, table.support(), xs, ys, zs, table.thetas)
-    if cert.vacuous:
-        holds = True
-    elif not cert.commutes:
-        holds = False
-    else:
-        holds = all(c.satisfied for c in cert.classes)
-    return Verdict(Statement(WI, xs, zs, ys), holds, cert)
-
-
-# kind -> (roles, roles that must be nonempty, context role, checker), for
-# enumeration, replay and the CLI's check. The checkers are looked up as
-# module globals at call time.
-_KINDS = {
-    CI: ("XZY", "XZ", None, lambda t, g, c: check_ci(t, g["X"], g["Z"], g["Y"])),
-    CSI: ("XZYC", "XZC", "C", lambda t, g, c: check_csi(t, g["X"], g["Z"], g["Y"], c)),
-    PCI: ("XZY", "XZY", "Y", lambda t, g, c: check_pci(t, g["X"], g["Z"], c)),
-    CWI: ("XZC", "XZC", "C", lambda t, g, c: check_cwi(t, g["X"], g["Z"], c)),
-    WI: ("XZY", "XZ", None, lambda t, g, c: check_wi(t, g["X"], g["Z"], g["Y"])),
-}
+    s = _statement(table, WI, x, z, y)
+    cert = _weak_certificate(table, table.support(), s.x, s.y, s.z, table.thetas)
+    holds = cert.vacuous or cert.commutes and all(c.satisfied for c in cert.classes)
+    return Verdict(s, holds, cert)
 
 
 def replay(table: Table, verdict: Verdict) -> bool:
@@ -579,8 +533,8 @@ def replay(table: Table, verdict: Verdict) -> bool:
     s = verdict.statement
     if s.kind not in _KINDS:
         raise StatementError(f"unknown statement kind {s.kind!r}")
-    context = None if s.context is None else {n: v for n, v in s.context}
-    fresh = _KINDS[s.kind][3](table, {"X": s.x, "Z": s.z, "Y": s.y}, context)
+    context = None if s.context is None else dict(s.context)
+    fresh = _KINDS[s.kind][2](table, {"X": s.x, "Z": s.z, "Y": s.y}, context)
     return fresh.to_json_dict() == verdict.to_json_dict()
 
 
@@ -618,47 +572,47 @@ def enumerate_statements(
     in domain order. Statements that a conditional-shaped table cannot
     express (X not equal to its target-set) are skipped. A table of more
     than ``MAX_UNIVERSE`` variables raises ``LimitError`` before any vector.
+    So do more than ``MAX_STATEMENTS`` statements, counted from the vectors
+    and their declared context products (each capped at ``max_contexts``)
+    before the first check, unless ``max_statements`` is at most that bound.
     """
-    kind_order = [k for k in STATEMENT_KINDS if k in set(kinds)]
-    unknown = set(kinds) - set(STATEMENT_KINDS)
+    requested = set(kinds)
+    unknown = requested - set(STATEMENT_KINDS)
     if unknown:
         raise StatementError(f"unknown statement kinds: {sorted(unknown)}")
-    names = sorted(table.schema.names)
+    schema, names = table.schema, sorted(table.schema.names)
     if len(names) > MAX_UNIVERSE:
         raise LimitError(f"table of {len(names)} variables exceeds bound {MAX_UNIVERSE}")
-    verdicts: list[Verdict] = []
-    truncated = False
-
-    def contexts(ctx_vars: Sequence[str]):
-        nonlocal truncated
-        count = 0
-        for values in table.schema.configs(ctx_vars):
-            if limits.max_contexts is not None and count >= limits.max_contexts:
-                truncated = True
-                return
-            count += 1
-            yield dict(zip(table.schema.order(ctx_vars), values))
-
-    for kind in kind_order:
-        roles, required, ctx_role, check = _KINDS[kind]
+    domain = {v.name: v.domain for v in schema.variables}
+    cap, most = limits.max_contexts, limits.max_statements
+    # (checker, sets by role, context variables in schema order) per vector.
+    vectors = []
+    count, truncated = 0, False
+    for kind in STATEMENT_KINDS:
+        if kind not in requested:
+            continue
+        roles, ctx_role, check = _KINDS[kind]
+        required = {"X", "Z", ctx_role} - {None}
         for vec in product(roles, repeat=len(names)):
-            groups = _split(names, vec)
-            if not all(groups[r] for r in required):
+            if not required.issubset(vec):
                 continue
-            # A statement the table cannot express fails for every context.
-            for ctx in contexts(groups[ctx_role]) if ctx_role else ({},):
-                try:
-                    verdict = check(table, groups, ctx)
-                except StatementError:
-                    break
-                if (
-                    limits.max_statements is not None
-                    and len(verdicts) >= limits.max_statements
-                ):
-                    return EnumerationResult(tuple(verdicts), True)
-                verdicts.append(verdict)
+            groups = {r: tuple(n for n, v in zip(names, vec) if v == r) for r in "XZYC"}
+            if table.kind != JOINT and set(groups["X"]) != set(table.targets):
+                continue
+            ctx_vars = schema.order(groups[ctx_role]) if ctx_role else ()
+            contexts = math.prod(len(domain[n]) for n in ctx_vars)
+            if ctx_vars and cap is not None and contexts > cap:
+                contexts, truncated = cap, True
+            count += contexts
+            vectors.append((check, groups, ctx_vars))
+    if count > MAX_STATEMENTS and (most is None or most > MAX_STATEMENTS):
+        raise LimitError(f"{count} statements exceed bound {MAX_STATEMENTS} on enumeration")
+    verdicts: list[Verdict] = []
+    for check, groups, ctx_vars in vectors:
+        # A kind without a context has one empty context, which no cap limits.
+        for values in islice(product(*map(domain.get, ctx_vars)), cap if ctx_vars else None):
+            verdict = check(table, groups, dict(zip(ctx_vars, values)))
+            if most is not None and len(verdicts) >= most:
+                return EnumerationResult(tuple(verdicts), True)
+            verdicts.append(verdict)
     return EnumerationResult(tuple(verdicts), truncated)
-
-
-def _split(names: Sequence[str], vec: Sequence[str]) -> dict[str, tuple[str, ...]]:
-    return {role: tuple(n for n, r in zip(names, vec) if r == role) for role in "XZYC"}

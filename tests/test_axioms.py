@@ -413,11 +413,19 @@ def test_probe_work_bound_before_any_table(monkeypatch, variables, domain_size):
         soundness_probe(variables, domain_size, trials=inside + 1, seed=0)
 
 
-@pytest.mark.parametrize("variables, trials", [(-1, 1), (3, -5), (-2, -2)])
-def test_probe_negative_counts(monkeypatch, variables, trials):
+@pytest.mark.parametrize("variables, trials, domain_size, message", [
+    pytest.param(-1, 1, 2, "negative count", id="-1-1"),
+    pytest.param(3, -5, 2, "negative count", id="3--5"),
+    pytest.param(-2, -2, 2, "negative count", id="-2--2"),
+    pytest.param(3, 0, -5, "domain size -5 is below 1", id="domain--5"),
+    pytest.param(2, 1, -2, "domain size -2 is below 1", id="domain--2"),
+    pytest.param(0, 1, 0, "domain size 0 is below 1", id="domain-0"),
+    pytest.param(-1, 1, 0, "negative count", id="count-before-domain"),
+])
+def test_probe_negative_counts(monkeypatch, variables, trials, domain_size, message):
     monkeypatch.setattr(axioms, "random_joint_table", None)
-    with pytest.raises(LimitError, match="negative count"):
-        soundness_probe(variables, 2, trials, seed=0)
+    with pytest.raises(LimitError, match=message):
+        soundness_probe(variables, domain_size, trials, seed=0)
 
 
 def test_probe_reads_verdicts_by_membership(monkeypatch):

@@ -169,6 +169,11 @@ def test_negative_counts_exit_2(args, option):
     assert option in result.output and "x>=0" in result.output
 
 
+def test_probe_domain_size_below_1_exits_2():
+    result = run("probe", "--trials", "0", "--domain-size", "-5")
+    assert (result.exit_code, result.output) == (2, "Error: domain size -5 is below 1\n")
+
+
 @pytest.mark.parametrize("args, message", [
     (("check", "--kind", "nope", "--x", "X", "--z", "Z"), "Invalid value for '--kind'"),
     (("probe", "--trials", "x"), "Invalid value for '--trials'"),

@@ -6,8 +6,9 @@ inside them with its pinned report. A child that passes its CPU limit is
 killed by ``SIGXCPU``; one that passes its memory limit exits on
 ``MemoryError``; either fails the case.
 
-So far the cases are the ``check`` verb's: one-row tables whose declared
-products run to millions of cells (``util.hostile_tables``).
+So far the cases are the ``check`` verb's, one-row tables whose declared
+products run to millions of cells (``util.hostile_tables``), and an
+``enumerate`` whose statement count passes its bound.
 """
 
 import json
@@ -80,3 +81,20 @@ def test_check_on_wide_declared_products(name):
         "statement": {"kind": "CI", "x": list(x), "z": list(z), "y": [], "context": None},
         "holds": holds, "certificate": certificate,
     }
+
+
+def test_enumerate_refuses_a_wide_one_row_table():
+    """One row over four variables of domain 60, a 3,719-byte document, comes
+    to 135,460 statements over all five kinds: refused before the first check,
+    unless ``--max-statements`` caps them."""
+    domain = [str(d) for d in range(60)]
+    table = util.make_table([(f"V{i}", domain) for i in range(4)], [(("0",) * 4, "1")])
+    document = tables.serialize_table(table)
+    assert len(document) == 3719
+    args = ["enumerate", "--kinds", "ci,csi,pci,cwi,wi"]
+    result = run_limited(args, document)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "Error: 135460 statements exceed bound 20000 on enumeration\n"
+    result = run_limited([*args, "--max-statements", "50"], document)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["count"] == 50

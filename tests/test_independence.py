@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -505,6 +506,74 @@ def test_enumerate_truncation_marker(wi_cpt):
 def test_enumerate_unknown_kind(wi_cpt):
     with pytest.raises(StatementError):
         enumerate_statements(wi_cpt, ("XX",))
+
+
+def test_enumerate_reads_kinds_once(wi_cpt):
+    """A one-shot iterator of kinds gives what the tuple gives, and one with
+    an unknown kind is refused."""
+    assert len(enumerate_statements(wi_cpt, ("CI", "WI")).verdicts) == 14
+    for kinds in (("CI", "WI"), ("WI",)):
+        assert enumerate_statements(wi_cpt, iter(kinds)) == enumerate_statements(wi_cpt, kinds)
+    with pytest.raises(StatementError, match=r"unknown statement kinds: \['NOPE'\]"):
+        enumerate_statements(wi_cpt, iter(("NOPE",)))
+
+
+def test_enumerate_truncates_only_expressible_statements():
+    """A conditional table of targets A, B and given C expresses no CWI
+    statement, so a context cap of 0 leaves none out."""
+    rows = [(cfg, "1/4") for cfg in product("01", repeat=3)]
+    table = make_table([(v, "01") for v in "ABC"], rows, "conditional", ("A", "B"), ("C",))
+    result = enumerate_statements(table, ("CWI",), Limits(max_contexts=0))
+    assert result == independence.EnumerationResult((), False)
+
+
+class Checked(Exception):
+    """Raised by a stubbed checker: the enumeration got past its count."""
+
+
+def _stub_checks(monkeypatch):
+    def checked(*args):
+        raise Checked
+
+    for name in ("check_ci", "check_csi", "check_pci", "check_cwi", "check_wi"):
+        monkeypatch.setattr(independence, name, checked)
+
+
+@pytest.mark.parametrize("limits, count", [
+    (Limits(), 160), (Limits(max_contexts=1), 38), (Limits(max_contexts=0), 14),
+])
+def test_enumerate_counts_before_the_first_check(monkeypatch, wi_cpt, limits, count):
+    """``wi_cpt``'s statements are counted before the first check, each
+    vector's contexts capped at ``max_contexts``. A bound of that count lets
+    them through and one less refuses them, unless ``max_statements`` is at or
+    below the bound."""
+    _stub_checks(monkeypatch)
+    kinds = independence.STATEMENT_KINDS
+    monkeypatch.setattr(independence, "MAX_STATEMENTS", count)
+    with pytest.raises(Checked):
+        enumerate_statements(wi_cpt, kinds, limits)
+    monkeypatch.setattr(independence, "MAX_STATEMENTS", count - 1)
+    with pytest.raises(LimitError, match=f"^{count} statements exceed bound {count - 1} "):
+        enumerate_statements(wi_cpt, kinds, limits)
+    with pytest.raises(Checked):
+        enumerate_statements(wi_cpt, kinds, replace(limits, max_statements=count - 1))
+    with pytest.raises(LimitError):
+        enumerate_statements(wi_cpt, kinds, replace(limits, max_statements=count))
+
+
+@pytest.mark.parametrize("size, refused", [
+    (22, None), (23, "21352 statements exceed bound 20000 on enumeration"),
+], ids=["within", "past"])
+def test_enumerate_bound_on_one_row_tables(monkeypatch, size, refused):
+    """One row over four variables of domain d comes to 100 + 96d + 36d²
+    statements: d = 22 (19,636) is the widest such table within
+    ``MAX_STATEMENTS``, and d = 23 the first past it, refused before any check."""
+    _stub_checks(monkeypatch)
+    domain = [str(d) for d in range(size)]
+    table = make_table([(f"V{i}", domain) for i in range(4)], [(("0",) * 4, "1")])
+    with pytest.raises(LimitError if refused else Checked) as raised:
+        enumerate_statements(table, independence.STATEMENT_KINDS)
+    assert refused is None or str(raised.value) == refused
 
 
 # ---------------------------------------------------------------------------
