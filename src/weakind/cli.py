@@ -131,9 +131,14 @@ def check(
     input: str,
 ) -> None:
     """Check one independence statement and print its certificate."""
+    roles, ctx_role, checker = independence._KINDS[kind.upper()]
+    # A kind's roles say which options it reads; a PCI statement's Y is its --context.
+    reads = {"--y": "Y" in roles and ctx_role != "Y", "--context": ctx_role}
+    for option, value in (("--y", y_), ("--context", context_)):
+        if _split_list(value) and not reads[option]:
+            raise _Die(f"--kind {kind} takes no {option}")
     table = _load_table(input, format_)
     x, z, y = _split_list(x_), _split_list(z_), _split_list(y_)
-    checker = independence._KINDS[kind.upper()][-1]
     verdict = checker(table, {"X": x, "Z": z, "Y": y}, _parse_context(context_))
     if pretty:
         _echo(_render_verdict(verdict))

@@ -113,11 +113,7 @@ class StrongCertificate:
             "comparisons": self.comparisons,
             "vacuous": self.vacuous,
             "context_in_support": self.context_in_support,
-            "counterexample": (
-                None
-                if self.counterexample is None
-                else self.counterexample.to_json_dict()
-            ),
+            "counterexample": self.counterexample and self.counterexample.to_json_dict(),
         }
 
 
@@ -161,11 +157,7 @@ class ClassReport:
             "z_values": [list(v) for v in self.z_values],
             "class_ci": self.satisfied,
             "vacuous": self.vacuous,
-            "counterexample": (
-                None
-                if self.counterexample is None
-                else self.counterexample.to_json_dict()
-            ),
+            "counterexample": self.counterexample and self.counterexample.to_json_dict(),
         }
 
 
@@ -575,6 +567,7 @@ def enumerate_statements(
     So do more than ``MAX_STATEMENTS`` statements, counted from the vectors
     and their declared context products (each capped at ``max_contexts``)
     before the first check, unless ``max_statements`` is at most that bound.
+    Only the first ``max_statements`` statements are checked.
     """
     requested = set(kinds)
     unknown = requested - set(STATEMENT_KINDS)
@@ -607,12 +600,12 @@ def enumerate_statements(
             vectors.append((check, groups, ctx_vars))
     if count > MAX_STATEMENTS and (most is None or most > MAX_STATEMENTS):
         raise LimitError(f"{count} statements exceed bound {MAX_STATEMENTS} on enumeration")
-    verdicts: list[Verdict] = []
-    for check, groups, ctx_vars in vectors:
-        # A kind without a context has one empty context, which no cap limits.
-        for values in islice(product(*map(domain.get, ctx_vars)), cap if ctx_vars else None):
-            verdict = check(table, groups, dict(zip(ctx_vars, values)))
-            if most is not None and len(verdicts) >= most:
-                return EnumerationResult(tuple(verdicts), True)
-            verdicts.append(verdict)
-    return EnumerationResult(tuple(verdicts), truncated)
+    # A kind without a context has one empty context, which no cap limits.
+    verdicts = (
+        check(table, groups, dict(zip(ctx_vars, values)))
+        for check, groups, ctx_vars in vectors
+        for values in islice(product(*map(domain.get, ctx_vars)), cap if ctx_vars else None)
+    )
+    return EnumerationResult(
+        tuple(islice(verdicts, most)), truncated or most is not None and count > most
+    )

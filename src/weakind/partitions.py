@@ -13,6 +13,7 @@ projected domains, the strong and class checks, table validation and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -64,10 +65,25 @@ class SupportSet:
 
 @dataclass(frozen=True)
 class Partition:
-    """Blocks of support indices, canonically ordered by minimum element."""
+    """A partition of the support indices ``0 .. n-1`` as a block-id array.
 
-    n: int
-    blocks: tuple[frozenset[int], ...]
+    ``ids[i]`` is index i's block number, with blocks numbered from 0 in
+    order of their minimum, so equal partitions have equal ``ids``.
+    ``blocks`` lists the same blocks as sets of indices, in that order.
+    """
+
+    ids: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        groups: dict[int, list[int]] = {}
+        for i, b in enumerate(self.ids):
+            groups.setdefault(b, []).append(i)
+        return tuple(map(frozenset, groups.values()))
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -75,14 +91,12 @@ class Partition:
         if not all(frozen):
             raise SchemaError("empty partition block")
         frozen.sort(key=min)
-        covered: set[int] = set()
-        for b in frozen:
-            if covered & b:
-                raise SchemaError("partition blocks overlap")
-            covered |= b
-        if covered != set(range(n)):
+        number = {i: b for b, block in enumerate(frozen) for i in block}
+        if len(number) < sum(map(len, frozen)):
+            raise SchemaError("partition blocks overlap")
+        if number.keys() != set(range(n)):
             raise SchemaError("partition blocks do not cover the index range")
-        return cls(n, tuple(frozen))
+        return cls(tuple(map(number.__getitem__, range(n))))
 
 
 @dataclass(frozen=True)
@@ -99,12 +113,8 @@ def theta(support: SupportSet, names: Iterable[str]) -> Partition:
     singletons because support configs are distinct.
     """
     key = projector(support.variables, names)
-    groups: dict[Config, list[int]] = {}
-    for i, (_, cfg) in enumerate(support.rows):
-        groups.setdefault(key(cfg), []).append(i)
-    # First-seen groups are disjoint, cover every index and come ordered by
-    # their minimum, so they need no re-check by ``from_blocks``.
-    return Partition(len(support), tuple(map(frozenset, groups.values())))
+    numbers: dict[Config, int] = {}  # by first occurrence: in order of minimum
+    return Partition(tuple(numbers.setdefault(key(cfg), len(numbers)) for _, cfg in support.rows))
 
 
 def restrict_context(support: SupportSet, context: Mapping[str, str]) -> SupportSet:
@@ -122,26 +132,12 @@ def restrict_context(support: SupportSet, context: Mapping[str, str]) -> Support
 
 
 def join(p: Partition, q: Partition) -> Partition:
-    """Finest partition coarser than both (transitive-closure join)."""
-    return _join(p, q, _block_ids(p), _block_ids(q))
-
-
-def _block_ids(part: Partition) -> list[int]:
-    """Each support index's block number in ``part``."""
-    ids = [0] * part.n
-    for b, block in enumerate(part.blocks):
-        for i in block:
-            ids[i] = b
-    return ids
-
-
-def _join(p: Partition, q: Partition, p_id: list[int], q_id: list[int]) -> Partition:
-    """``join`` from each index's p- and q-block number, by union-find over
-    the |p| + |q| block ids: q-block b is node |p| + b."""
+    """Finest partition coarser than both, by union-find over the |p| + |q|
+    block ids: q-block b is node |p| + b."""
     if p.n != q.n:
         raise SchemaError("partitions are over different supports")
-    offset = len(p.blocks)
-    parent = list(range(offset + len(q.blocks)))
+    offset = max(p.ids, default=-1) + 1
+    parent = list(range(offset + max(q.ids, default=-1) + 1))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -149,15 +145,15 @@ def _join(p: Partition, q: Partition, p_id: list[int], q_id: list[int]) -> Parti
             a = parent[a]
         return a
 
-    for a, b in zip(p_id, q_id):
+    for a, b in zip(p.ids, q.ids):
         ra, rb = find(a), find(offset + b)
         if ra != rb:
             parent[rb] = ra
-    root = [find(a) for a in range(offset)]
-    groups: dict[int, list[int]] = {}
-    for i, a in enumerate(p_id):
-        groups.setdefault(root[a], []).append(i)
-    return Partition(p.n, tuple(map(frozenset, groups.values())))
+    # p-blocks come in order of their minimum, so numbering the roots in
+    # p-block order numbers the join blocks in order of their minimum.
+    numbers: dict[int, int] = {}
+    number = [numbers.setdefault(find(a), len(numbers)) for a in range(offset)]
+    return Partition(tuple(map(number.__getitem__, p.ids)))
 
 
 def commutes(p: Partition, q: Partition) -> CommutationResult:
@@ -170,8 +166,8 @@ def commutes(p: Partition, q: Partition) -> CommutationResult:
     join block that lies in exactly one composition, oriented as in p∘q;
     rectangular blocks hold no such pair.
     """
-    p_id, q_id = _block_ids(p), _block_ids(q)
-    joined = _join(p, q, p_id, q_id)
+    joined = join(p, q)
+    p_id, q_id = p.ids, q.ids
     for block in joined.blocks:
         cells = {(p_id[i], q_id[i]) for i in block}
         if len(cells) == len({c[0] for c in cells}) * len({c[1] for c in cells}):

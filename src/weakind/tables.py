@@ -546,39 +546,28 @@ def _load_records(reader: Iterator[list[str]]) -> Table:
     return _trusted(VariableSchema(variables), zip(configs, probs), columns=(configs, probs))
 
 
-def serialize_table(table: Table, format: str = "json") -> str:
-    """Canonical text form: rows sorted by domain order, fractions reduced.
+def serialize_table(table: Table) -> str:
+    """Canonical JSON form: rows sorted by domain order, fractions reduced.
 
     When every domain is listed in ``str`` order, plain tuple comparison is that
     order and the rows are sorted without a per-row key (``VariableSchema.canonical``).
     JSON is written directly, byte for byte ``json.dumps(doc, indent=2) + "\\n"``
     of the document ``load_table`` reads (``indent`` runs json's Python encoder).
     """
-    if format == "json":
-        doc = {"variables": [{"name": v.name, "domain": v.domain}
-                             for v in table.schema.variables], "kind": table.kind}
-        if table.kind != JOINT:
-            doc.update(targets=table.targets, givens=table.givens)
-        encoded = [{d: _esc(d) for d in v.domain} for v in table.schema.variables]
-        head = '{\n      "config": ' + ("[\n        " if encoded else "[")
-        tail = ("\n      ]" if encoded else "]") + ',\n      "p": "'
-        lines = [
-            head + ",\n        ".join(map(getitem, encoded, config))
-            + tail + frac_str(table.rows[config]) + '"\n    }'
-            for config in table.schema.canonical(table.rows)
-        ]
-        # The document up to its closing "\n}", then its rows.
-        return write_json(doc)[:-2] + ',\n  "rows": ' + _json_array(lines, "  ") + "\n}\n"
-    if format == "csv":
-        if table.kind != JOINT:
-            raise SchemaError("CSV serialization is for joint tables only")
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(list(table.schema.names) + ["p"])
-        for config in table.schema.canonical(table.rows):
-            writer.writerow(list(config) + [frac_str(table.rows[config])])
-        return out.getvalue()
-    raise ParseError(f"unknown format {format!r}")
+    doc = {"variables": [{"name": v.name, "domain": v.domain}
+                         for v in table.schema.variables], "kind": table.kind}
+    if table.kind != JOINT:
+        doc.update(targets=table.targets, givens=table.givens)
+    encoded = [{d: _esc(d) for d in v.domain} for v in table.schema.variables]
+    head = '{\n      "config": ' + ("[\n        " if encoded else "[")
+    tail = ("\n      ]" if encoded else "]") + ',\n      "p": "'
+    lines = [
+        head + ",\n        ".join(map(getitem, encoded, config))
+        + tail + frac_str(table.rows[config]) + '"\n    }'
+        for config in table.schema.canonical(table.rows)
+    ]
+    # The document up to its closing "\n}", then its rows.
+    return write_json(doc)[:-2] + ',\n  "rows": ' + _json_array(lines, "  ") + "\n}\n"
 
 
 def _json_array(items: Sequence[str], indent: str, brackets: str = "[]") -> str:

@@ -55,7 +55,8 @@ rows by ``domain.index`` per value, where the package sorts configurations
 as plain tuples whenever every domain is listed in ``str`` order. For JSON
 it builds the canonical document as dicts and lists and runs
 ``json.dumps(doc, indent=2)``, where the package writes the same bytes
-directly. ``naive_write_json`` is
+directly. Its CSV form, which the package reads but never writes, feeds
+the CSV loader's round trip. ``naive_write_json`` is
 ``json.dumps(doc, indent=2)`` itself, the twin of ``tables.write_json``,
 which writes every report.
 
@@ -202,7 +203,7 @@ def pairscan_commutes(p, q):
         raise SchemaError("partitions are over different supports")
     p_block = {i: b for b in p.blocks for i in b}
     q_block = {i: b for b in q.blocks for i in b}
-    joined = Partition(p.n, join_partition(p.blocks, q.blocks, p.n))
+    joined = Partition.from_blocks(p.n, join_partition(p.blocks, q.blocks, p.n))
 
     def middle(i: int, k: int) -> bool:
         return not p_block[i].isdisjoint(q_block[k])
@@ -630,8 +631,9 @@ def naive_uniform_joint_extension(table):
 
 
 def naive_serialize_table(table, format="json"):
-    """Twin of ``tables.serialize_table(table, format)``: ``json.dumps`` of the
-    document, or a ``csv.writer`` row per configuration."""
+    """Twin of ``tables.serialize_table(table)``: ``json.dumps`` of the document.
+    With ``format="csv"``, the CSV form ``load_table`` reads instead: a
+    ``csv.writer`` row per configuration."""
     variables = table.schema.variables
 
     def key(config):

@@ -192,6 +192,24 @@ def test_click_usage_errors_are_one_line(args, message):
     assert result.output.count("\n") == 1, result.output
 
 
+@pytest.mark.parametrize("kind, option, value", [
+    ("ci", "--context", "Y=0"),
+    ("wi", "--context", "Q=0"),
+    ("pci", "--y", "Q"),
+    ("cwi", "--y", "Y"),
+])
+def test_check_refuses_options_its_kind_does_not_read(kind, option, value):
+    """An option the kind would drop is refused before the table is read;
+    an empty one is still accepted."""
+    args = ["check", "--kind", kind, "--x", "X", "--z", "Z,W"]
+    args += ["--y", "Y"] if kind in ("ci", "wi") else ["--context", "Y=0"]
+    result = run(*args, option, value, "missing-file.json")
+    assert (result.exit_code, result.output) == (2, f"Error: --kind {kind} takes no {option}\n")
+    empty = run(*args, option, "", str(DATA / "wi_cpt.json"))
+    assert empty.exit_code == 0
+    assert empty.output == run(*args, str(DATA / "wi_cpt.json")).output
+
+
 def test_help_is_still_clicks():
     """``--help``, and a bare ``weakind``, print click's full help."""
     for args in (("--help",), ()):

@@ -503,6 +503,21 @@ def test_enumerate_truncation_marker(wi_cpt):
     assert len(result.verdicts) == 2
 
 
+@pytest.mark.parametrize("most", [0, 2, 160])
+def test_enumerate_checks_only_what_it_returns(monkeypatch, wi_cpt, most):
+    """``max_statements`` N runs N checks: the first N verdicts of the full
+    enumeration (160 on ``wi_cpt``), truncated when it holds more."""
+    full = enumerate_statements(wi_cpt, independence.STATEMENT_KINDS)
+    calls = []
+    for name in ("check_ci", "check_csi", "check_pci", "check_cwi", "check_wi"):
+        real = getattr(independence, name)
+        monkeypatch.setattr(independence, name, lambda *a, real=real: calls.append(a) or real(*a))
+    result = enumerate_statements(wi_cpt, independence.STATEMENT_KINDS, Limits(max_statements=most))
+    assert len(calls) == len(result.verdicts) == most
+    assert len(full.verdicts) == 160 and result.verdicts == full.verdicts[:most]
+    assert result.truncated is (most < 160)
+
+
 def test_enumerate_unknown_kind(wi_cpt):
     with pytest.raises(StatementError):
         enumerate_statements(wi_cpt, ("XX",))

@@ -209,7 +209,25 @@ def test_commutes_matches_pairscan(pair):
     for a, b in ((p, q), (q, p)):
         assert commutes(a, b) == oracles.pairscan_commutes(a, b)
         expected = oracles.join_partition(a.blocks, b.blocks, a.n)
-        assert join(a, b) == Partition(a.n, expected)
+        assert join(a, b) == Partition.from_blocks(a.n, expected)
+
+
+def grid_pair(k, corner):
+    """One row per (p, q) cell of a k x k grid, less the (k-1, k-1) corner if
+    ``corner``: one join block. The rows of the corner classes come last."""
+    cells = [(a, b) for a in range(k) for b in range(k) if not (corner and a == b == k - 1)]
+    cells.sort(key=lambda cell: k - 1 in cell)
+    return labels_to_partition([a for a, _ in cells]), labels_to_partition([b for _, b in cells])
+
+
+@pytest.mark.parametrize("corner", [True, False], ids=["minus-corner", "full"])
+def test_commutes_on_a_large_grid_block(corner):
+    p, q = grid_pair(12, corner)
+    for a, b in ((p, q), (q, p)):
+        result = commutes(a, b)
+        assert result == oracles.pairscan_commutes(a, b)
+        assert result.commutes is not corner
+        assert join(a, b).blocks == (frozenset(range(a.n)),)
 
 
 def test_full_support_wi_matches_nest_commutes():
@@ -294,6 +312,8 @@ _SUP = SupportSet(("A", "B"), (("t1", ("0", "0")), ("t2", ("0", "1"))))
         lambda: Partition.from_blocks(2, [{0, 1}, set()]),
         lambda: Partition.from_blocks(3, [{0, 1}, {1, 2}]),
         lambda: Partition.from_blocks(3, [{0}, {2}]),
+        lambda: Partition.from_blocks(2, [{0, 1}, {2}]),
+        lambda: Partition.from_blocks(2, [{0}, {-1}]),
         lambda: theta(_SUP, ("A", "C")),
         lambda: restrict_context(_SUP, {"C": "0"}),
         lambda: projected_domain({0, 1}, _SUP, ("C",)),
@@ -303,6 +323,8 @@ _SUP = SupportSet(("A", "B"), (("t1", ("0", "0")), ("t2", ("0", "1"))))
         "empty-block",
         "overlap",
         "uncovered",
+        "index-n",
+        "index-minus-1",
         "theta-unknown",
         "restrict-unknown",
         "domain-unknown",
