@@ -61,7 +61,10 @@ def _parse_context(value: str | None) -> dict[str, str]:
         if "=" not in pair:
             raise click.UsageError(f"malformed context assignment {pair!r}")
         name, _, val = pair.partition("=")
-        context[name.strip()] = val.strip()
+        name = name.strip()
+        if name in context:
+            raise click.UsageError(f"context variable {name!r} is assigned twice")
+        context[name] = val.strip()
     return context
 
 

@@ -66,11 +66,12 @@ class Attribute:
 class NestedCell:
     """A normalized sub-distribution stored inside one outer row.
 
-    Its identity is its attributes and one integer weight per inner key,
-    reduced by their gcd: two normalized cells are equal iff those maps are,
+    ``NestedCell(attributes, rows)`` takes a mapping from inner key to
+    probability: zero entries are dropped, and the rest must be nonnegative
+    and sum to 1. Its identity is its attributes and one integer weight per
+    inner key, reduced by their gcd: two cells are equal iff those maps are,
     and the hash is computed once from them. ``rows``, the probabilities in
-    canonical (sorted) order, is built from the weights on first read. A
-    hand-built cell keeps the rows it is given; ``NestedTable`` checks them.
+    canonical (sorted) order, is built from the weights on first read.
     """
 
     attributes: tuple[Attribute, ...]
@@ -78,34 +79,29 @@ class NestedCell:
     _hash: int
     _rows: tuple[tuple[RowKey, Fraction], ...] | None
 
-    def __init__(self, attributes: tuple[Attribute, ...], rows: Iterable) -> None:
-        rows = tuple(rows)
-        _, weights = common_weights(v for _, v in rows)
-        self._set(attributes, dict(zip([key for key, _ in rows], weights)), rows)
+    def __init__(self, attributes: tuple[Attribute, ...], rows: Mapping) -> None:
+        lcm, weights = common_weights(rows.values())
+        if any(w < 0 for w in weights):
+            raise SchemaError("nested cell values must not be negative")
+        if sum(weights) != lcm:
+            raise SchemaError(f"nested cell values sum to {mass_sum(rows.values())}, not 1")
+        self._set(attributes, {key: w for key, w in zip(rows, weights) if w})
 
-    def _set(self, attributes, weights: dict[RowKey, int], rows) -> None:
+    def _set(self, attributes, weights: dict[RowKey, int]) -> None:
         g = math.gcd(*weights.values())
         if g > 1:
             weights = {key: w // g for key, w in weights.items()}
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_hash", hash(frozenset(weights.items())))
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows", None)
 
     @classmethod
     def _of(cls, attributes: tuple[Attribute, ...], weights: dict) -> "NestedCell":
         """A cell from nonzero integer weights, in any order and at any scale."""
         cell = object.__new__(cls)
-        cell._set(attributes, weights, None)
+        cell._set(attributes, weights)
         return cell
-
-    @classmethod
-    def make(cls, attributes: tuple[Attribute, ...], rows: Mapping) -> "NestedCell":
-        """A cell from unordered entries: zeros are dropped, the rest must sum to 1."""
-        lcm, weights = common_weights(rows.values())
-        if sum(weights) != lcm:
-            raise SchemaError(f"nested cell values sum to {mass_sum(rows.values())}, not 1")
-        return cls._of(attributes, {key: w for key, w in zip(rows, weights) if w})
 
     @property
     def rows(self) -> tuple[tuple[RowKey, Fraction], ...]:
@@ -131,23 +127,18 @@ class NestedCell:
 
 
 def _check_cell(cell: CellValue, attr: Attribute) -> None:
-    """A cell must fit its attribute; a nested one must also be canonical."""
+    """A cell must fit its attribute; a nested cell's inner keys must fit the
+    inner attributes, recursively. ``NestedCell`` makes every cell canonical."""
     if attr.is_nested:
         if not isinstance(cell, NestedCell):
             raise SchemaError(f"cell for attribute {attr.name!r} must be nested")
         if cell.attributes != attr.nested:
             raise SchemaError(f"cell attributes differ from those of {attr.name!r}")
-        for inner_key, _ in cell.rows:
+        for inner_key in cell.weights:
             if len(inner_key) != len(attr.nested or ()):
                 raise SchemaError(f"nested row arity mismatch in {attr.name!r}")
             for inner_cell, inner_attr in zip(inner_key, attr.nested or ()):
                 _check_cell(inner_cell, inner_attr)
-        keys = [_row_sort_key(key) for key, _ in cell.rows]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise SchemaError(f"cell rows in {attr.name!r} are unsorted or repeated")
-        lcm, weights = common_weights(v for _, v in cell.rows)
-        if any(w <= 0 for w in weights) or sum(weights) != lcm:
-            raise SchemaError(f"cell in {attr.name!r} must be positive and sum to 1")
     else:
         if not isinstance(cell, str):
             raise SchemaError(f"cell for attribute {attr.name!r} must be a value")
@@ -489,7 +480,7 @@ def _load_nested(doc: object) -> NestedTable:
     """``load_nested`` of a parsed document.
 
     Each check of the public ``NestedTable(...)`` is made once as the cells are
-    read (plain cells against their domain, nested cells by ``NestedCell.make``),
+    read (plain cells against their domain, nested cells by ``NestedCell(...)``),
     zero rows are dropped and the table is built through ``NestedTable._built``."""
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ParseError("nested table document requires an 'attributes' field")
@@ -550,4 +541,4 @@ def _cell_from_json(value, attr: Attribute) -> CellValue:
         if key in rows:
             raise SchemaError(f"duplicate nested row in {attr.name!r}: {key}")
         rows[key] = _to_fraction(prob)
-    return NestedCell.make(inner_attrs, rows)
+    return NestedCell(inner_attrs, rows)

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import LimitError, StatementError
@@ -252,13 +251,6 @@ def _statement(
     return Statement(kind, xs, zs, ys, tuple((n, context[n]) for n in schema.order(context)))
 
 
-def _sorted_configs(
-    table: Table, names: Sequence[str], values: Iterable[Config]
-) -> tuple[Config, ...]:
-    index = [table.schema.value_index[n] for n in names]
-    return tuple(sorted(values, key=lambda cfg: tuple(map(getitem, index, cfg))))
-
-
 # ---------------------------------------------------------------------------
 # strong family (pointwise conditional equality)
 # ---------------------------------------------------------------------------
@@ -313,14 +305,14 @@ def _strong_check(
     # baseline the first differing z is the first that holds x; at a nonzero
     # one, the declared z are walked lazily up to the first absent one.
     def differing() -> Iterator[Counterexample]:
-        for y_cfg in _sorted_configs(table, y_vars, cells):
+        for y_cfg in schema.canonical(cells, y_vars):
             by_z = cells[y_cfg]
-            z_configs = _sorted_configs(table, z_vars, by_z)
+            z_configs = schema.canonical(by_z, z_vars)
             m_yx: dict[Config, int | Fraction] = {}
             for at in by_z.values():
                 for x_cfg, value in at.items():
                     m_yx[x_cfg] = m_yx.get(x_cfg, 0) + value
-            x_configs = _sorted_configs(table, x_vars, m_yx)
+            x_configs = schema.canonical(m_yx, x_vars)
             if table.kind == JOINT:
                 m_y = sum(m_yx.values())
                 for z_cfg in z_configs:
@@ -393,7 +385,7 @@ def _class_report(
     y_vars: Sequence[str],
     z_vars: Sequence[str],
 ) -> ClassReport:
-    y_values = _sorted_configs(table, y_vars, projected_domain(block, support, y_vars))
+    y_values = table.schema.canonical(projected_domain(block, support, y_vars), y_vars)
     assert len(y_values) == 1, "composed class spans several Y-values"
     counterexample: ClassCounterexample | None = None
 
@@ -420,8 +412,8 @@ def _class_report(
         mass_x[xv] = mass_x.get(xv, 0) + w
         mass_z[zv] = mass_z.get(zv, 0) + w
     total = sum(mass_x.values())
-    x_values = _sorted_configs(table, x_vars, mass_x)
-    z_values = _sorted_configs(table, z_vars, mass_z)
+    x_values = table.schema.canonical(mass_x, x_vars)
+    z_values = table.schema.canonical(mass_z, z_vars)
     # Joint tables compare class-restricted conditionals c / m_z, which must
     # also equal the class marginal m_x / total; conditional-shaped tables
     # compare the stored values c / L. The first z-value is the baseline.
@@ -444,9 +436,9 @@ def _class_report(
 
     return ClassReport(
         support.label_block(block),
-        x_values,
-        y_values,
-        z_values,
+        tuple(x_values),
+        tuple(y_values),
+        tuple(z_values),
         counterexample is None,
         len(z_values) < 2,
         counterexample,

@@ -85,19 +85,6 @@ class Partition:
             groups.setdefault(b, []).append(i)
         return tuple(map(frozenset, groups.values()))
 
-    @classmethod
-    def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        frozen = [frozenset(b) for b in blocks]
-        if not all(frozen):
-            raise SchemaError("empty partition block")
-        frozen.sort(key=min)
-        number = {i: b for b, block in enumerate(frozen) for i in block}
-        if len(number) < sum(map(len, frozen)):
-            raise SchemaError("partition blocks overlap")
-        if number.keys() != set(range(n)):
-            raise SchemaError("partition blocks do not cover the index range")
-        return cls(tuple(map(number.__getitem__, range(n))))
-
 
 @dataclass(frozen=True)
 class CommutationResult:

@@ -111,19 +111,23 @@ class VariableSchema:
         domains = [self.variable(n).domain for n in subset]
         return product(*domains)
 
-    def sort_key(self, config: Config) -> tuple[int, ...]:
-        return tuple(map(getitem, self.value_index.values(), config))
-
     @cached_property
     def str_ordered(self) -> bool:
         """Whether every domain is listed in ``str`` order, so that plain tuple
-        comparison of configurations is the domain order ``sort_key`` gives."""
+        comparison of configurations is domain order."""
         return all(list(v.domain) == sorted(v.domain) for v in self.variables)
 
-    def canonical(self, configs: Iterable[Config]) -> list[Config]:
-        """``configs`` sorted by domain order: by plain tuple comparison when the
-        domains are in ``str`` order, else by ``sort_key``."""
-        return sorted(configs) if self.str_ordered else sorted(configs, key=self.sort_key)
+    def canonical(
+        self, configs: Iterable[Config], names: Sequence[str] | None = None
+    ) -> list[Config]:
+        """``configs``, projections on ``names`` (default: every variable, in
+        schema order), sorted by domain order: by plain tuple comparison when
+        the domains are in ``str`` order, else by each value's domain index."""
+        if self.str_ordered:
+            return sorted(configs)
+        index = self.value_index
+        columns = list(index.values()) if names is None else [index[n] for n in names]
+        return sorted(configs, key=lambda config: tuple(map(getitem, columns, config)))
 
 
 def _parse_literal(text: str) -> Fraction:

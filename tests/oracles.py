@@ -20,7 +20,7 @@ ratios by cross-multiplication; the twins add, divide and compare
 
 ``naive_nest`` is the twin of ``granular.nest``: it accumulates ``Fraction``
 group sums per (outer, inner) split, divides every entry by its group's
-sum, builds cells through ``NestedCell.make`` and re-validates its output
+sum, builds cells through the public ``NestedCell`` and re-validates its output
 through the public ``NestedTable`` constructor. ``granular.nest`` builds
 each cell from its group's integer weights, gcd-reduced, and makes the
 cell's sorted ``Fraction`` rows only when they are read. ``nest_commutes``
@@ -186,6 +186,18 @@ def components(pairs, n):
     return sorted(out, key=min)
 
 
+def partition_of(n, blocks):
+    """The ``Partition`` of ``0 .. n-1`` with these blocks, numbered in order
+    of their minimum. The blocks must be nonempty, disjoint and cover the range."""
+    ids = [None] * n
+    for number, block in enumerate(sorted(blocks, key=min)):
+        for i in block:
+            assert ids[i] is None, "partition blocks overlap"
+            ids[i] = number
+    assert None not in ids, "partition blocks do not cover the index range"
+    return Partition(tuple(ids))
+
+
 def join_partition(blocks_a, blocks_b, n):
     """Transitive-closure join of two partitions, as canonical blocks."""
     pairs = partition_pairs(blocks_a) | partition_pairs(blocks_b)
@@ -203,7 +215,7 @@ def pairscan_commutes(p, q):
         raise SchemaError("partitions are over different supports")
     p_block = {i: b for b in p.blocks for i in b}
     q_block = {i: b for b in q.blocks for i in b}
-    joined = Partition.from_blocks(p.n, join_partition(p.blocks, q.blocks, p.n))
+    joined = partition_of(p.n, join_partition(p.blocks, q.blocks, p.n))
 
     def middle(i: int, k: int) -> bool:
         return not p_block[i].isdisjoint(q_block[k])
@@ -252,9 +264,7 @@ def naive_nest(table, b_name, names):
     rows = {}
     for outer, bucket in groups.items():
         total = sum(bucket.values(), ZERO)
-        cell = NestedCell.make(
-            inner_attrs, {inner: v / total for inner, v in bucket.items()}
-        )
+        cell = NestedCell(inner_attrs, {inner: v / total for inner, v in bucket.items()})
         rows[outer[:insert_at] + (cell,) + outer[insert_at:]] = total
     return NestedTable(tuple(new_attrs), rows)
 
@@ -747,7 +757,7 @@ def _naive_load_records(reader):
 
 def naive_load_nested(text):
     """Twin of ``granular.load_nested``: builds every cell through
-    ``NestedCell.make``, then hands the rows to the public ``NestedTable``,
+    the public ``NestedCell``, then hands the rows to the public ``NestedTable``,
     which checks domains, attribute names and every cell again."""
     doc = _parse_json(_read_source(text))
     if not isinstance(doc, dict) or "attributes" not in doc:
@@ -806,7 +816,7 @@ def _naive_cell(value, attr):
         if key in rows:
             raise SchemaError(f"duplicate nested row in {attr.name!r}: {key}")
         rows[key] = _to_fraction(prob)
-    return NestedCell.make(attr.nested, rows)
+    return NestedCell(attr.nested, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,7 @@ def test_criterion_04_nest_reproduction(nest_demo):
     inner = nested.attributes[1].nested
 
     def cell(mapping):
-        return granular.NestedCell.make(
-            inner, {k: Fraction(v) for k, v in mapping.items()}
-        )
+        return granular.NestedCell(inner, {k: Fraction(v) for k, v in mapping.items()})
 
     ok = (
         outers == {"1": Fraction(1, 2), "2": Fraction(1, 4), "3": Fraction(1, 4)}
@@ -283,13 +281,11 @@ def test_criterion_08_oracle_equivalence(cwi_cpt, wi_cpt, noncommuting, nest_dem
 
 
 def _random_partition(rng, n):
-    from weakind.partitions import Partition
-
     labels = [rng.randint(0, 3) for _ in range(n)]
     groups = {}
     for i, lab in enumerate(labels):
         groups.setdefault(lab, set()).add(i)
-    return Partition.from_blocks(n, groups.values())
+    return oracles.partition_of(n, groups.values())
 
 
 def test_criterion_09_axiom_engine():

@@ -182,10 +182,17 @@ def test_probe_domain_size_below_1_exits_2():
       str(DATA / "cwi_cpt.json")), "malformed context assignment 'Y0'"),
     (("nope",), "No such command 'nope'"),
     (("--nope",), "No such option '--nope'"),
+    (("check", "--kind", "csi", "--x", "X", "--z", "Z,W", "--context", "Y=0,Y=1",
+      str(DATA / "wi_cpt.json")), "context variable 'Y' is assigned twice"),
+    (("check", "--kind", "pci", "--x", "X", "--z", "Z,W", "--context", "Y=0,Y=1",
+      str(DATA / "wi_cpt.json")), "context variable 'Y' is assigned twice"),
+    (("check", "--kind", "cwi", "--x", "X", "--z", "Z,W", "--context", "Y=0,Y=1",
+      str(DATA / "wi_cpt.json")), "context variable 'Y' is assigned twice"),
 ])
 def test_click_usage_errors_are_one_line(args, message):
     """A usage error click finds (a bad choice, a non-integer, a missing
-    option or verb) prints one ``Error:`` line, like every other error."""
+    option or verb), or a malformed or repeated ``--context`` assignment,
+    prints one ``Error:`` line, like every other error."""
     result = run(*args)
     assert result.exit_code == 2
     assert result.output.startswith(f"Error: {message}")

@@ -10,7 +10,6 @@ from weakind import granular, partitions
 from weakind.errors import SchemaError
 from weakind.independence import check_wi
 from weakind.partitions import (
-    Partition,
     SupportSet,
     commutes,
     join,
@@ -80,7 +79,7 @@ def test_commutes_on_wi_cpt(wi_cpt):
 
 
 def test_commutes_idempotent():
-    p = Partition.from_blocks(4, [{0, 1}, {2, 3}])
+    p = oracles.partition_of(4, [{0, 1}, {2, 3}])
     result = commutes(p, p)
     assert result.commutes and result.join == p
 
@@ -88,8 +87,8 @@ def test_commutes_idempotent():
 def test_noncommuting_three_elements():
     # p = {{a,b},{c}}, q = {{a},{b,c}}: the compositions differ, e.g. the
     # pair (a, c) has a middle element one way round but not the other.
-    p = Partition.from_blocks(3, [{0, 1}, {2}])
-    q = Partition.from_blocks(3, [{0}, {1, 2}])
+    p = oracles.partition_of(3, [{0, 1}, {2}])
+    q = oracles.partition_of(3, [{0}, {1, 2}])
     n = 3
     p_pairs = oracles.partition_pairs(p.blocks)
     q_pairs = oracles.partition_pairs(q.blocks)
@@ -103,8 +102,8 @@ def test_noncommuting_three_elements():
 
 
 def test_mismatched_supports_rejected():
-    p = Partition.from_blocks(3, [{0, 1}, {2}])
-    q = Partition.from_blocks(4, [{0}, {1, 2, 3}])
+    p = oracles.partition_of(3, [{0, 1}, {2}])
+    q = oracles.partition_of(4, [{0}, {1, 2, 3}])
     with pytest.raises(SchemaError):
         commutes(p, q)
 
@@ -126,7 +125,7 @@ def labels_to_partition(labels):
     groups = {}
     for i, lab in enumerate(labels):
         groups.setdefault(lab, set()).add(i)
-    return Partition.from_blocks(len(labels), groups.values())
+    return oracles.partition_of(len(labels), groups.values())
 
 
 @st.composite
@@ -209,7 +208,7 @@ def test_commutes_matches_pairscan(pair):
     for a, b in ((p, q), (q, p)):
         assert commutes(a, b) == oracles.pairscan_commutes(a, b)
         expected = oracles.join_partition(a.blocks, b.blocks, a.n)
-        assert join(a, b) == Partition.from_blocks(a.n, expected)
+        assert join(a, b) == oracles.partition_of(a.n, expected)
 
 
 def grid_pair(k, corner):
@@ -288,8 +287,8 @@ def test_composition_preserves_shared_variables():
 
 
 def test_theta_matches_agree_pairs():
-    # theta builds its Partition without from_blocks; the oracle's blocks go
-    # through it, and dataclass equality also checks the order by minimum.
+    # The oracle's blocks are numbered in order of their minimum, so
+    # dataclass equality also checks theta's block order.
     rng = random.Random(8)
     for n_vars, n_rows in ((1, 3), (2, 5), (3, 6), (3, 12), (4, 20)):
         for _ in range(10):
@@ -300,7 +299,7 @@ def test_theta_matches_agree_pairs():
                     positions = [sup.variables.index(v) for v in names]
                     pairs = oracles.agree_pairs(configs, positions)
                     expected = oracles.components(pairs, len(sup))
-                    assert theta(sup, names) == Partition.from_blocks(len(sup), expected)
+                    assert theta(sup, names) == oracles.partition_of(len(sup), expected)
 
 
 _SUP = SupportSet(("A", "B"), (("t1", ("0", "0")), ("t2", ("0", "1"))))
@@ -309,22 +308,12 @@ _SUP = SupportSet(("A", "B"), (("t1", ("0", "0")), ("t2", ("0", "1"))))
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: Partition.from_blocks(2, [{0, 1}, set()]),
-        lambda: Partition.from_blocks(3, [{0, 1}, {1, 2}]),
-        lambda: Partition.from_blocks(3, [{0}, {2}]),
-        lambda: Partition.from_blocks(2, [{0, 1}, {2}]),
-        lambda: Partition.from_blocks(2, [{0}, {-1}]),
         lambda: theta(_SUP, ("A", "C")),
         lambda: restrict_context(_SUP, {"C": "0"}),
         lambda: projected_domain({0, 1}, _SUP, ("C",)),
         lambda: SupportSet(("A", "B"), (("t1", ("0",)),)),
     ],
     ids=[
-        "empty-block",
-        "overlap",
-        "uncovered",
-        "index-n",
-        "index-minus-1",
         "theta-unknown",
         "restrict-unknown",
         "domain-unknown",

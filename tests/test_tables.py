@@ -268,8 +268,24 @@ def test_serialize_matches_json_dumps_twin(table):
     assert text == oracles.naive_serialize_table(table)
     assert table.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert tables.load_table(text, check=False) == table
-    if table.schema.str_ordered:  # the plain sort serialize_table uses is the keyed one
-        assert sorted(table.rows) == sorted(table.rows, key=table.schema.sort_key)
+
+
+@given(st.lists(st.sampled_from(IN_ORDER + OUT_OF_ORDER), max_size=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_is_the_keyed_domain_order_sort(domains, data):
+    """``canonical(configs, names)`` sorts projections on ``names`` as a sort
+    keyed by each value's domain position does, whether the schema takes the
+    plain sort (every domain in ``str`` order) or the keyed one."""
+    schema = tables.VariableSchema(tuple(
+        tables.Variable(f"V{i}", tuple(domain)) for i, domain in enumerate(domains)
+    ))
+    names = data.draw(st.permutations(schema.names))[: data.draw(st.integers(0, len(domains)))]
+    for subset in (names, schema.names):
+        declared = [schema.variable(n).domain for n in subset]
+        configs = data.draw(st.lists(st.sampled_from(list(product(*declared))), unique=True))
+        expected = sorted(configs, key=lambda c: tuple(map(tuple.index, declared, c)))
+        assert schema.canonical(configs, subset) == expected
+    assert schema.canonical(configs) == expected  # names default to every variable
 
 
 DIGIT_SETS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
