@@ -9,7 +9,6 @@ and pipe into each other.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -79,7 +78,7 @@ def _one_line(call, *args):
         return call(*args)
     except click.UsageError as exc:
         raise _Die(exc.format_message()) from exc
-    except (WeakindError, OSError, json.JSONDecodeError) as exc:
+    except (WeakindError, OSError) as exc:
         raise _Die(str(exc)) from exc
 
 
@@ -209,7 +208,7 @@ def derive(premises_: str | None, universe_: str, rules_: str) -> None:
     universe = _split_list(universe_)
     premises = []
     if premises_ is not None:
-        docs = json.loads(_read(premises_))
+        docs = tables._parse_json(_read(premises_))
         if not isinstance(docs, list):
             raise _Die("premise file must be a JSON list of statements")
         premises = [axioms.statement_from_json(d) for d in docs]

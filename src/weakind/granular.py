@@ -135,6 +135,8 @@ def _check_cell(cell: CellValue, attr: Attribute) -> None:
         if cell.attributes != attr.nested:
             raise SchemaError(f"cell attributes differ from those of {attr.name!r}")
         for inner_key in cell.weights:
+            if not isinstance(inner_key, tuple):
+                raise SchemaError(f"nested row key in {attr.name!r} must be a tuple")
             if len(inner_key) != len(attr.nested or ()):
                 raise SchemaError(f"nested row arity mismatch in {attr.name!r}")
             for inner_cell, inner_attr in zip(inner_key, attr.nested or ()):
@@ -146,12 +148,6 @@ def _check_cell(cell: CellValue, attr: Attribute) -> None:
             raise SchemaError(
                 f"value {cell!r} outside domain of attribute {attr.name!r}"
             )
-
-
-def _check_names(attributes: tuple[Attribute, ...]) -> None:
-    names = [a.name for a in attributes]
-    if len(set(names)) != len(names):
-        raise SchemaError("duplicate attribute names")
 
 
 def _row_sort_key(key: RowKey) -> tuple:
@@ -175,7 +171,8 @@ class NestedTable:
     rows: Mapping[RowKey, Fraction]
 
     def __post_init__(self) -> None:
-        _check_names(self.attributes)
+        if len(set(self.names)) != len(self.attributes):
+            raise SchemaError("duplicate attribute names")
         cleaned: dict[RowKey, Fraction] = {}
         for key, value in self.rows.items():
             key = tuple(key)
@@ -477,11 +474,8 @@ def load_nested(text: str | bytes) -> NestedTable:
 
 
 def _load_nested(doc: object) -> NestedTable:
-    """``load_nested`` of a parsed document.
-
-    Each check of the public ``NestedTable(...)`` is made once as the cells are
-    read (plain cells against their domain, nested cells by ``NestedCell(...)``),
-    zero rows are dropped and the table is built through ``NestedTable._built``."""
+    """``load_nested`` of a parsed document: its rows and cells are read, nested
+    cells through ``NestedCell(...)``, and checked by the public ``NestedTable(...)``."""
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ParseError("nested table document requires an 'attributes' field")
     attributes = tuple(_attribute_from_json(a) for a in _json_list(doc, "attributes"))
@@ -498,8 +492,7 @@ def _load_nested(doc: object) -> NestedTable:
         if key in rows:
             raise SchemaError(f"duplicate row: {key}")
         rows[key] = _to_fraction(prob)
-    _check_names(attributes)
-    table = NestedTable._built(attributes, {key: p for key, p in rows.items() if p})
+    table = NestedTable(attributes, rows)
     total = table.total_mass()
     if total != 1:
         raise NormalizationError(f"nested document probabilities sum to {total}, not 1")
@@ -523,7 +516,6 @@ def _cell_from_json(value, attr: Attribute) -> CellValue:
     if not attr.is_nested:
         if not isinstance(value, str):
             raise ParseError(f"cell for plain attribute {attr.name!r} must be a string")
-        _check_cell(value, attr)
         return value
     if not isinstance(value, list):
         raise ParseError(f"cell for nested attribute {attr.name!r} must be a list")

@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import LimitError, StatementError
 from .partitions import (
-    Partition,
     SupportSet,
     commutes,
     projected_domain,
@@ -451,12 +450,12 @@ def _weak_certificate(
     x_vars: Sequence[str],
     y_vars: Sequence[str],
     z_vars: Sequence[str],
-    thetas: dict[frozenset[str], Partition],
 ) -> WeakCertificate:
-    """The certificate over ``support``, whose ``theta`` partitions ``thetas`` keeps."""
+    """The certificate over ``support``, whose ``theta`` partitions it keeps."""
     if len(support) == 0:
         return WeakCertificate((), True, None, (), True)
     keys = frozenset((*x_vars, *y_vars)), frozenset((*y_vars, *z_vars))
+    thetas = support.thetas
     p, q = (thetas.get(k) or thetas.setdefault(k, theta(support, k)) for k in keys)
     result = commutes(p, q)
     if not result.commutes:
@@ -486,7 +485,7 @@ def check_cwi(
     """
     s = _statement(table, CWI, x, z, (), context)
     support = restrict_context(table.support(), context)
-    cert = _weak_certificate(table, support, s.x, tuple(n for n, _ in s.context), s.z, {})
+    cert = _weak_certificate(table, support, s.x, tuple(n for n, _ in s.context), s.z)
     classes = cert.classes
     holds = cert.vacuous or cert.commutes and (
         any(c.satisfied and not c.vacuous for c in classes)
@@ -507,7 +506,7 @@ def check_wi(
     class-restricted check over its projected domains.
     """
     s = _statement(table, WI, x, z, y)
-    cert = _weak_certificate(table, table.support(), s.x, s.y, s.z, table.thetas)
+    cert = _weak_certificate(table, table.support(), s.x, s.y, s.z)
     holds = cert.vacuous or cert.commutes and all(c.satisfied for c in cert.classes)
     return Verdict(s, holds, cert)
 

@@ -62,6 +62,11 @@ class SupportSet:
     def label_block(self, block: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.rows[i][0] for i in sorted(block))
 
+    @cached_property
+    def thetas(self) -> dict[frozenset[str], Partition]:
+        """``theta`` of this support per variable set, filled by ``independence``."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Partition:

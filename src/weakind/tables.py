@@ -30,7 +30,7 @@ from operator import getitem, itemgetter
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import LimitError, NormalizationError, ParseError, SchemaError, WeakindError
-from .partitions import Partition, SupportSet, projector
+from .partitions import SupportSet, projector
 
 Config = tuple[str, ...]
 
@@ -257,9 +257,11 @@ class Table:
     """Immutable mapping from full configurations to exact probabilities.
 
     Absent configurations read as zero. Explicit zero rows are accepted on
-    input but dropped internally, so ``rows`` holds the support exactly.
-    What the checks and ``granular`` derive from ``rows`` (``weights``, the
-    support, ``thetas``) is built once per table on first use, so ``rows``
+    input but dropped internally, so ``rows`` holds the support exactly. The
+    rows are checked by ``_row_by_row``, the loaders' row checker: a key may be
+    any sequence of domain values and is kept as a tuple. What the checks and
+    ``granular`` derive from ``rows`` (``weights`` and the support, which keeps
+    its ``theta`` partitions) is built once per table on first use, so ``rows``
     must never be mutated.
     """
 
@@ -271,17 +273,8 @@ class Table:
 
     def __post_init__(self) -> None:
         targets, givens = _check_fields(self.schema, self.kind, self.targets, self.givens)
-        cleaned: dict[Config, Fraction] = {}
-        for config, value in self.rows.items():
-            config = tuple(config)
-            self.schema.check_config(config)
-            if type(value) is not Fraction or value.numerator < 0:
-                value = _to_fraction(value)
-            if config in cleaned:
-                raise SchemaError(f"duplicate configuration: {config}")
-            if value:
-                cleaned[config] = value
-        vars(self).update(rows=cleaned, targets=targets, givens=givens)
+        rows = _row_by_row(self.schema, self.rows.items())
+        vars(self).update(rows=rows, targets=targets, givens=givens)
 
     @classmethod
     def _built(cls, schema: VariableSchema, rows: dict[Config, Fraction], kind: str = JOINT,
@@ -310,11 +303,6 @@ class Table:
         """``common_weights`` of the rows, the weights keyed by configuration."""
         lcm, weights = common_weights(self.rows.values())
         return lcm, dict(zip(self.rows, weights))
-
-    @cached_property
-    def thetas(self) -> dict[frozenset[str], Partition]:
-        """``theta`` of the support per variable set, filled by ``independence``."""
-        return {}
 
     def support(self) -> SupportSet:
         """Positive rows in document order, labelled t1, t2, ...; built once."""
@@ -399,9 +387,9 @@ def _read_source(source: str | bytes | IO) -> str:
 
 def _parse_json(text: str) -> object:
     """A JSON document with exact, size-checked decimals."""
-    try:  # ValueError: also an integer past Python's digit cap
+    try:  # ValueError: also an integer past the digit cap; RecursionError: deep nesting
         return json.loads(text, parse_float=_parse_literal)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON document: {exc}") from exc
 
 
@@ -437,9 +425,10 @@ def _load_json(doc: object) -> Table:
     return _trusted(VariableSchema(variables), entries, kind, targets, givens, columns)
 
 
-def _row_entry(entry: Mapping) -> tuple[tuple, object]:
+def _row_entry(entry: Mapping) -> tuple[Config, object]:
+    """A row's configuration, its values read as ``str(value)``, and its literal."""
     try:
-        return tuple(_json_list(entry, "config")), entry["p"]
+        return tuple(map(str, _json_list(entry, "config"))), entry["p"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed row entry: {entry!r}") from exc
 
@@ -485,23 +474,22 @@ def _column_rows(schema: VariableSchema, configs: list[tuple],
 
 
 def _row_by_row(schema: VariableSchema,
-                entries: Iterable[tuple[tuple, object]]) -> dict[Config, Fraction]:
+                entries: Iterable[tuple[Sequence, object]]) -> dict[Config, Fraction]:
     """The nonzero rows, each checked as it is read: arity and domain values, repeats,
-    then the literal."""
+    then the literal. A configuration may be any sequence; it is kept as a tuple."""
     indexes, width = list(schema.value_index.values()), len(schema.variables)
     rows: dict[Config, Fraction] = {}
     memo: dict[str, Fraction] = {}
     for config, prob in entries:
-        try:  # values that are not domain strings are checked as str(value)
-            known = len(config) == width and all(map(dict.__contains__, indexes, config))
-        except TypeError:
-            known = False
-        if not known:
-            config = tuple(map(str, config))
+        if not (type(config) is tuple and len(config) == width
+                and all(map(dict.__contains__, indexes, config))):
+            config = tuple(config)
             schema.check_config(config)
         if config in rows:
             raise SchemaError(f"duplicate configuration: {config}")
-        if type(prob) is not str:
+        if type(prob) is Fraction and prob.numerator >= 0:
+            value = prob
+        elif type(prob) is not str:
             value = _to_fraction(prob)
         elif (value := memo.get(prob)) is None:
             value = memo[prob] = _to_fraction(prob)

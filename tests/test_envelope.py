@@ -7,8 +7,9 @@ killed by ``SIGXCPU``; one that passes its memory limit exits on
 ``MemoryError``; either fails the case.
 
 So far the cases are the ``check`` verb's, one-row tables whose declared
-products run to millions of cells (``util.hostile_tables``), and an
-``enumerate`` whose statement count passes its bound.
+products run to millions of cells (``util.hostile_tables``), an
+``enumerate`` whose statement count passes its bound, and JSON inputs that
+the parser cannot read: nested too deep, or an integer past Python's digit cap.
 """
 
 import json
@@ -34,10 +35,11 @@ def _limit():
 
 
 def run_limited(args, document):
-    """``weakind *args -`` on ``document`` in a child under ``LIMITS``."""
+    """``weakind *args`` with ``document`` on stdin, in a child under ``LIMITS``.
+    ``args`` names stdin as ``-``: the INPUT argument, or an option's file."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "weakind.cli", *args, "-"],
+        [sys.executable, "-m", "weakind.cli", *args],
         input=document, capture_output=True, text=True, timeout=60,
         preexec_fn=_limit, env={**os.environ, "PYTHONPATH": path},
     )
@@ -73,8 +75,8 @@ CHECKS = {
 def test_check_on_wide_declared_products(name):
     table, x, z = util.hostile_tables()[name]
     digest, holds, certificate = CHECKS[name]
-    result = run_limited(["check", "--kind", "ci", "--x", ",".join(x), "--z", ",".join(z)],
-                         tables.serialize_table(table))
+    args = ["check", "--kind", "ci", "--x", ",".join(x), "--z", ",".join(z), "-"]
+    result = run_limited(args, tables.serialize_table(table))
     assert (result.returncode, result.stderr) == (0, "")
     assert json.loads(result.stdout) == {
         "version": __version__, "command": "check", "table_digest": digest,
@@ -92,9 +94,23 @@ def test_enumerate_refuses_a_wide_one_row_table():
     document = tables.serialize_table(table)
     assert len(document) == 3719
     args = ["enumerate", "--kinds", "ci,csi,pci,cwi,wi"]
-    result = run_limited(args, document)
+    result = run_limited([*args, "-"], document)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "Error: 135460 statements exceed bound 20000 on enumeration\n"
-    result = run_limited([*args, "--max-statements", "50"], document)
+    result = run_limited([*args, "--max-statements", "50", "-"], document)
     assert (result.returncode, result.stderr) == (0, "")
     assert json.loads(result.stdout)["count"] == 50
+
+
+@pytest.mark.parametrize("args, document", [
+    (["check", "--kind", "wi", "--x", "A", "--z", "B", "-"], "[" * 100_000),
+    (["nest", "--by", "A", "--as", "B", "-"], "[" * 100_000),
+    (["derive", "--universe", "A,B", "--premises", "-"], "[" + "1" * 4_301 + "]"),
+], ids=["check-deep", "nest-deep", "derive-big-integer"])
+def test_unreadable_json_is_one_line(args, document):
+    """A JSON document nested 100,000 deep, or a premise file holding an integer
+    of more than 4,300 digits, exits 2 with one line: no traceback."""
+    result = run_limited(args, document)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("Error: malformed JSON document: ")
+    assert result.stderr.count("\n") == 1

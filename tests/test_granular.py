@@ -361,7 +361,9 @@ def test_nest_matches_naive(table, data):
 
 def test_public_constructor_rejects_noncanonical_cells():
     """``NestedCell`` refuses entries that are not a distribution, and
-    ``NestedTable`` a cell whose attributes are not its attribute's inner ones."""
+    ``NestedTable`` a cell whose attributes are not its attribute's inner ones,
+    or whose inner key is not a tuple: a one-character string would pass the
+    arity check, and ``unnest`` could not splice it."""
     a = Attribute("A", domain=("0", "1"))
     other = Attribute("C", domain=("0", "1"))
     outer = Attribute("B", nested=(a,))
@@ -374,6 +376,9 @@ def test_public_constructor_rejects_noncanonical_cells():
             NestedCell((a,), rows)
     with pytest.raises(SchemaError):  # attributes other than the nested ones
         NestedTable((outer,), {(NestedCell((other,), {("0",): Fraction(1)}),): 1})
+    for key in ("0", 0, frozenset({"0"})):
+        with pytest.raises(SchemaError, match="nested row key in 'B' must be a tuple"):
+            NestedTable((outer,), {(NestedCell((a,), {key: Fraction(1)}),): 1})
     good = NestedCell((a,), {("1",): half, ("0",): half})
     table = NestedTable((outer,), {(good,): Fraction(1)})
     assert good.rows == ((("0",), half), (("1",), half))
@@ -430,7 +435,7 @@ def test_joint_extension_gets_its_own_view(kind, values):
                           ("A",), ("B",))
     source_weights = source.weights
     joint = tables.uniform_joint_extension(source)
-    assert not {"weights", "_support", "thetas"} & vars(joint).keys()
+    assert not {"weights", "_support"} & vars(joint).keys()
     assert joint.weights != source_weights
     assert source.weights is source_weights
     assert joint.support().rows == source.support().rows
@@ -529,18 +534,23 @@ def _nested_outcome(load, text):
     return table.attributes, list(table.rows.items())
 
 
-@pytest.mark.parametrize("name", NESTED_FAULTS + ["zero-row", None], ids=str)
-@given(shuffled_joint_tables(), st.data())
-@settings(max_examples=25, deadline=None)
-def test_nested_loader_matches_naive_on_one_fault(name, table, data):
-    """``load_nested`` checks each cell once as it reads it; a document with
-    one fault, or none, loads as the public ``NestedTable(...)`` loads it."""
+def _nested_doc(table, data):
+    """``table`` nested once or twice, and its document."""
     names = data.draw(st.permutations(table.schema.names))
     i = data.draw(st.integers(1, len(names)))
     nested = nest(table, "B", names[:i])
     if i + 1 < len(names) and data.draw(st.booleans()):
         nested = nest(nested, "C", ("B", names[i]))
-    doc = json.loads(serialize_nested(nested))
+    return nested, json.loads(serialize_nested(nested))
+
+
+@pytest.mark.parametrize("name", NESTED_FAULTS + ["zero-row", None], ids=str)
+@given(shuffled_joint_tables(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_nested_loader_matches_naive_on_one_fault(name, table, data):
+    """``load_nested`` reads the document and ``NestedTable(...)`` checks it; a
+    document with one fault, or none, loads as the naive twin loads it."""
+    nested, doc = _nested_doc(table, data)
     faulty = name in NESTED_FAULTS and _nested_fault(name, data.draw, doc)
     if name == "zero-row" and len(doc["rows"]) > 1:
         _zero_row(data.draw, doc)
@@ -554,3 +564,20 @@ def test_nested_loader_matches_naive_on_one_fault(name, table, data):
     else:
         assert all(p for _, p in got[1])
         assert len(got[1]) == len(doc["rows"]) - (name == "zero-row" and len(doc["rows"]) > 1)
+
+
+@given(shuffled_joint_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_nested_loader_matches_naive_on_two_faults(table, data):
+    """A document with two faults of any kinds, anywhere: ``load_nested``
+    reports the one that the naive twin reports."""
+    _, doc = _nested_doc(table, data)
+    names = data.draw(st.lists(st.sampled_from(NESTED_FAULTS), min_size=2, max_size=2))
+    # "mass" and "cell-sum" read a literal, so they go in before a bad one does.
+    names.sort(key=lambda name: name not in ("mass", "cell-sum"))
+    faulty = [_nested_fault(name, data.draw, doc) for name in names]
+    text = json.dumps(doc)
+    got = _nested_outcome(load_nested, text)
+    assert got == _nested_outcome(naive_load_nested, text)
+    if any(faulty):
+        assert isinstance(got[0], type) and issubclass(got[0], WeakindError), got

@@ -144,6 +144,26 @@ def test_duplicate_config_rejected():
         tables.load_table(json.dumps(doc))
 
 
+def test_constructor_and_loader_share_one_row_checker():
+    """``Table(...)`` checks its rows with the loaders' row checker: a key is any
+    sequence of domain values, kept as a tuple, and two keys that spell one
+    configuration are a duplicate, found before the second literal is read, also
+    when the first row is zero. Only the loader reads a value as ``str(value)``."""
+    schema = tables.VariableSchema(
+        (tables.Variable("A", ("0", "1")), tables.Variable("B", ("0", "1")))
+    )
+    assert tables.Table(schema, {"01": "1"}).rows == {("0", "1"): Fraction(1)}
+    for first, second in ((Fraction(1, 2), "x"), (0, Fraction(1))):
+        with pytest.raises(SchemaError, match=r"duplicate configuration: \('0', '1'\)"):
+            tables.Table(schema, {("0", "1"): first, "01": second})
+    with pytest.raises(SchemaError, match="value 0 outside domain of variable 'A'"):
+        tables.Table(schema, {(0, 1): Fraction(1)})
+    doc = {"variables": [{"name": "A", "domain": ["0", "1"]},
+                         {"name": "B", "domain": ["0", "1"]}],
+           "rows": [{"config": [0, 1], "p": "1"}]}
+    assert tables.load_table(json.dumps(doc)).rows == {("0", "1"): Fraction(1)}
+
+
 def test_negative_probability_rejected():
     doc = {
         "variables": [{"name": "A", "domain": ["0", "1"]}],
