@@ -447,6 +447,8 @@ def statement_from_json(doc: Mapping) -> AxiomStatement:
         universe = doc["universe"]
     except (KeyError, TypeError) as exc:
         raise StatementError(f"malformed statement document: {exc}") from exc
+    if not isinstance(kind, str):
+        raise StatementError("statement field 'kind' must be a string")
     z = doc.get("Z")
     fields = {"X": x, "Y": y, "universe": universe, "Z": [] if z is None else z}
     for key, names in fields.items():

@@ -208,7 +208,8 @@ def derive(premises_: str | None, universe_: str, rules_: str) -> None:
     universe = _split_list(universe_)
     premises = []
     if premises_ is not None:
-        docs = tables._parse_json(_read(premises_))
+        # A premise holds no number: any is read as a float, refused by its field.
+        docs = tables._parse_json(_read(premises_), parse_float=float)
         if not isinstance(docs, list):
             raise _Die("premise file must be a JSON list of statements")
         premises = [axioms.statement_from_json(d) for d in docs]

@@ -88,9 +88,7 @@ class NestedCell:
         self._set(attributes, {key: w for key, w in zip(rows, weights) if w})
 
     def _set(self, attributes, weights: dict[RowKey, int]) -> None:
-        g = math.gcd(*weights.values())
-        if g > 1:
-            weights = {key: w // g for key, w in weights.items()}
+        weights = _reduced(weights)
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_hash", hash(frozenset(weights.items())))
@@ -124,6 +122,12 @@ class NestedCell:
 
     def __repr__(self) -> str:
         return f"NestedCell(attributes={self.attributes!r}, rows={self.rows!r})"
+
+
+def _reduced(weights: dict[RowKey, int]) -> dict[RowKey, int]:
+    """Integer weights over their gcd: what identifies a nested cell."""
+    g = math.gcd(*weights.values())
+    return weights if g == 1 else {key: w // g for key, w in weights.items()}
 
 
 def _check_cell(cell: CellValue, attr: Attribute) -> None:
@@ -175,12 +179,13 @@ class NestedTable:
             raise SchemaError("duplicate attribute names")
         cleaned: dict[RowKey, Fraction] = {}
         for key, value in self.rows.items():
-            key = tuple(key)
+            key = key if type(key) is tuple else tuple(key)
             if len(key) != len(self.attributes):
                 raise SchemaError("row arity does not match attributes")
             for cell, attr in zip(key, self.attributes):
                 _check_cell(cell, attr)
-            value = _to_fraction(value)
+            if not (type(value) is Fraction and value.numerator >= 0):
+                value = _to_fraction(value)  # which refuses a negative value
             if key in cleaned:
                 raise SchemaError(f"duplicate row: {key}")
             if value > 0:
@@ -288,15 +293,9 @@ def _nest(attributes: tuple[Attribute, ...], rows: dict, b_name: str, names):
     """``nest`` on integer masses: rows of integer weights in, the new
     attributes and each output row's group weight out, at the same scale."""
     wanted = set(names)
-    if not wanted:
-        raise SchemaError("cannot nest an empty attribute set")
     order = [a.name for a in attributes]
     present = set(order)
-    if wanted - present:
-        raise SchemaError(f"unknown attributes: {sorted(wanted - present)}")
-    if b_name in present:
-        raise SchemaError(f"attribute name {b_name!r} already in use")
-
+    _check_nest(present, b_name, wanted)
     outer_of, inner_of = projector(order, present - wanted), projector(order, wanted)
     inner_attrs = inner_of(attributes)
     insert_at = order.index(inner_attrs[0].name)
@@ -313,6 +312,16 @@ def _nest(attributes: tuple[Attribute, ...], rows: dict, b_name: str, names):
         cell = NestedCell._of(inner_attrs, bucket)
         nested[outer[:insert_at] + (cell,) + outer[insert_at:]] = sum(bucket.values())
     return tuple(new_attrs), nested
+
+
+def _check_nest(present: set[str], b_name: str, wanted: set[str]) -> None:
+    """``nest``'s refusals, in order, for nesting ``wanted`` as ``b_name`` over ``present``."""
+    if not wanted:
+        raise SchemaError("cannot nest an empty attribute set")
+    if wanted - present:
+        raise SchemaError(f"unknown attributes: {sorted(wanted - present)}")
+    if b_name in present:
+        raise SchemaError(f"attribute name {b_name!r} already in use")
 
 
 def _scaled(attributes: tuple[Attribute, ...], rows: dict, lcm: int) -> NestedTable:
@@ -375,15 +384,20 @@ def canonical_equal(a: Table | NestedTable, b: Table | NestedTable) -> bool:
 
 @dataclass(frozen=True)
 class NestCommutationReport:
-    """Both nest orders' integer rows over ``lcm``, compared as integers; ``first``
-    (nest Z, then X) and ``second`` (X, then Z) are ``Fraction`` tables built when read."""
+    """Whether both nest orders agree, and the integer rows over ``lcm`` they nest; ``first``
+    (nest Z, then X) and ``second`` (X, then Z) are ``Fraction`` tables nested when read."""
 
     equal: bool
     lcm: int
-    _first: tuple  # (attributes, integer-weighted rows)
-    _second: tuple
-    first = cached_property(lambda self: _scaled(*self._first, self.lcm))
-    second = cached_property(lambda self: _scaled(*self._second, self.lcm))
+    attributes: tuple[Attribute, ...]
+    rows: Mapping[RowKey, int]
+    x: frozenset[str]
+    z: frozenset[str]
+    first = cached_property(lambda self: self._nested(("B2", self.z), ("B1", self.x)))
+    second = cached_property(lambda self: self._nested(("B1", self.x), ("B2", self.z)))
+
+    def _nested(self, once: tuple, twice: tuple) -> NestedTable:
+        return _scaled(*_nest(*_nest(self.attributes, self.rows, *once), *twice), self.lcm)
 
     def to_json_dict(self) -> dict:
         return {
@@ -396,22 +410,45 @@ class NestCommutationReport:
 def nest_commutes(
     table: Table | NestedTable, x: Iterable[str], z: Iterable[str]
 ) -> NestCommutationReport:
-    """Run both coarsening orders over disjoint attribute sets and compare.
+    """Whether nesting disjoint attribute sets X (as ``B1``) and Z (as ``B2``) commutes.
 
-    X is nested as ``B1`` and Z as ``B2``. Both orders nest the same integer
-    weights, and either order puts each new attribute where its set's first
-    attribute was, so the two results share one attribute tuple and compare
-    row by row, as integers.
-    """
+    Either order's rows are a Y value, an X cell and a Z cell. Nesting Z first makes
+    a Z cell of each (X, Y) group, then an X cell of each (Z cell, Y) group; nesting
+    X first swaps the roles. One pass over the integer weights builds no cell."""
     xs, zs = set(x), set(z)
     if not xs or not zs:
         raise SchemaError("both attribute sets must be nonempty")
     if xs & zs:
         raise SchemaError("attribute sets overlap")
     attributes, lcm, rows = _weighted(table)
-    first = _nest(*_nest(attributes, rows, "B2", zs), "B1", xs)
-    second = _nest(*_nest(attributes, rows, "B1", xs), "B2", zs)
-    return NestCommutationReport(first[1] == second[1], lcm, first, second)
+    order = [a.name for a in attributes]
+    present = set(order)
+    # The refusals of nesting Z then X, then X first; Z after X adds none.
+    _check_nest(present, "B2", zs)
+    _check_nest(present - zs | {"B2"}, "B1", xs)
+    _check_nest(present, "B1", xs)
+    x_of, y_of, z_of = (projector(order, s) for s in (xs, present - xs - zs, zs))
+    by_xy, by_zy = {}, {}
+    for key, w in rows.items():
+        x_key, y_key, z_key = x_of(key), y_of(key), z_of(key)
+        by_xy.setdefault((x_key, y_key), {})[z_key] = w
+        by_zy.setdefault((z_key, y_key), {})[x_key] = w
+    equal = _nested_masses(by_xy, False) == _nested_masses(by_zy, True)
+    return NestCommutationReport(equal, lcm, attributes, rows, frozenset(xs), frozenset(zs))
+
+
+def _nested_masses(buckets: dict, flip: bool) -> dict:
+    """Nest ``{(outer, y): {inner: weight}}`` twice, cells as their reduced weights: a
+    map of (y, outer cell, inner cell), or (y, inner cell, outer cell) with ``flip``, to mass."""
+    groups = {}
+    for (outer, y), bucket in buckets.items():
+        groups.setdefault((_cell_key(bucket), y), {})[outer] = sum(bucket.values())
+    return {(y, inner, _cell_key(g)) if flip else (y, _cell_key(g), inner): sum(g.values())
+            for (inner, y), g in groups.items()}
+
+
+def _cell_key(weights: dict[RowKey, int]) -> frozenset:
+    return frozenset(_reduced(weights).items())
 
 
 @dataclass(frozen=True)

@@ -385,10 +385,10 @@ def _read_source(source: str | bytes | IO) -> str:
         raise ParseError(f"input is not UTF-8: {exc}") from exc
 
 
-def _parse_json(text: str) -> object:
-    """A JSON document with exact, size-checked decimals."""
+def _parse_json(text: str, parse_float=_parse_literal) -> object:
+    """A JSON document with exact, size-checked decimals, unless ``parse_float`` says."""
     try:  # ValueError: also an integer past the digit cap; RecursionError: deep nesting
-        return json.loads(text, parse_float=_parse_literal)
+        return json.loads(text, parse_float=parse_float)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON document: {exc}") from exc
 

@@ -24,15 +24,16 @@ sum, builds cells through the public ``NestedCell`` and re-validates its output
 through the public ``NestedTable`` constructor. ``granular.nest`` builds
 each cell from its group's integer weights, gcd-reduced, and makes the
 cell's sorted ``Fraction`` rows only when they are read. ``nest_commutes``
-runs both orders on integer masses and compares them as integers; its
-answer is checked against ``canonical_equal`` of the two naive double
-nests.
+decides in one pass over integer weights, building no cell; its answer is
+checked against ``canonical_equal`` of the two naive double nests.
 
-``naive_nest_commutes`` is ``nest_commutes`` as it was before each table
-cached its weights: it copies the rows, computes their ``common_weights`` per
-call, builds both ``Fraction`` tables at once and compares those. The
-package reads the weights cached as ``Table.weights`` and builds the report's
-``first`` and ``second`` tables only when they are read.
+``naive_nest_commutes`` is ``nest_commutes`` as it was before it decided in
+one pass: it copies the rows, computes their ``common_weights`` per call, runs
+both orders through two ``granular._nest`` calls each, builds both ``Fraction``
+tables at once and compares those; its refusals are those of the two nests.
+The package reads the weights cached as ``Table.weights``, compares its two
+maps of (Y, X cell, Z cell) to mass, and nests the report's ``first`` and
+``second`` tables only when they are read.
 
 ``naive_strong_check`` and ``naive_class_report`` are the twins of the
 checkers' inner steps ``independence._strong_check`` and

@@ -1,7 +1,10 @@
 import gc
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import weakref
 from contextlib import redirect_stdout
 
@@ -13,6 +16,7 @@ from weakind.cli import main
 from weakind.errors import ParseError, WeakindError
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*args, input=None):
@@ -102,6 +106,39 @@ def test_outputs_deterministic():
     assert run(*args).output == run(*args).output
     args2 = ("probe", "--trials", "5", "--seed", "0")
     assert run(*args2).output == run(*args2).output
+
+
+def _run_seeded(seed, args, stdin=None):
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+    done = subprocess.run([sys.executable, "-m", "weakind.cli", *args], input=stdin,
+                          capture_output=True, text=True, timeout=60, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_nest_and_commute_bytes_do_not_depend_on_the_hash_seed():
+    """``commute`` decides by comparing sets and maps of hashed cells, and ``nest``
+    groups rows by them: neither's output may follow the order of a hash."""
+    noncommuting, demo, wi_cpt = (
+        str(DATA / name) for name in ("noncommuting.json", "nest_demo.json", "wi_cpt.json")
+    )
+    cases = [
+        ("commute", "--x", "A1", "--z", "A3", noncommuting),
+        ("commute", "--x", "A3", "--z", "A1,A2", noncommuting),
+        ("commute", "--x", "A2", "--z", "A3", demo),
+        ("commute", "--x", "A1", "--z", "A2,A3", demo),
+        ("commute", "--x", "X", "--z", "Z,W", wi_cpt),  # refused: not a joint table
+        ("nest", "--by", "A2,A3", "--as", "B", demo),
+        ("nest", "--by", "A1", "--as", "B", noncommuting),
+        ("nest", "--by", "X", "--as", "B", wi_cpt),
+    ]
+    outputs = {}
+    for seed in (0, 1):
+        got = outputs[seed] = [_run_seeded(seed, args) for args in cases]
+        once = got[cases.index(("nest", "--by", "A2,A3", "--as", "B", demo))][1]
+        got.append(_run_seeded(seed, ("nest", "--by", "A1,B", "--as", "C", "-"), once))
+    assert outputs[0] == outputs[1]
+    assert [code for code, _, _ in outputs[0]] == [0] * 4 + [2, 0, 0, 2, 0]
 
 
 def test_enumerate_report():
@@ -259,6 +296,14 @@ def test_usage_errors_exit_2(tmp_path):
         assert result.exit_code == 2, (field, value)
     bad.write_text(json.dumps(premise))
     assert run("derive", "--premises", str(bad), "--universe", "A,B,C").exit_code == 2
+    # A number in a premise is refused by its field, not read as a probability.
+    body = json.dumps(premise)[1:-1]
+    for field, number in (("kind", "1.5"), ("Z", "1e99999"), ("kind", "7")):
+        bad.write_text(f'[{{{body}, "{field}": {number}}}]')
+        result = run("derive", "--premises", str(bad), "--universe", "A,B,C")
+        assert result.exit_code == 2, (field, number)
+        assert result.output.count("\n") == 1 and f"'{field}'" in result.output
+        assert "Fraction" not in result.output and "probability" not in result.output
 
     # ... and in a nested document, whose total mass must also be 1.
     attrs = [{"name": "B", "nested": [{"name": "A", "domain": ["0", "1"]}]}]

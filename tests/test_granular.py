@@ -419,6 +419,64 @@ def test_commutation_reports_match_eager_twin(table, data):
     assert doc == dataclasses.replace(twin, wi_holds=not twin.wi_holds).to_json_dict()
 
 
+def _commutation(commutes, table, x, z):
+    try:
+        report = commutes(table, x, z)
+    except WeakindError as exc:
+        return type(exc), str(exc)
+    return report.equal, serialize_nested(report.first), serialize_nested(report.second)
+
+
+@given(shuffled_joint_tables(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_nest_commutes_matches_eager_twin_on_nested_and_refused_inputs(table, data):
+    """The one-pass decision agrees with the two-nest composition on tables nested
+    once, with X or Z naming the nested attribute, on tables that already use the
+    name ``B1`` or ``B2``, and on empty, overlapping and unknown sets, whose
+    refusals it raises in the composition's order and words."""
+    names = list(table.schema.names)
+    renamed = data.draw(st.sampled_from((None, None, "B1", "B2")))
+    if renamed is not None:  # the first variable takes a name the nests use
+        first, *rest = table.schema.variables
+        names[0] = renamed
+        schema = tables.VariableSchema((tables.Variable(renamed, first.domain), *rest))
+        table = tables.Table(schema, dict(table.rows), "joint")
+    inner = data.draw(st.one_of(st.just([]), st.lists(
+        st.sampled_from(names), unique=True, min_size=1, max_size=len(names) - 1)))
+    if inner:
+        b_name = data.draw(st.sampled_from(("N", "N", "B1", "B2")))
+        try:
+            table = nest(table, b_name, inner)
+        except SchemaError:  # the name is in use outside ``inner``
+            return
+        names = [n for n in names if n not in inner] + [b_name]
+    order = data.draw(st.permutations(names))
+    i = data.draw(st.integers(1, len(order) - 1))
+    j = data.draw(st.integers(i + 1, len(order)))
+    x, z = list(order[:i]), list(order[i:j])
+    fault = data.draw(st.sampled_from((None, None, None, "empty", "overlap", "B1", "B2", "Q")))
+    if fault == "empty":
+        data.draw(st.sampled_from((x, z))).clear()
+    elif fault == "overlap":
+        z += x[:1]
+    elif fault is not None:  # a name the table may lack
+        data.draw(st.sampled_from((x, z))).append(fault)
+    got = _commutation(nest_commutes, table, x, z)
+    assert got == _commutation(naive_nest_commutes, table, x, z)
+
+
+def test_nest_commutes_builds_no_cell_until_read(noncommuting, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a nested cell was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(NestedCell, "_of", refuse)
+        patched.setattr(NestedCell, "__init__", refuse)
+        report = nest_commutes(noncommuting, ("A1",), ("A3",))
+    assert report.equal is False and "first" not in vars(report)
+    assert report.to_json_dict() == naive_nest_commutes(noncommuting, ("A1",), ("A3",)).to_json_dict()
+
+
 @pytest.mark.parametrize("kind, values", [
     ("conditional", ("1/2", "1/2", "1/3", "2/3")),
     ("raw", ("2", "4", "1", "1")),
