@@ -4,9 +4,11 @@
 cells are normalized sub-distributions; ``unnest`` expands a nested
 attribute back out, multiplying outer and inner probabilities exactly.
 Grouping during a nest compares entire remaining-attribute values, so
-previously nested cells participate in the grouping key. A nested cell is
-identified by its gcd-reduced integer weights, so that comparison is on
-integers; a cell's sorted ``Fraction`` rows are built only when read.
+previously nested cells participate in the grouping key. A plain attribute
+is a ``tables.Variable``, checked as a table's is; an ``Attribute`` is a
+nested one. A nested cell is identified by its gcd-reduced integer weights,
+so that comparison is on integers; a cell's sorted ``Fraction`` rows are
+built only when read.
 
 All equality here is exact; there is no tolerance parameter anywhere in
 this module.
@@ -41,25 +43,15 @@ from .tables import (
 
 CellValue = Union[str, "NestedCell"]
 RowKey = tuple  # tuple[CellValue, ...]
+AnyAttribute = Union[Variable, "Attribute"]  # a plain attribute or a nested one
 
 
 @dataclass(frozen=True)
 class Attribute:
-    """A plain variable (with a domain) or a nested attribute (with inner attributes)."""
+    """A nested attribute: a name over inner attributes, each a ``Variable`` or nested."""
 
     name: str
-    domain: tuple[str, ...] | None = None
-    nested: tuple["Attribute", ...] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.domain is None) == (self.nested is None):
-            raise SchemaError(
-                f"attribute {self.name!r} must have exactly one of domain/nested"
-            )
-
-    @property
-    def is_nested(self) -> bool:
-        return self.nested is not None
+    nested: tuple[AnyAttribute, ...]
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -74,12 +66,12 @@ class NestedCell:
     canonical (sorted) order, is built from the weights on first read.
     """
 
-    attributes: tuple[Attribute, ...]
+    attributes: tuple[AnyAttribute, ...]
     weights: Mapping[RowKey, int]
     _hash: int
     _rows: tuple[tuple[RowKey, Fraction], ...] | None
 
-    def __init__(self, attributes: tuple[Attribute, ...], rows: Mapping) -> None:
+    def __init__(self, attributes: tuple[AnyAttribute, ...], rows: Mapping) -> None:
         lcm, weights = common_weights(rows.values())
         if any(w < 0 for w in weights):
             raise SchemaError("nested cell values must not be negative")
@@ -88,14 +80,16 @@ class NestedCell:
         self._set(attributes, {key: w for key, w in zip(rows, weights) if w})
 
     def _set(self, attributes, weights: dict[RowKey, int]) -> None:
-        weights = _reduced(weights)
+        g = math.gcd(*weights.values())  # identity is the weights over their gcd
+        if g != 1:
+            weights = {key: w // g for key, w in weights.items()}
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_hash", hash(frozenset(weights.items())))
         object.__setattr__(self, "_rows", None)
 
     @classmethod
-    def _of(cls, attributes: tuple[Attribute, ...], weights: dict) -> "NestedCell":
+    def _of(cls, attributes: tuple[AnyAttribute, ...], weights: dict) -> "NestedCell":
         """A cell from nonzero integer weights, in any order and at any scale."""
         cell = object.__new__(cls)
         cell._set(attributes, weights)
@@ -124,34 +118,26 @@ class NestedCell:
         return f"NestedCell(attributes={self.attributes!r}, rows={self.rows!r})"
 
 
-def _reduced(weights: dict[RowKey, int]) -> dict[RowKey, int]:
-    """Integer weights over their gcd: what identifies a nested cell."""
-    g = math.gcd(*weights.values())
-    return weights if g == 1 else {key: w // g for key, w in weights.items()}
-
-
-def _check_cell(cell: CellValue, attr: Attribute) -> None:
+def _check_cell(cell: CellValue, attr: AnyAttribute) -> None:
     """A cell must fit its attribute; a nested cell's inner keys must fit the
     inner attributes, recursively. ``NestedCell`` makes every cell canonical."""
-    if attr.is_nested:
-        if not isinstance(cell, NestedCell):
-            raise SchemaError(f"cell for attribute {attr.name!r} must be nested")
-        if cell.attributes != attr.nested:
-            raise SchemaError(f"cell attributes differ from those of {attr.name!r}")
-        for inner_key in cell.weights:
-            if not isinstance(inner_key, tuple):
-                raise SchemaError(f"nested row key in {attr.name!r} must be a tuple")
-            if len(inner_key) != len(attr.nested or ()):
-                raise SchemaError(f"nested row arity mismatch in {attr.name!r}")
-            for inner_cell, inner_attr in zip(inner_key, attr.nested or ()):
-                _check_cell(inner_cell, inner_attr)
-    else:
+    if isinstance(attr, Variable):
         if not isinstance(cell, str):
             raise SchemaError(f"cell for attribute {attr.name!r} must be a value")
-        if cell not in (attr.domain or ()):
-            raise SchemaError(
-                f"value {cell!r} outside domain of attribute {attr.name!r}"
-            )
+        if cell not in attr.domain:
+            raise SchemaError(f"value {cell!r} outside domain of attribute {attr.name!r}")
+        return
+    if not isinstance(cell, NestedCell):
+        raise SchemaError(f"cell for attribute {attr.name!r} must be nested")
+    if cell.attributes != attr.nested:
+        raise SchemaError(f"cell attributes differ from those of {attr.name!r}")
+    for inner_key in cell.weights:
+        if not isinstance(inner_key, tuple):
+            raise SchemaError(f"nested row key in {attr.name!r} must be a tuple")
+        if len(inner_key) != len(attr.nested):
+            raise SchemaError(f"nested row arity mismatch in {attr.name!r}")
+        for inner_cell, inner_attr in zip(inner_key, attr.nested):
+            _check_cell(inner_cell, inner_attr)
 
 
 def _row_sort_key(key: RowKey) -> tuple:
@@ -171,7 +157,7 @@ def _value_sort_key(value: CellValue) -> tuple:
 class NestedTable:
     """Rows keyed by mixed plain/nested cell values, with exact probabilities."""
 
-    attributes: tuple[Attribute, ...]
+    attributes: tuple[AnyAttribute, ...]
     rows: Mapping[RowKey, Fraction]
 
     def __post_init__(self) -> None:
@@ -194,7 +180,7 @@ class NestedTable:
 
     @classmethod
     def _built(
-        cls, attributes: tuple[Attribute, ...], rows: dict[RowKey, Fraction]
+        cls, attributes: tuple[AnyAttribute, ...], rows: dict[RowKey, Fraction]
     ) -> "NestedTable":
         """A table from rows this module built, skipping ``__post_init__``.
 
@@ -214,15 +200,6 @@ class NestedTable:
     def total_mass(self) -> Fraction:
         return mass_sum(self.rows.values())
 
-    def is_flat(self) -> bool:
-        return all(not a.is_nested for a in self.attributes)
-
-    def to_table(self) -> Table:
-        if not self.is_flat():
-            raise SchemaError("table still has nested attributes")
-        variables = tuple(Variable(a.name, a.domain or ()) for a in self.attributes)
-        return Table._built(VariableSchema(variables), dict(self.rows), JOINT)
-
     def to_json_dict(self) -> dict:
         return {
             "attributes": [_attribute_to_json(a) for a in self.attributes],
@@ -236,13 +213,10 @@ class NestedTable:
         }
 
 
-def _attribute_to_json(attr: Attribute) -> dict:
-    if attr.is_nested:
-        return {
-            "name": attr.name,
-            "nested": [_attribute_to_json(a) for a in attr.nested or ()],
-        }
-    return {"name": attr.name, "domain": list(attr.domain or ())}
+def _attribute_to_json(attr: AnyAttribute) -> dict:
+    if isinstance(attr, Variable):
+        return {"name": attr.name, "domain": list(attr.domain)}
+    return {"name": attr.name, "nested": [_attribute_to_json(a) for a in attr.nested]}
 
 
 def _cell_to_json(value: CellValue):
@@ -261,13 +235,13 @@ def as_nested(table: Table | NestedTable) -> NestedTable:
     return NestedTable._built(_plain_attributes(table), table.rows)
 
 
-def _plain_attributes(table: Table) -> tuple[Attribute, ...]:
+def _plain_attributes(table: Table) -> tuple[Variable, ...]:
     if table.kind != JOINT:
         raise SchemaError("only joint tables can be coarsened directly")
-    return tuple(Attribute(v.name, domain=v.domain) for v in table.schema.variables)
+    return table.schema.variables
 
 
-def _weighted(table: Table | NestedTable) -> tuple[tuple[Attribute, ...], int, dict]:
+def _weighted(table: Table | NestedTable) -> tuple[tuple[AnyAttribute, ...], int, dict]:
     """Attributes, ``L`` and the rows' integer weights over ``L``: a ``Table``'s ``weights``."""
     if isinstance(table, NestedTable):
         lcm, weights = common_weights(table.rows.values())
@@ -289,7 +263,7 @@ def nest(
     return _scaled(*_nest(attributes, rows, b_name, names), lcm)
 
 
-def _nest(attributes: tuple[Attribute, ...], rows: dict, b_name: str, names):
+def _nest(attributes: tuple[AnyAttribute, ...], rows: dict, b_name: str, names):
     """``nest`` on integer masses: rows of integer weights in, the new
     attributes and each output row's group weight out, at the same scale."""
     wanted = set(names)
@@ -306,7 +280,7 @@ def _nest(attributes: tuple[Attribute, ...], rows: dict, b_name: str, names):
         groups.setdefault(outer_of(key), {})[inner_of(key)] = w
 
     new_attrs = list(outer_of(attributes))
-    new_attrs.insert(insert_at, Attribute(b_name, nested=inner_attrs))
+    new_attrs.insert(insert_at, Attribute(b_name, inner_attrs))
     nested: dict[RowKey, int] = {}
     for outer, bucket in groups.items():
         cell = NestedCell._of(inner_attrs, bucket)
@@ -324,7 +298,7 @@ def _check_nest(present: set[str], b_name: str, wanted: set[str]) -> None:
         raise SchemaError(f"attribute name {b_name!r} already in use")
 
 
-def _scaled(attributes: tuple[Attribute, ...], rows: dict, lcm: int) -> NestedTable:
+def _scaled(attributes: tuple[AnyAttribute, ...], rows: dict, lcm: int) -> NestedTable:
     return NestedTable._built(attributes, {k: Fraction(w, lcm) for k, w in rows.items()})
 
 
@@ -339,9 +313,9 @@ def unnest(table: NestedTable, b_name: str) -> Table | NestedTable:
     except ValueError:
         raise SchemaError(f"unknown attribute {b_name!r}") from None
     attr = table.attributes[position]
-    if not attr.is_nested:
+    if isinstance(attr, Variable):
         raise SchemaError(f"attribute {b_name!r} is not nested")
-    inner_attrs = attr.nested or ()
+    inner_attrs = attr.nested
     remaining = [a.name for i, a in enumerate(table.attributes) if i != position]
     for inner in inner_attrs:
         if inner.name in remaining:
@@ -360,10 +334,9 @@ def unnest(table: NestedTable, b_name: str) -> Table | NestedTable:
             mass = outer_p * inner_p
             seen = rows.get(new_key)
             rows[new_key] = mass if seen is None else seen + mass
-    result = NestedTable._built(new_attrs, rows)
-    if result.is_flat():
-        return result.to_table()
-    return result
+    if any(isinstance(a, Attribute) for a in new_attrs):
+        return NestedTable._built(new_attrs, rows)
+    return Table._built(VariableSchema(new_attrs), rows, JOINT)
 
 
 def canonical_equal(a: Table | NestedTable, b: Table | NestedTable) -> bool:
@@ -389,7 +362,7 @@ class NestCommutationReport:
 
     equal: bool
     lcm: int
-    attributes: tuple[Attribute, ...]
+    attributes: tuple[AnyAttribute, ...]
     rows: Mapping[RowKey, int]
     x: frozenset[str]
     z: frozenset[str]
@@ -414,7 +387,8 @@ def nest_commutes(
 
     Either order's rows are a Y value, an X cell and a Z cell. Nesting Z first makes
     a Z cell of each (X, Y) group, then an X cell of each (Z cell, Y) group; nesting
-    X first swaps the roles. One pass over the integer weights builds no cell."""
+    X first swaps the roles. One pass over the integer weights builds no cell and reads
+    no name: ``B1`` and ``B2`` label only the report's tables, checked as they are built."""
     xs, zs = set(x), set(z)
     if not xs or not zs:
         raise SchemaError("both attribute sets must be nonempty")
@@ -423,10 +397,9 @@ def nest_commutes(
     attributes, lcm, rows = _weighted(table)
     order = [a.name for a in attributes]
     present = set(order)
-    # The refusals of nesting Z then X, then X first; Z after X adds none.
-    _check_nest(present, "B2", zs)
-    _check_nest(present - zs | {"B2"}, "B1", xs)
-    _check_nest(present, "B1", xs)
+    for names in (zs, xs):
+        if names - present:
+            raise SchemaError(f"unknown attributes: {sorted(names - present)}")
     x_of, y_of, z_of = (projector(order, s) for s in (xs, present - xs - zs, zs))
     by_xy, by_zy = {}, {}
     for key, w in rows.items():
@@ -448,7 +421,9 @@ def _nested_masses(buckets: dict, flip: bool) -> dict:
 
 
 def _cell_key(weights: dict[RowKey, int]) -> frozenset:
-    return frozenset(_reduced(weights).items())
+    """A bucket's weights over their gcd, as ``NestedCell`` identifies a cell."""
+    g = math.gcd(*weights.values())
+    return frozenset(weights.items() if g == 1 else ((k, w // g) for k, w in weights.items()))
 
 
 @dataclass(frozen=True)
@@ -536,27 +511,28 @@ def _load_nested(doc: object) -> NestedTable:
     return table
 
 
-def _attribute_from_json(doc: Mapping) -> Attribute:
+def _attribute_from_json(doc: Mapping) -> AnyAttribute:
+    """A nested attribute, or a plain one read and checked as a table's variable."""
     try:
         name = str(doc["name"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed attribute: {exc}") from exc
     if "nested" in doc:
         inner = _json_list(doc, "nested")
-        return Attribute(name, nested=tuple(_attribute_from_json(a) for a in inner))
+        return Attribute(name, tuple(_attribute_from_json(a) for a in inner))
     if "domain" in doc:
-        return Attribute(name, domain=tuple(str(d) for d in _json_list(doc, "domain")))
+        return Variable(name, tuple(str(d) for d in _json_list(doc, "domain")))
     raise ParseError(f"attribute {name!r} needs either a domain or nested attributes")
 
 
-def _cell_from_json(value, attr: Attribute) -> CellValue:
-    if not attr.is_nested:
+def _cell_from_json(value, attr: AnyAttribute) -> CellValue:
+    if isinstance(attr, Variable):
         if not isinstance(value, str):
             raise ParseError(f"cell for plain attribute {attr.name!r} must be a string")
         return value
     if not isinstance(value, list):
         raise ParseError(f"cell for nested attribute {attr.name!r} must be a list")
-    inner_attrs = attr.nested or ()
+    inner_attrs = attr.nested
     rows: dict[RowKey, Fraction] = {}
     for entry in value:
         try:

@@ -30,10 +30,13 @@ checked against ``canonical_equal`` of the two naive double nests.
 ``naive_nest_commutes`` is ``nest_commutes`` as it was before it decided in
 one pass: it copies the rows, computes their ``common_weights`` per call, runs
 both orders through two ``granular._nest`` calls each, builds both ``Fraction``
-tables at once and compares those; its refusals are those of the two nests.
+tables at once and compares those. It refuses empty and overlapping sets, a
+non-joint table, an unknown Z and an unknown X, in that order, before it
+nests; a table already using ``B2`` or ``B1`` is then refused by the nests.
 The package reads the weights cached as ``Table.weights``, compares its two
-maps of (Y, X cell, Z cell) to mass, and nests the report's ``first`` and
-``second`` tables only when they are read.
+maps of (Y, X cell, Z cell) to mass without reading a name, and nests the
+report's ``first`` and ``second`` tables, with those two refusals, only when
+they are read.
 
 ``naive_strong_check`` and ``naive_class_report`` are the twins of the
 checkers' inner steps ``independence._strong_check`` and
@@ -67,9 +70,9 @@ which checks arity, domains, duplicates, values, kind, targets and givens
 again. The package checks each once as it reads the row and builds the table
 through the trusted ``Table._built``. Both read JSON text and literals with
 the package's ``_parse_json`` and ``_to_fraction``. ``naive_load_nested`` is
-the same twin of ``granular.load_nested``: it builds every row, then the
-public ``NestedTable`` constructor checks domains, attribute names and each
-cell again.
+the same twin of ``granular.load_nested``: it reads each plain attribute as a
+public ``Variable``, builds every row, then the public ``NestedTable``
+constructor checks domains, attribute names and each cell again.
 
 The closure references reuse the package's literal rule functions but none
 of its fixed-point machinery: ``naive_closure`` tries every premise pair or
@@ -235,10 +238,7 @@ def pairscan_commutes(p, q):
 def naive_nest(table, b_name, names):
     """Naive twin of ``granular.nest``: same attributes, rows, row order and cells."""
     if not isinstance(table, NestedTable):
-        attributes = tuple(
-            Attribute(v.name, domain=v.domain) for v in table.schema.variables
-        )
-        table = NestedTable(attributes, dict(table.rows))
+        table = NestedTable(table.schema.variables, dict(table.rows))
     wanted = set(names)
     if not wanted:
         raise SchemaError("cannot nest an empty attribute set")
@@ -261,7 +261,7 @@ def naive_nest(table, b_name, names):
         bucket[inner] = bucket.get(inner, ZERO) + value
 
     new_attrs = list(table.attributes[i] for i in outer_positions)
-    new_attrs.insert(insert_at, Attribute(b_name, nested=inner_attrs))
+    new_attrs.insert(insert_at, Attribute(b_name, inner_attrs))
     rows = {}
     for outer, bucket in groups.items():
         total = sum(bucket.values(), ZERO)
@@ -291,10 +291,11 @@ def naive_nest_commutes(table, x, z, b_x="B1", b_z="B2"):
     if not isinstance(table, NestedTable):
         if table.kind != JOINT:
             raise SchemaError("only joint tables can be coarsened directly")
-        attributes = tuple(
-            Attribute(v.name, domain=v.domain) for v in table.schema.variables
-        )
-        table = NestedTable(attributes, dict(table.rows))
+        table = NestedTable(table.schema.variables, dict(table.rows))
+    for names in (zs, xs):
+        unknown = names - set(table.names)
+        if unknown:
+            raise SchemaError(f"unknown attributes: {sorted(unknown)}")
     lcm, weights = common_weights(table.rows.values())
     rows = dict(zip(table.rows, weights))
     first = _scaled(*_nest(*_nest(table.attributes, rows, b_z, zs), b_x, xs), lcm)
@@ -791,14 +792,14 @@ def _naive_attribute(doc):
         raise ParseError(f"malformed attribute: {exc}") from exc
     if "nested" in doc:
         inner = _json_list(doc, "nested")
-        return Attribute(name, nested=tuple(_naive_attribute(a) for a in inner))
+        return Attribute(name, tuple(_naive_attribute(a) for a in inner))
     if "domain" in doc:
-        return Attribute(name, domain=tuple(str(d) for d in _json_list(doc, "domain")))
+        return Variable(name, tuple(str(d) for d in _json_list(doc, "domain")))
     raise ParseError(f"attribute {name!r} needs either a domain or nested attributes")
 
 
 def _naive_cell(value, attr):
-    if not attr.is_nested:
+    if isinstance(attr, Variable):
         if not isinstance(value, str):
             raise ParseError(f"cell for plain attribute {attr.name!r} must be a string")
         return value

@@ -13,7 +13,9 @@ from click.testing import CliRunner
 
 from weakind import granular, tables
 from weakind.cli import main
-from weakind.errors import ParseError, WeakindError
+from weakind.errors import ParseError, SchemaError, WeakindError
+
+from oracles import naive_load_nested
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -116,12 +118,19 @@ def _run_seeded(seed, args, stdin=None):
     return done.returncode, done.stdout, done.stderr
 
 
-def test_nest_and_commute_bytes_do_not_depend_on_the_hash_seed():
+def test_nest_and_commute_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     """``commute`` decides by comparing sets and maps of hashed cells, and ``nest``
-    groups rows by them: neither's output may follow the order of a hash."""
+    groups rows by them: neither's output may follow the order of a hash, nor
+    may that of ``unnest``, of the checks, of ``derive`` or of ``probe``."""
     noncommuting, demo, wi_cpt = (
         str(DATA / name) for name in ("noncommuting.json", "nest_demo.json", "wi_cpt.json")
     )
+    premises = tmp_path / "premises.json"
+    premises.write_text(json.dumps([
+        {"kind": "WI", "X": ["A"], "Y": ["B", "D"], "universe": ["A", "B", "C", "D"]},
+        {"kind": "CI", "X": ["B"], "Y": ["A", "D"], "universe": ["A", "B", "C", "D"]},
+        {"kind": "WI", "X": ["C"], "Y": ["A"], "Z": ["D"], "universe": ["A", "B", "C", "D"]},
+    ]))
     cases = [
         ("commute", "--x", "A1", "--z", "A3", noncommuting),
         ("commute", "--x", "A3", "--z", "A1,A2", noncommuting),
@@ -131,14 +140,93 @@ def test_nest_and_commute_bytes_do_not_depend_on_the_hash_seed():
         ("nest", "--by", "A2,A3", "--as", "B", demo),
         ("nest", "--by", "A1", "--as", "B", noncommuting),
         ("nest", "--by", "X", "--as", "B", wi_cpt),
+        ("validate", wi_cpt),
+        ("check", "--kind", "wi", "--x", "X", "--z", "Z,W", "--y", "Y", wi_cpt),
+        ("enumerate", "--kinds", "wi", wi_cpt),
+        ("derive", "--premises", str(premises), "--universe", "A,B,C,D"),
+        ("probe", "--trials", "2"),
     ]
     outputs = {}
     for seed in (0, 1):
         got = outputs[seed] = [_run_seeded(seed, args) for args in cases]
         once = got[cases.index(("nest", "--by", "A2,A3", "--as", "B", demo))][1]
+        got.append(_run_seeded(seed, ("unnest", "--attr", "B", "-"), once))  # flat
         got.append(_run_seeded(seed, ("nest", "--by", "A1,B", "--as", "C", "-"), once))
+        got.append(_run_seeded(seed, ("unnest", "--attr", "C", "-"), got[-1][1]))  # nested
     assert outputs[0] == outputs[1]
-    assert [code for code, _, _ in outputs[0]] == [0] * 4 + [2, 0, 0, 2, 0]
+    assert [code for code, _, _ in outputs[0]] == [0] * 4 + [2, 0, 0, 2] + [0] * 8
+    assert '"attributes"' in outputs[0][-1][1] and '"variables"' in outputs[0][-3][1]
+
+
+def test_check_pretty_prints_a_failing_strong_verdicts_counterexample():
+    args = ("check", "--kind", "ci", "--x", "X", "--z", "Z,W", "--y", "Y",
+            str(DATA / "wi_cpt.json"))
+    result = run(*args, "--pretty")
+    assert result.exit_code == 0
+    ce = json.loads(run(*args).output)["certificate"]["counterexample"]
+    assert result.output == (
+        "CI(X ⊥ Z,W | Y) -> fails\n"
+        f"  counterexample: x={tuple(ce['x'])} y={tuple(ce['y'])} z={tuple(ce['z'])}"
+        f" value={ce['value']} reference={ce['reference']}\n"
+    )
+
+
+def test_unnest_of_a_doubly_nested_document_prints_a_nested_document():
+    demo = DATA / "nest_demo.json"
+    once = run("nest", "--by", "A2", "--as", "B", str(demo)).output
+    twice = run("nest", "--by", "A3", "--as", "C", "-", input=once).output
+    result = run("unnest", "--attr", "B", "-", input=twice)
+    assert result.exit_code == 0
+    table = granular.unnest(granular.load_nested(twice), "B")
+    assert isinstance(table, granular.NestedTable) and table.names == ("A1", "A2", "C")
+    assert result.output == granular.serialize_nested(table)
+    again = run("unnest", "--attr", "C", "-", input=result.output).output
+    assert again == tables.serialize_table(tables.load_table(demo.read_text()))
+
+
+def test_commute_refuses_a_name_its_report_takes(tmp_path):
+    """``B2`` labels one of the report's tables, so ``commute`` cannot print it;
+    the decision itself reads no name."""
+    path = tmp_path / "b2.json"
+    path.write_text((DATA / "nest_demo.json").read_text().replace('"A2"', '"B2"'))
+    result = run("commute", "--x", "A1", "--z", "A3", str(path))
+    assert result.exit_code == 2
+    assert result.output == "Error: attribute name 'B2' already in use\n"
+    result = run("commute", "--x", "NOPE", "--z", "A3", str(path))
+    assert result.output == "Error: unknown attributes: ['NOPE']\n"
+    assert run("check", "--kind", "wi", "--x", "A1", "--z", "A3", "--y", "B2",
+               str(path)).exit_code == 0
+
+
+@pytest.mark.parametrize("domain", [["0", "0"], []], ids=["repeated", "empty"])
+@pytest.mark.parametrize("inner", [False, True], ids=["top", "inner"])
+def test_nested_documents_check_plain_domains_as_tables_do(tmp_path, domain, inner):
+    """A plain attribute of a nested document is a ``Variable``: a repeated or
+    empty domain is refused at load, at the top level and inside a nested
+    attribute, with the table loader's message."""
+    plain, nested = ["0", "1"], ["0", "1"]
+    if inner:
+        nested = domain
+    else:
+        plain = domain
+    doc = {
+        "attributes": [{"name": "A", "domain": plain},
+                       {"name": "B", "nested": [{"name": "C", "domain": nested}]}],
+        "rows": [{"cells": ["0", [{"config": ["0"], "P(Y)": "1"}]], "p": "1"}],
+    }
+    text = json.dumps(doc)
+    with pytest.raises(SchemaError) as want:
+        tables.Variable("C" if inner else "A", tuple(domain))
+    for load in (granular.load_nested, naive_load_nested):
+        with pytest.raises(SchemaError) as got:
+            load(text)
+        assert str(got.value) == str(want.value)
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    for args in (["nest", "--by", "A", "--as", "Q"], ["unnest", "--attr", "B"]):
+        result = run(*args, str(path))
+        assert result.exit_code == 2, args
+        assert result.output == f"Error: {want.value}\n", (args, result.output)
 
 
 def test_enumerate_report():

@@ -228,6 +228,40 @@ def test_wi_nest_equivalence_reports(wi_cpt, noncommuting):
     assert not report9.wi_holds and not report9.nests_commute and report9.agree
 
 
+def _renamed(table, old, new):
+    variables = tuple(
+        tables.Variable(new, v.domain) if v.name == old else v for v in table.schema.variables
+    )
+    return tables.Table(tables.VariableSchema(variables), dict(table.rows), table.kind)
+
+
+@pytest.mark.parametrize("name", ["B1", "B2"])
+def test_wi_nest_equivalence_decides_a_table_using_a_report_name(nest_demo, name):
+    """``B1`` and ``B2`` label only the report's tables: the decision reads no
+    name, and building those tables is what refuses a table that uses one."""
+    table = _renamed(nest_demo, "A2", name)
+    report = wi_nest_equivalence(table, ["A1"], ["A3"], [name])
+    verdict = independence.check_wi(table, ["A1"], ["A3"], [name])
+    assert report.agree and report.wi_holds == verdict.holds
+    assert report.verdict.to_json_dict() == verdict.to_json_dict()
+    assert report.nests_commute == nest_commutes(nest_demo, ["A1"], ["A3"]).equal
+    with pytest.raises(SchemaError, match=f"attribute name '{name}' already in use"):
+        report.commutation.first
+    # Unknown sets are still refused first, Z before X.
+    with pytest.raises(SchemaError, match=r"unknown attributes: \['Q'\]"):
+        nest_commutes(table, ["Q"], ["A3"])
+    with pytest.raises(SchemaError, match=r"unknown attributes: \['R'\]"):
+        nest_commutes(table, ["Q"], ["R"])
+
+
+def test_canonical_equal_is_false_on_other_attributes(nest_demo):
+    nested = nest(nest_demo, "B", ("A2", "A3"))
+    assert not canonical_equal(nest_demo, _renamed(nest_demo, "A2", "B2"))  # other names
+    plain = make_joint([("A1", "123"), ("B", "01")], [(("1", "0"), "1")])
+    assert not canonical_equal(nested, plain)  # B nested in one, plain in the other
+    assert not canonical_equal(plain, nested)
+
+
 def test_wi_nest_equivalence_random_sample():
     for table in util.random_tables(seed=77, count=40, sizes=((3, 2), (3, 3))):
         for x, z, y in util.tripartitions(table.schema.names, dedup=True):
@@ -256,7 +290,7 @@ def test_make_drops_zero_entries():
 
 
 def test_nested_cell_hash_and_equality():
-    a, b = Attribute("A", domain=("0", "1")), Attribute("B", domain=("0", "1"))
+    a, b = tables.Variable("A", ("0", "1")), tables.Variable("B", ("0", "1"))
     made = cell((a, b), {("0", "1"): "1/3", ("1", "0"): "2/3"})
     joint = make_joint(
         [("A", "01"), ("B", "01"), ("C", "01")],
@@ -364,9 +398,9 @@ def test_public_constructor_rejects_noncanonical_cells():
     ``NestedTable`` a cell whose attributes are not its attribute's inner ones,
     or whose inner key is not a tuple: a one-character string would pass the
     arity check, and ``unnest`` could not splice it."""
-    a = Attribute("A", domain=("0", "1"))
-    other = Attribute("C", domain=("0", "1"))
-    outer = Attribute("B", nested=(a,))
+    a = tables.Variable("A", ("0", "1"))
+    other = tables.Variable("C", ("0", "1"))
+    outer = Attribute("B", (a,))
     half = Fraction(1, 2)
     for rows in (
         {("0",): Fraction(1, 3)},  # mass 1/3, which unnest would pass on
@@ -422,9 +456,9 @@ def test_commutation_reports_match_eager_twin(table, data):
 def _commutation(commutes, table, x, z):
     try:
         report = commutes(table, x, z)
+        return report.equal, serialize_nested(report.first), serialize_nested(report.second)
     except WeakindError as exc:
         return type(exc), str(exc)
-    return report.equal, serialize_nested(report.first), serialize_nested(report.second)
 
 
 @given(shuffled_joint_tables(), st.data())
@@ -432,8 +466,9 @@ def _commutation(commutes, table, x, z):
 def test_nest_commutes_matches_eager_twin_on_nested_and_refused_inputs(table, data):
     """The one-pass decision agrees with the two-nest composition on tables nested
     once, with X or Z naming the nested attribute, on tables that already use the
-    name ``B1`` or ``B2``, and on empty, overlapping and unknown sets, whose
-    refusals it raises in the composition's order and words."""
+    name ``B1`` or ``B2``, and on empty, overlapping and unknown sets. Its refusals,
+    raised by the decision or by reading the report's tables, are the twin's, in
+    the twin's order and words."""
     names = list(table.schema.names)
     renamed = data.draw(st.sampled_from((None, None, "B1", "B2")))
     if renamed is not None:  # the first variable takes a name the nests use
