@@ -63,6 +63,24 @@ class AxiomStatement:
         if not (set(self.x) <= u and set(self.z) <= u and set(self.y) <= u):
             raise StatementError("statement mentions variables outside its universe")
 
+    @classmethod
+    def _built(cls, kind: str, x: frozenset[str], z: frozenset[str], y: frozenset[str],
+               universe: tuple[str, ...]) -> "AxiomStatement":
+        """A statement from parts already checked, skipping ``__post_init__``.
+
+        The caller guarantees what it would check: ``kind`` is ``CI`` or ``WI``,
+        and ``x``, ``z`` and ``y`` are frozensets of names in ``universe``. The
+        fields are set one at a time in declared order, as ``__init__`` sets
+        them, so every statement keeps the class's shared attribute layout.
+        """
+        stmt = object.__new__(cls)
+        object.__setattr__(stmt, "kind", kind)
+        object.__setattr__(stmt, "x", x)
+        object.__setattr__(stmt, "z", z)
+        object.__setattr__(stmt, "y", y)
+        object.__setattr__(stmt, "universe", universe)
+        return stmt
+
     @property
     def degenerate(self) -> bool:
         return not self.x or not self.z
@@ -319,6 +337,14 @@ def closure(
     X ⊆ Y repairs to WI(∅, U - Y | Y), the one applied, and both WI2
     conclusions on a popped WI(X, Z | Y) repair back to it, so WI2 only tags it.
 
+    WI3 runs semi-naively: a popped WI statement already tagged WI3 is not
+    expanded. Its tag came from expanding some WI(X, Z' | Y'), of which it is
+    WI(X, Z' - W | Y' ∪ W), and each of its own WI3 conclusions is one of that
+    statement's, so all of them are in the closure and tagged already. With
+    WI1 active, each WI1 statement is tagged WI3 as it is seeded: together they
+    are the WI3 conclusions of WI(∅, U | ∅), itself a WI1 statement, so the tags
+    are those its expansion would add, and no WI1 statement is expanded.
+
     CIWI2 runs semi-naively: its premises are fixed by a split (X, Z1, Z2,
     Y) of the universe, so each popped statement enumerates the subsets of
     its Y and looks up the other two premises among the popped canonical
@@ -345,7 +371,7 @@ def closure(
 
     def build(key: tuple) -> AxiomStatement:
         kind, x, z, y = key
-        return AxiomStatement(kind, sets[x], sets[z], sets[y], u)
+        return AxiomStatement._built(kind, sets[x], sets[z], sets[y], u)
 
     known: dict[tuple, AxiomStatement] = {}
     tags: dict[tuple, set[str]] = {}
@@ -355,7 +381,11 @@ def closure(
     def insert(literal: tuple, rule: str, rule_premises: tuple, inst: tuple) -> None:
         kind, x, z, y = literal
         key = (kind, x & ~y, z & ~y, y)
-        tags.setdefault(key, set()).add(rule)
+        tagged = tags.get(key)
+        if tagged is not None:  # every tagged key is known
+            tagged.add(rule)
+            return
+        tags[key] = {rule}
         if key in known:
             return
         fixed = known[key] = build(key)
@@ -377,7 +407,10 @@ def closure(
 
     if RULE_WI1 in active:
         for y in subsets_of(full):
-            insert((WI, 0, full & ~y, y), RULE_WI1, (), (("X", 0), ("Y", y)))
+            key = (WI, 0, full & ~y, y)
+            insert(key, RULE_WI1, (), (("X", 0), ("Y", y)))
+            if RULE_WI3 in active:  # the WI3 conclusions of WI(∅, U | ∅)
+                tags[key].add(RULE_WI3)
 
     # (X, Z) -> (pop position, key) for the popped canonical statements
     wi_index: dict[tuple[int, int], tuple[int, tuple]] = {}
@@ -398,9 +431,10 @@ def closure(
         found: list[tuple[tuple, tuple]] = []  # (scan order, CIWI2 premises)
         if kind == WI:
             wi_index[x, z] = (len(wi_index), current)
+            expanded = RULE_WI3 in tags.get(current, ())
             if RULE_WI2 in active:
                 tags.setdefault(current, set()).add(RULE_WI2)
-            if RULE_WI3 in active:
+            if RULE_WI3 in active and not expanded:
                 for w in subsets_of(z):
                     insert((WI, x, z & ~w, y | w), RULE_WI3, (current,), (("W", w),))
             if RULE_CIWI2 in active:

@@ -118,6 +118,15 @@ class NestedCell:
         return f"NestedCell(attributes={self.attributes!r}, rows={self.rows!r})"
 
 
+def _repeats_a_name(attributes: tuple[AnyAttribute, ...]) -> bool:
+    """Whether a name repeats among ``attributes`` or among the inner attributes
+    of any nested one, at any depth."""
+    names = {a.name for a in attributes}
+    return len(names) != len(attributes) or any(
+        _repeats_a_name(a.nested) for a in attributes if isinstance(a, Attribute)
+    )
+
+
 def _check_cell(cell: CellValue, attr: AnyAttribute) -> None:
     """A cell must fit its attribute; a nested cell's inner keys must fit the
     inner attributes, recursively. ``NestedCell`` makes every cell canonical."""
@@ -161,7 +170,7 @@ class NestedTable:
     rows: Mapping[RowKey, Fraction]
 
     def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.attributes):
+        if _repeats_a_name(self.attributes):
             raise SchemaError("duplicate attribute names")
         cleaned: dict[RowKey, Fraction] = {}
         for key, value in self.rows.items():

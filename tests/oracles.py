@@ -759,8 +759,9 @@ def _naive_load_records(reader):
 
 def naive_load_nested(text):
     """Twin of ``granular.load_nested``: builds every cell through
-    the public ``NestedCell``, then hands the rows to the public ``NestedTable``,
-    which checks domains, attribute names and every cell again."""
+    the public ``NestedCell``, refuses a name repeated at any level of the
+    attributes, then hands the rows to the public ``NestedTable``, which
+    checks domains, attribute names and every cell again."""
     doc = _parse_json(_read_source(text))
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ParseError("nested table document requires an 'attributes' field")
@@ -778,6 +779,12 @@ def naive_load_nested(text):
         if key in rows:
             raise SchemaError(f"duplicate row: {key}")
         rows[key] = _to_fraction(prob)
+    levels = [attributes]
+    while levels:
+        level = levels.pop()
+        if len({a.name for a in level}) != len(level):
+            raise SchemaError("duplicate attribute names")
+        levels.extend(a.nested for a in level if isinstance(a, Attribute))
     table = NestedTable(attributes, rows)
     total = sum(table.rows.values(), ZERO)
     if total != 1:

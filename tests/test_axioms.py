@@ -226,6 +226,22 @@ def test_closure_reads_rules_once():
     assert from_generator == from_tuple
 
 
+def bench_shaped_premises(seed, names, n_ci, count):
+    """Premises with one variable in X, one in Z and the rest in Y.
+
+    Unlike uniformly random roles at these sizes, such premises combine
+    through CIWI2. The first ``n_ci`` are CI, the rest WI.
+    """
+    rng = random.Random(seed)
+    kinds = ["CI"] * n_ci + ["WI"] * (count - n_ci)
+    premises: dict[tuple, AxiomStatement] = {}
+    while len(premises) < len(kinds):
+        kind = kinds[len(premises)]
+        x, z, *y = rng.sample(names, len(names))
+        premises.setdefault((kind, x, z), statement(kind, (x,), y, names))
+    return list(premises.values())
+
+
 @st.composite
 def closure_inputs(draw):
     """Premise sets over 3-5 variables, with a random subset of the rules.
@@ -285,6 +301,31 @@ def closure_inputs(draw):
     U4,
     ("WI2", "WI3", "CIWI1", "CIWI2"),
 ))
+@example((  # WI3 without WI1: every skipped expansion rests on an earlier one
+    bench_shaped_premises(1, tuple("ABCDE"), 8, 20), tuple("ABCDE"), ("WI3", "CIWI1", "CIWI2"),
+))
+@example((  # WI1 without WI3: the WI1 statements get no WI3 tag
+    bench_shaped_premises(2, U4, 4, 10), U4, ("WI1", "WI2", "CIWI1", "CIWI2"),
+))
+@example((  # a premise equal to WI(∅, U | ∅), whose WI3 conclusions are the WI1 statements
+    [statement("WI", (), (), U4), statement("CI", ("A",), ("B",), U4)], U4, axioms.ALL_RULES,
+))
+@example((  # the same premise without WI1: its WI3 expansion derives those statements
+    [statement("WI", (), (), U4), statement("CI", ("A",), ("B",), U4)], U4,
+    ("WI3", "CIWI1", "CIWI2"),
+))
+@example((  # a WI premise that is a WI3 conclusion of an earlier premise
+    [statement("WI", ("A",), (), U4), statement("WI", ("A",), ("D",), U4),
+     statement("CI", ("B",), ("A", "D"), U4)],
+    U4,
+    axioms.ALL_RULES,
+))
+@example((  # the same premises, the WI3 conclusion listed first
+    [statement("WI", ("A",), ("D",), U4), statement("WI", ("A",), (), U4),
+     statement("CI", ("B",), ("A", "D"), U4)],
+    U4,
+    axioms.ALL_RULES,
+))
 @settings(max_examples=150, deadline=None)
 def test_closure_matches_naive(case):
     premises, names, rules = case
@@ -293,22 +334,6 @@ def test_closure_matches_naive(case):
     assert indexed == naive
     assert indexed.to_json_dict() == naive.to_json_dict()
     assert set(indexed.derived_rules) <= indexed.statements
-
-
-def bench_shaped_premises(seed, names, n_ci, count):
-    """Premises with one variable in X, one in Z and the rest in Y.
-
-    Unlike uniformly random roles at these sizes, such premises combine
-    through CIWI2. The first ``n_ci`` are CI, the rest WI.
-    """
-    rng = random.Random(seed)
-    kinds = ["CI"] * n_ci + ["WI"] * (count - n_ci)
-    premises: dict[tuple, AxiomStatement] = {}
-    while len(premises) < len(kinds):
-        kind = kinds[len(premises)]
-        x, z, *y = rng.sample(names, len(names))
-        premises.setdefault((kind, x, z), statement(kind, (x,), y, names))
-    return list(premises.values())
 
 
 def test_closure_matches_naive_at_universe_6():
@@ -320,6 +345,19 @@ def test_closure_matches_naive_at_universe_6():
     assert result == oracles.naive_closure(premises, names)
 
 
+def test_closure_matches_naive_at_universe_6_without_wi1():
+    # The same premises under WI3 without WI1: no WI3 tag comes in closed form.
+    names = tuple("ABCDEF")
+    premises = bench_shaped_premises(6, names, 16, 40)
+    rules = ("WI3", "CIWI1", "CIWI2")
+    result = closure(premises, names, rules)
+    assert any(t.rule == "WI3" for t in result.traces)
+    assert any(t.rule == "CIWI2" for t in result.traces)
+    naive = oracles.naive_closure(premises, names, rules)
+    assert result == naive
+    assert result.to_json_dict() == naive.to_json_dict()
+
+
 def test_closure_at_max_universe():
     names = tuple("ABCDEFGH")
     assert len(names) == axioms.MAX_UNIVERSE
@@ -327,6 +365,11 @@ def test_closure_at_max_universe():
     assert any(t.rule == "CIWI2" for t in result.traces)
     assert all(replay_trace(t) for t in result.traces)
     assert oracles.missing_conclusions(result.statements, names) == []
+
+
+def test_statement_display():
+    assert statement("WI", ("A",), (), U3).display() == "WI(A ⊥ BC | ∅)"
+    assert AxiomStatement("CI", fs("A"), fs("A", "B"), fs("B"), U4).display() == "CI(A ⊥ AB | B)"
 
 
 def test_statement_json_round_trip():
@@ -466,6 +509,8 @@ def test_probe_reads_verdicts_by_membership(monkeypatch):
     )
     assert patched.evaluated == report.evaluated + 4
     assert patched.vacuous == report.vacuous and patched.repaired == 0
+    docs = patched.to_json_dict()["violations"]
+    assert [doc["display"] for doc in docs] == [v.statement.display() for v in patched.violations]
 
 
 def _canonical_statements(universe):

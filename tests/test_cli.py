@@ -229,6 +229,42 @@ def test_nested_documents_check_plain_domains_as_tables_do(tmp_path, domain, inn
         assert result.output == f"Error: {want.value}\n", (args, result.output)
 
 
+def _nesting(name, inner):
+    """A nested attribute document over ``inner`` and a cell of it holding one
+    row of each inner attribute's first value."""
+    attrs, cells = zip(*inner)
+    return {"name": name, "nested": list(attrs)}, [{"config": list(cells), "P(Y)": "1"}]
+
+
+@pytest.mark.parametrize("depth", ["inner", "inner-with-nested-left", "two-levels"])
+def test_nested_documents_refuse_a_repeated_inner_name(tmp_path, depth):
+    """Names are distinct at every level of a nested table: ``B`` nesting ``C``
+    and ``C`` is refused at load, and by the public ``NestedTable(...)``."""
+    plain_c = ({"name": "C", "domain": ["0", "1"]}, "0")
+    b = _nesting("B", [plain_c, plain_c])
+    if depth == "two-levels":
+        b = _nesting("B", [_nesting("D", [plain_c, plain_c])])
+    attributes = [{"name": "A", "domain": ["0", "1"]}, b[0]]
+    cells = ["0", b[1]]
+    if depth == "inner-with-nested-left":
+        e = _nesting("E", [({"name": "F", "domain": ["0"]}, "0")])
+        attributes.append(e[0])
+        cells.append(e[1])
+    text = json.dumps({"attributes": attributes, "rows": [{"cells": cells, "p": "1"}]})
+    for load in (granular.load_nested, naive_load_nested):
+        with pytest.raises(SchemaError, match="^duplicate attribute names$"):
+            load(text)
+    inner = (tables.Variable("C", ("0", "1")),) * 2
+    with pytest.raises(SchemaError, match="^duplicate attribute names$"):
+        granular.NestedTable((granular.Attribute("B", inner),), {})
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    for args in (["nest", "--by", "A", "--as", "Q"], ["unnest", "--attr", "B"]):
+        result = run(*args, str(path))
+        assert result.exit_code == 2, args
+        assert result.output == "Error: duplicate attribute names\n", (args, result.output)
+
+
 def test_enumerate_report():
     result = run("enumerate", "--kinds", "wi", str(DATA / "wi_cpt.json"))
     doc = json.loads(result.output)
