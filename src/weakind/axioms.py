@@ -351,7 +351,10 @@ def closure(
     statements, indexed by (X, Z): at most 2·2^|Y| lookups per pop, not a
     scan of all WI×CI (or WI×WI) pairs. Subsets come by size, then by name,
     as the literal rules enumerate them, and matches fire in the scan's
-    order, so the traces equal those of the naive evaluation.
+    order, so the traces equal those of the naive evaluation. On canonical
+    keys each match already has ``apply_ciwi2``'s shape: a premise WI(X, Z2 | Y1)
+    found with WI(X, Z1 | ·), Z1 ⊆ Y1, and CI(Z1 ⊥ Z2 | ·) concludes
+    WI(X, Z1 ∪ Z2 | Y1 - Z1), inserted as found.
     """
     u = _names(universe)
     if len(u) > MAX_UNIVERSE:
@@ -416,19 +419,12 @@ def closure(
     wi_index: dict[tuple[int, int], tuple[int, tuple]] = {}
     ci_index: dict[tuple[int, int], tuple[int, tuple]] = {}
 
-    def fire_ciwi2(a: tuple, b: tuple, c: tuple) -> None:
-        """``apply_ciwi2`` on keys: its shape test, then its conclusion."""
-        (_, x, z2, a_y), (_, b_x, z1, b_y) = a, b
-        y = a_y & ~z1
-        if b_x == x and not z1 & ~a_y and b_y == y | z2 and c[1:] == (z1, z2, y | x):
-            insert((WI, x, z1 | z2, y), RULE_CIWI2, (a, b, c), (("Z1", z1), ("Z2", z2)))
-
     while worklist:
         current = worklist.popleft()
         kind, x, z, y = current
         if x & y or z & y or x & z or x | z | y != full:
             continue  # not canonical
-        found: list[tuple[tuple, tuple]] = []  # (scan order, CIWI2 premises)
+        found: list[tuple[tuple, tuple]] = []  # (scan order, CIWI2 split and premises)
         if kind == WI:
             wi_index[x, z] = (len(wi_index), current)
             expanded = RULE_WI3 in tags.get(current, ())
@@ -447,10 +443,10 @@ def closure(
                     pos, other = wi_index[x, w]
                     if (w, z) in ci_index:
                         ci_pos, ci = ci_index[w, z]
-                        found.append(((pos, ci_pos), (current, other, ci)))
+                        found.append(((pos, ci_pos), (x, w, z, y & ~w, (current, other, ci))))
                     if (z, w) in ci_index and other != current:
                         ci_pos, ci = ci_index[z, w]
-                        found.append(((pos, ci_pos), (other, current, ci)))
+                        found.append(((pos, ci_pos), (x, z, w, y & ~w, (other, current, ci))))
         else:
             ci_index[x, z] = (len(ci_index), current)
             if RULE_CIWI1 in active:
@@ -460,9 +456,9 @@ def closure(
                     if (w, z) in wi_index and (w, x) in wi_index:
                         pos_a, a = wi_index[w, z]
                         pos_b, b = wi_index[w, x]
-                        found.append(((pos_a, pos_b), (a, b, current)))
-        for _, triple in sorted(found, key=lambda c: c[0]):
-            fire_ciwi2(*triple)
+                        found.append(((pos_a, pos_b), (w, x, z, y & ~w, (a, b, current))))
+        for _, (left, z1, z2, given, triple) in sorted(found, key=lambda c: c[0]):
+            insert((WI, left, z1 | z2, given), RULE_CIWI2, triple, (("Z1", z1), ("Z2", z2)))
 
     derived_rules = {known[key]: frozenset(tagged) for key, tagged in tags.items()}
     return ClosureResult(u, frozenset(known.values()), tuple(traces), derived_rules)

@@ -8,7 +8,8 @@ previously nested cells participate in the grouping key. A plain attribute
 is a ``tables.Variable``, checked as a table's is; an ``Attribute`` is a
 nested one. A nested cell is identified by its gcd-reduced integer weights,
 so that comparison is on integers; a cell's sorted ``Fraction`` rows are
-built only when read.
+built only when read. ``nest`` is the one nest builder: ``nest_commutes``
+decides on integer weights alone, and its report nests through ``nest``.
 
 All equality here is exact; there is no tolerance parameter anywhere in
 this module.
@@ -267,18 +268,18 @@ def nest(
     attributes; its outer probability is the exact group sum and its cell
     holds the group's projections with probabilities normalized by that sum.
     The new attribute takes the position of the first coarsened attribute.
+    Groups are summed, and cells made, on the rows' integer weights.
     """
     attributes, lcm, rows = _weighted(table)
-    return _scaled(*_nest(attributes, rows, b_name, names), lcm)
-
-
-def _nest(attributes: tuple[AnyAttribute, ...], rows: dict, b_name: str, names):
-    """``nest`` on integer masses: rows of integer weights in, the new
-    attributes and each output row's group weight out, at the same scale."""
     wanted = set(names)
     order = [a.name for a in attributes]
     present = set(order)
-    _check_nest(present, b_name, wanted)
+    if not wanted:
+        raise SchemaError("cannot nest an empty attribute set")
+    if wanted - present:
+        raise SchemaError(f"unknown attributes: {sorted(wanted - present)}")
+    if b_name in present:
+        raise SchemaError(f"attribute name {b_name!r} already in use")
     outer_of, inner_of = projector(order, present - wanted), projector(order, wanted)
     inner_attrs = inner_of(attributes)
     insert_at = order.index(inner_attrs[0].name)
@@ -290,25 +291,11 @@ def _nest(attributes: tuple[AnyAttribute, ...], rows: dict, b_name: str, names):
 
     new_attrs = list(outer_of(attributes))
     new_attrs.insert(insert_at, Attribute(b_name, inner_attrs))
-    nested: dict[RowKey, int] = {}
+    nested: dict[RowKey, Fraction] = {}
     for outer, bucket in groups.items():
-        cell = NestedCell._of(inner_attrs, bucket)
-        nested[outer[:insert_at] + (cell,) + outer[insert_at:]] = sum(bucket.values())
-    return tuple(new_attrs), nested
-
-
-def _check_nest(present: set[str], b_name: str, wanted: set[str]) -> None:
-    """``nest``'s refusals, in order, for nesting ``wanted`` as ``b_name`` over ``present``."""
-    if not wanted:
-        raise SchemaError("cannot nest an empty attribute set")
-    if wanted - present:
-        raise SchemaError(f"unknown attributes: {sorted(wanted - present)}")
-    if b_name in present:
-        raise SchemaError(f"attribute name {b_name!r} already in use")
-
-
-def _scaled(attributes: tuple[AnyAttribute, ...], rows: dict, lcm: int) -> NestedTable:
-    return NestedTable._built(attributes, {k: Fraction(w, lcm) for k, w in rows.items()})
+        key = outer[:insert_at] + (NestedCell._of(inner_attrs, bucket),) + outer[insert_at:]
+        nested[key] = Fraction(sum(bucket.values()), lcm)
+    return NestedTable._built(tuple(new_attrs), nested)
 
 
 def unnest(table: NestedTable, b_name: str) -> Table | NestedTable:
@@ -366,20 +353,15 @@ def canonical_equal(a: Table | NestedTable, b: Table | NestedTable) -> bool:
 
 @dataclass(frozen=True)
 class NestCommutationReport:
-    """Whether both nest orders agree, and the integer rows over ``lcm`` they nest; ``first``
-    (nest Z, then X) and ``second`` (X, then Z) are ``Fraction`` tables nested when read."""
+    """Whether nesting X as ``B1`` and Z as ``B2`` commutes on ``table``. ``first`` (nest
+    Z, then X) and ``second`` (X, then Z) are built through ``nest`` only when read."""
 
     equal: bool
-    lcm: int
-    attributes: tuple[AnyAttribute, ...]
-    rows: Mapping[RowKey, int]
+    table: Table | NestedTable
     x: frozenset[str]
     z: frozenset[str]
-    first = cached_property(lambda self: self._nested(("B2", self.z), ("B1", self.x)))
-    second = cached_property(lambda self: self._nested(("B1", self.x), ("B2", self.z)))
-
-    def _nested(self, once: tuple, twice: tuple) -> NestedTable:
-        return _scaled(*_nest(*_nest(self.attributes, self.rows, *once), *twice), self.lcm)
+    first = cached_property(lambda self: nest(nest(self.table, "B2", self.z), "B1", self.x))
+    second = cached_property(lambda self: nest(nest(self.table, "B1", self.x), "B2", self.z))
 
     def to_json_dict(self) -> dict:
         return {
@@ -403,7 +385,7 @@ def nest_commutes(
         raise SchemaError("both attribute sets must be nonempty")
     if xs & zs:
         raise SchemaError("attribute sets overlap")
-    attributes, lcm, rows = _weighted(table)
+    attributes, _, rows = _weighted(table)
     order = [a.name for a in attributes]
     present = set(order)
     for names in (zs, xs):
@@ -416,7 +398,7 @@ def nest_commutes(
         by_xy.setdefault((x_key, y_key), {})[z_key] = w
         by_zy.setdefault((z_key, y_key), {})[x_key] = w
     equal = _nested_masses(by_xy, False) == _nested_masses(by_zy, True)
-    return NestCommutationReport(equal, lcm, attributes, rows, frozenset(xs), frozenset(zs))
+    return NestCommutationReport(equal, table, frozenset(xs), frozenset(zs))
 
 
 def _nested_masses(buckets: dict, flip: bool) -> dict:

@@ -27,16 +27,15 @@ cell's sorted ``Fraction`` rows only when they are read. ``nest_commutes``
 decides in one pass over integer weights, building no cell; its answer is
 checked against ``canonical_equal`` of the two naive double nests.
 
-``naive_nest_commutes`` is ``nest_commutes`` as it was before it decided in
-one pass: it copies the rows, computes their ``common_weights`` per call, runs
-both orders through two ``granular._nest`` calls each, builds both ``Fraction``
-tables at once and compares those. It refuses empty and overlapping sets, a
+``naive_nest_commutes`` decides by building both orders at once, each as two
+``naive_nest`` calls, and comparing the two ``Fraction`` tables; it shares no
+nest code with the package. It refuses empty and overlapping sets, a
 non-joint table, an unknown Z and an unknown X, in that order, before it
 nests; a table already using ``B2`` or ``B1`` is then refused by the nests.
 The package reads the weights cached as ``Table.weights``, compares its two
-maps of (Y, X cell, Z cell) to mass without reading a name, and nests the
-report's ``first`` and ``second`` tables, with those two refusals, only when
-they are read.
+maps of (Y, X cell, Z cell) to mass without reading a name, and builds the
+report's ``first`` and ``second`` tables through the public ``nest``, with
+those two refusals, only when they are read.
 
 ``naive_strong_check`` and ``naive_class_report`` are the twins of the
 checkers' inner steps ``independence._strong_check`` and
@@ -115,7 +114,7 @@ from weakind.errors import (
     SchemaError,
     StatementError,
 )
-from weakind.granular import Attribute, NestedCell, NestedTable, _nest, _scaled
+from weakind.granular import Attribute, NestedCell, NestedTable
 from weakind.independence import (
     ClassCounterexample,
     ClassReport,
@@ -133,7 +132,6 @@ from weakind.tables import (
     _parse_json,
     _read_source,
     _to_fraction,
-    common_weights,
 )
 
 ZERO = Fraction(0)
@@ -282,7 +280,7 @@ class NaiveCommutation:
 
 
 def naive_nest_commutes(table, x, z, b_x="B1", b_z="B2"):
-    """Eager twin of ``granular.nest_commutes``: per-call weights, both tables built."""
+    """Eager twin of ``granular.nest_commutes``: both ``naive_nest`` compositions, built."""
     xs, zs = set(x), set(z)
     if not xs or not zs:
         raise SchemaError("both attribute sets must be nonempty")
@@ -296,10 +294,8 @@ def naive_nest_commutes(table, x, z, b_x="B1", b_z="B2"):
         unknown = names - set(table.names)
         if unknown:
             raise SchemaError(f"unknown attributes: {sorted(unknown)}")
-    lcm, weights = common_weights(table.rows.values())
-    rows = dict(zip(table.rows, weights))
-    first = _scaled(*_nest(*_nest(table.attributes, rows, b_z, zs), b_x, xs), lcm)
-    second = _scaled(*_nest(*_nest(table.attributes, rows, b_x, xs), b_z, zs), lcm)
+    first = naive_nest(naive_nest(table, b_z, zs), b_x, xs)
+    second = naive_nest(naive_nest(table, b_x, xs), b_z, zs)
     return NaiveCommutation(first.rows == second.rows, first, second)
 
 

@@ -826,3 +826,19 @@ def test_write_json_rejects_other_types_like_json_dumps(data):
         oracles.naive_write_json(doc)
     with pytest.raises(TypeError):
         tables.write_json(doc)
+
+
+def test_random_joint_table_gives_an_all_zero_draw_one_row():
+    """When every drawn weight is 0, one configuration, picked by ``randrange``,
+    takes weight 1: the table still has mass 1, on exactly one row."""
+
+    class ZeroWeights:
+        def randint(self, low, high):
+            return 0
+
+        def randrange(self, stop):
+            return stop - 1
+
+    table = tables.random_joint_table(ZeroWeights(), [("A", 2), ("B", 3)])
+    assert table.kind == tables.JOINT
+    assert dict(table.rows) == {("1", "2"): Fraction(1)}
