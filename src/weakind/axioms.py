@@ -18,10 +18,8 @@ literal rule readings and are reported, never suppressed.
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import independence
 from .errors import LimitError, RuleShapeError, StatementError
@@ -46,40 +44,52 @@ def _names(values: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set(values)))
 
 
-@dataclass(frozen=True)
-class AxiomStatement:
-    """kind(x independent of z given y) over a fixed universe."""
-
+class _AxiomFields(NamedTuple):
     kind: str
     x: frozenset[str]
     z: frozenset[str]
     y: frozenset[str]
     universe: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in (CI, WI):
-            raise StatementError(f"unknown statement kind {self.kind!r}")
-        u = set(self.universe)
-        if not (set(self.x) <= u and set(self.z) <= u and set(self.y) <= u):
+
+class AxiomStatement(_AxiomFields):
+    """kind(x independent of z given y) over a fixed universe.
+
+    A tuple of its fields that checks them when built. It is unequal to any
+    object of another class, on either side of ``==``, except one of a tuple
+    subclass unrelated to it on the left, whose own tuple comparison runs
+    first. The hash is the tuple's, computed in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, x: frozenset[str], z: frozenset[str], y: frozenset[str],
+                universe: tuple[str, ...]) -> "AxiomStatement":
+        if kind not in (CI, WI):
+            raise StatementError(f"unknown statement kind {kind!r}")
+        u = set(universe)
+        if not (set(x) <= u and set(z) <= u and set(y) <= u):
             raise StatementError("statement mentions variables outside its universe")
+        return tuple.__new__(cls, (kind, x, z, y, universe))
 
     @classmethod
     def _built(cls, kind: str, x: frozenset[str], z: frozenset[str], y: frozenset[str],
                universe: tuple[str, ...]) -> "AxiomStatement":
-        """A statement from parts already checked, skipping ``__post_init__``.
+        """A statement from parts already checked, skipping ``__new__``'s checks.
 
         The caller guarantees what it would check: ``kind`` is ``CI`` or ``WI``,
-        and ``x``, ``z`` and ``y`` are frozensets of names in ``universe``. The
-        fields are set one at a time in declared order, as ``__init__`` sets
-        them, so every statement keeps the class's shared attribute layout.
+        and ``x``, ``z`` and ``y`` are frozensets of names in ``universe``.
         """
-        stmt = object.__new__(cls)
-        object.__setattr__(stmt, "kind", kind)
-        object.__setattr__(stmt, "x", x)
-        object.__setattr__(stmt, "z", z)
-        object.__setattr__(stmt, "y", y)
-        object.__setattr__(stmt, "universe", universe)
-        return stmt
+        return tuple.__new__(cls, (kind, x, z, y, universe))
+
+    # Not ``NotImplemented``: a plain tuple's comparison would then run, and match.
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     @property
     def degenerate(self) -> bool:
@@ -248,8 +258,7 @@ def apply_ciwi2(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
+class DerivationTrace(NamedTuple):
     statement: AxiomStatement  # canonical form inserted into the closure
     literal: AxiomStatement  # the rule's literal conclusion
     rule: str
@@ -268,8 +277,7 @@ class DerivationTrace:
         }
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     universe: tuple[str, ...]
     statements: frozenset[AxiomStatement]
     traces: tuple[DerivationTrace, ...]
@@ -504,8 +512,7 @@ def semantic_statements(table: Table) -> frozenset[AxiomStatement]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ProbeViolation:
+class ProbeViolation(NamedTuple):
     trial: int
     rule: str
     statement: AxiomStatement
@@ -521,8 +528,7 @@ class ProbeViolation:
         }
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     trials: int
     variables: int
     domain_size: int
@@ -584,6 +590,8 @@ def soundness_probe(
     if trials * statements * configs > MAX_PROBE_WORK:
         work = f"{trials} trials × {statements} statements × {configs} configurations"
         raise LimitError(f"{work} exceeds bound {MAX_PROBE_WORK} on probe work")
+    import random  # on first use, so that importing the package does not load it
+
     active = _active_rules(rules)
     rng = random.Random(seed)
     names = [chr(ord("A") + i) for i in range(variables)]

@@ -26,4 +26,5 @@ class RuleShapeError(WeakindError):
 
 
 class LimitError(WeakindError):
-    """A configured enumeration or universe bound was exceeded."""
+    """A configured enumeration or universe bound was exceeded, or a requested
+    bound or count is not a nonnegative integer."""

@@ -18,12 +18,12 @@ this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import independence
+from ._frozen import Frozen
 from .errors import NormalizationError, ParseError, SchemaError
 from .partitions import projector
 from .tables import (
@@ -47,16 +47,18 @@ RowKey = tuple  # tuple[CellValue, ...]
 AnyAttribute = Union[Variable, "Attribute"]  # a plain attribute or a nested one
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(Frozen):
     """A nested attribute: a name over inner attributes, each a ``Variable`` or nested."""
 
+    _fields = ("name", "nested")
     name: str
     nested: tuple[AnyAttribute, ...]
 
+    def __init__(self, name: str, nested: tuple[AnyAttribute, ...]) -> None:
+        vars(self).update(name=name, nested=nested)
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class NestedCell:
+
+class NestedCell(Frozen):
     """A normalized sub-distribution stored inside one outer row.
 
     ``NestedCell(attributes, rows)`` takes a mapping from inner key to
@@ -67,6 +69,7 @@ class NestedCell:
     canonical (sorted) order, is built from the weights on first read.
     """
 
+    __slots__ = ("attributes", "weights", "_hash", "_rows")
     attributes: tuple[AnyAttribute, ...]
     weights: Mapping[RowKey, int]
     _hash: int
@@ -95,6 +98,13 @@ class NestedCell:
         cell = object.__new__(cls)
         cell._set(attributes, weights)
         return cell
+
+    # For pickle and copy: the hash is made again, as a str hash differs between runs.
+    def __getstate__(self) -> tuple:
+        return self.attributes, self.weights
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
 
     @property
     def rows(self) -> tuple[tuple[RowKey, Fraction], ...]:
@@ -163,14 +173,21 @@ def _value_sort_key(value: CellValue) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class NestedTable:
+class NestedTable(Frozen):
     """Rows keyed by mixed plain/nested cell values, with exact probabilities."""
 
+    _fields = ("attributes", "rows")
     attributes: tuple[AnyAttribute, ...]
     rows: Mapping[RowKey, Fraction]
 
+    def __init__(self, attributes: tuple[AnyAttribute, ...],
+                 rows: Mapping[RowKey, Fraction]) -> None:
+        vars(self).update(attributes=attributes, rows=rows)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        """Check the fields ``__init__`` stored; its own method, so that the bench's
+        tracer can time it as ``granular.build``."""
         if _repeats_a_name(self.attributes):
             raise SchemaError("duplicate attribute names")
         cleaned: dict[RowKey, Fraction] = {}
@@ -186,21 +203,20 @@ class NestedTable:
                 raise SchemaError(f"duplicate row: {key}")
             if value > 0:
                 cleaned[key] = value
-        object.__setattr__(self, "rows", cleaned)
+        vars(self)["rows"] = cleaned
 
     @classmethod
     def _built(
         cls, attributes: tuple[AnyAttribute, ...], rows: dict[RowKey, Fraction]
     ) -> "NestedTable":
-        """A table from rows this module built, skipping ``__post_init__``.
+        """A table from rows this module built, skipping ``__init__``'s checks.
 
         The caller guarantees what it would check: distinct attribute names,
         keys whose cells fit the attributes, and positive ``Fraction`` values.
         ``rows``, which may be a joint ``Table``'s own, is never mutated.
         """
         table = object.__new__(cls)
-        object.__setattr__(table, "attributes", attributes)
-        object.__setattr__(table, "rows", rows)
+        vars(table).update(attributes=attributes, rows=rows)
         return table
 
     @property
@@ -351,15 +367,20 @@ def canonical_equal(a: Table | NestedTable, b: Table | NestedTable) -> bool:
     return dict(na.rows) == aligned
 
 
-@dataclass(frozen=True)
-class NestCommutationReport:
+class NestCommutationReport(Frozen):
     """Whether nesting X as ``B1`` and Z as ``B2`` commutes on ``table``. ``first`` (nest
     Z, then X) and ``second`` (X, then Z) are built through ``nest`` only when read."""
 
+    _fields = ("equal", "table", "x", "z")
     equal: bool
     table: Table | NestedTable
     x: frozenset[str]
     z: frozenset[str]
+
+    def __init__(self, equal: bool, table: Table | NestedTable, x: frozenset[str],
+                 z: frozenset[str]) -> None:
+        vars(self).update(equal=equal, table=table, x=x, z=z)
+
     first = cached_property(lambda self: nest(nest(self.table, "B2", self.z), "B1", self.x))
     second = cached_property(lambda self: nest(nest(self.table, "B1", self.x), "B2", self.z))
 
@@ -417,8 +438,7 @@ def _cell_key(weights: dict[RowKey, int]) -> frozenset:
     return frozenset(weights.items() if g == 1 else ((k, w // g) for k, w in weights.items()))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Agreement between the weak-independence verdict and nest commutativity."""
 
     wi_holds: bool

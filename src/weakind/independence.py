@@ -28,10 +28,9 @@ Semantics notes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import LimitError, StatementError
 from .partitions import (
@@ -54,8 +53,7 @@ MAX_UNIVERSE = 8  # variables; enumeration walks up to 4**n role vectors
 MAX_STATEMENTS = 20_000  # enumerated statements, counted before the first check
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """An independence statement between disjoint variable sets."""
 
     kind: str
@@ -77,8 +75,7 @@ class Statement:
         return doc
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """Two conditional values that ought to agree but do not."""
 
     x: Config
@@ -99,8 +96,7 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
-class StrongCertificate:
+class StrongCertificate(NamedTuple):
     comparisons: int
     vacuous: int
     context_in_support: bool
@@ -115,8 +111,7 @@ class StrongCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ClassCounterexample:
+class ClassCounterexample(NamedTuple):
     x: Config
     z: Config
     value: Fraction
@@ -135,8 +130,7 @@ class ClassCounterexample:
         }
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """One composed equivalence class with its projected domains."""
 
     labels: tuple[str, ...]
@@ -159,8 +153,7 @@ class ClassReport:
         }
 
 
-@dataclass(frozen=True)
-class WeakCertificate:
+class WeakCertificate(NamedTuple):
     support_labels: tuple[str, ...]
     commutes: bool
     witness: tuple[str, str] | None
@@ -177,8 +170,7 @@ class WeakCertificate:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     statement: Statement
     holds: bool
     certificate: StrongCertificate | WeakCertificate
@@ -526,14 +518,12 @@ def replay(table: Table, verdict: Verdict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_contexts: int | None = None
     max_statements: int | None = None
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     verdicts: tuple[Verdict, ...]
     truncated: bool
 
@@ -554,7 +544,8 @@ def enumerate_statements(
     role vectors are produced lexicographically, followed by context values
     in domain order. Statements that a conditional-shaped table cannot
     express (X not equal to its target-set) are skipped. A table of more
-    than ``MAX_UNIVERSE`` variables raises ``LimitError`` before any vector.
+    than ``MAX_UNIVERSE`` variables, or a limit that is not a nonnegative
+    integer or ``None``, raises ``LimitError`` before any vector.
     So do more than ``MAX_STATEMENTS`` statements, counted from the vectors
     and their declared context products (each capped at ``max_contexts``)
     before the first check, unless ``max_statements`` is at most that bound.
@@ -569,6 +560,9 @@ def enumerate_statements(
         raise LimitError(f"table of {len(names)} variables exceeds bound {MAX_UNIVERSE}")
     domain = {v.name: v.domain for v in schema.variables}
     cap, most = limits.max_contexts, limits.max_statements
+    for field, bound in zip(Limits._fields, limits):
+        if bound is not None and not (isinstance(bound, int) and bound >= 0):
+            raise LimitError(f"{field} must be a nonnegative integer or None, not {bound!r}")
     # (checker, sets by role, context variables in schema order) per vector.
     vectors = []
     count, truncated = 0, False

@@ -12,11 +12,11 @@ projected domains, the strong and class checks, table validation and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .errors import SchemaError
 
 Config = tuple[str, ...]
@@ -40,17 +40,19 @@ def projector(
     return itemgetter(*positions) if positions else lambda row: ()
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(Frozen):
     """Ordered, indexed list of distinct positive-probability configurations."""
 
+    _fields = ("variables", "rows")
     variables: tuple[str, ...]
     rows: tuple[tuple[str, Config], ...]  # (label, config), index = position
 
-    def __post_init__(self) -> None:
-        for _, cfg in self.rows:
-            if len(cfg) != len(self.variables):
+    def __init__(self, variables: tuple[str, ...],
+                 rows: tuple[tuple[str, Config], ...]) -> None:
+        for _, cfg in rows:
+            if len(cfg) != len(variables):
                 raise SchemaError("support row arity does not match variables")
+        vars(self).update(variables=variables, rows=rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -68,8 +70,7 @@ class SupportSet:
         return {}
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A partition of the support indices ``0 .. n-1`` as a block-id array.
 
     ``ids[i]`` is index i's block number, with blocks numbered from 0 in
@@ -77,7 +78,11 @@ class Partition:
     ``blocks`` lists the same blocks as sets of indices, in that order.
     """
 
+    _fields = ("ids",)
     ids: tuple[int, ...]
+
+    def __init__(self, ids: tuple[int, ...]) -> None:
+        vars(self)["ids"] = ids
 
     @property
     def n(self) -> int:
@@ -91,8 +96,7 @@ class Partition:
         return tuple(map(frozenset, groups.values()))
 
 
-@dataclass(frozen=True)
-class CommutationResult:
+class CommutationResult(NamedTuple):
     commutes: bool
     join: Partition | None
     witness: tuple[int, int] | None  # pair present in exactly one composition

@@ -15,22 +15,22 @@ Three table kinds are supported:
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
 import json
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from operator import getitem, itemgetter
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .errors import LimitError, NormalizationError, ParseError, SchemaError, WeakindError
 from .partitions import SupportSet, projector
+
+if TYPE_CHECKING:
+    import random
 
 Config = tuple[str, ...]
 
@@ -47,26 +47,28 @@ _DIGITS_CAP = 10**MAX_LITERAL_DIGITS
 _esc = encode_basestring_ascii  # json.dumps's escaper under ensure_ascii
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Frozen):
+    _fields = ("name", "domain")
     name: str
     domain: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.domain:
-            raise SchemaError(f"variable {self.name!r} has an empty domain")
-        if len(set(self.domain)) != len(self.domain):
-            raise SchemaError(f"variable {self.name!r} has duplicate domain values")
+    def __init__(self, name: str, domain: tuple[str, ...]) -> None:
+        if not domain:
+            raise SchemaError(f"variable {name!r} has an empty domain")
+        if len(set(domain)) != len(domain):
+            raise SchemaError(f"variable {name!r} has duplicate domain values")
+        vars(self).update(name=name, domain=domain)
 
 
-@dataclass(frozen=True)
-class VariableSchema:
+class VariableSchema(Frozen):
+    _fields = ("variables",)
     variables: tuple[Variable, ...]
 
-    def __post_init__(self) -> None:
-        names = [v.name for v in self.variables]
+    def __init__(self, variables: tuple[Variable, ...]) -> None:
+        names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate variable names in schema")
+        vars(self)["variables"] = variables
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -224,8 +226,7 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     config: Config | None = None
@@ -237,8 +238,7 @@ class Violation:
         return doc
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -252,8 +252,7 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Frozen):
     """Immutable mapping from full configurations to exact probabilities.
 
     Absent configurations read as zero. Explicit zero rows are accepted on
@@ -265,13 +264,23 @@ class Table:
     must never be mutated.
     """
 
+    _fields = ("schema", "rows", "kind", "targets", "givens")
     schema: VariableSchema
     rows: Mapping[Config, Fraction]
-    kind: str = JOINT
-    targets: tuple[str, ...] | None = None
-    givens: tuple[str, ...] | None = None
+    kind: str
+    targets: tuple[str, ...] | None
+    givens: tuple[str, ...] | None
+
+    def __init__(self, schema: VariableSchema, rows: Mapping[Config, Fraction],
+                 kind: str = JOINT, targets: tuple[str, ...] | None = None,
+                 givens: tuple[str, ...] | None = None) -> None:
+        vars(self).update(schema=schema, rows=rows, kind=kind, targets=targets,
+                          givens=givens)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the fields ``__init__`` stored; its own method, so that the bench's
+        tracer can time it as ``tables.build``."""
         targets, givens = _check_fields(self.schema, self.kind, self.targets, self.givens)
         rows = _row_by_row(self.schema, self.rows.items())
         vars(self).update(rows=rows, targets=targets, givens=givens)
@@ -279,7 +288,7 @@ class Table:
     @classmethod
     def _built(cls, schema: VariableSchema, rows: dict[Config, Fraction], kind: str = JOINT,
                targets: tuple | None = None, givens: tuple | None = None) -> "Table":
-        """A table from rows already checked, skipping ``__post_init__``.
+        """A table from rows already checked, skipping ``__init__``'s checks.
 
         The caller guarantees what it would check: the keys of ``rows`` are
         distinct full configurations over ``schema``'s domains, its values are
@@ -347,6 +356,8 @@ class Table:
 
     def digest(self) -> str:
         """sha256 of the canonical JSON form, ``serialize_table(self)``."""
+        import hashlib  # on first use, so that importing the package does not load it
+
         return hashlib.sha256(serialize_table(self).encode("ascii")).hexdigest()
 
 
@@ -511,6 +522,8 @@ def _json_list(doc: Mapping, key: str) -> list:
 
 def _load_csv(text: str) -> Table:
     """Joint tables only; domains are taken in order of first appearance."""
+    import csv  # on first use, so that importing the package does not load it
+
     try:
         return _load_records(csv.reader(io.StringIO(text)))
     except csv.Error as exc:  # e.g. a field past the csv module's size limit

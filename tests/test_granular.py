@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -447,10 +446,10 @@ def test_commutation_reports_match_eager_twin(table, data):
     twin = EquivalenceReport(verdict.holds, naive.equal, table.kind != "joint", verdict, naive)
     assert got.agree and got.to_json_dict() == twin.to_json_dict()
     assert "first" not in vars(got.commutation)
-    flipped = dataclasses.replace(got, wi_holds=not got.wi_holds)
+    flipped = got._replace(wi_holds=not got.wi_holds)
     doc = flipped.to_json_dict()
     assert doc["commutation"]["first"] == naive.first.to_json_dict()
-    assert doc == dataclasses.replace(twin, wi_holds=not twin.wi_holds).to_json_dict()
+    assert doc == twin._replace(wi_holds=not twin.wi_holds).to_json_dict()
 
 
 def _commutation(commutes, table, x, z):

@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -571,9 +570,22 @@ def test_enumerate_counts_before_the_first_check(monkeypatch, wi_cpt, limits, co
     with pytest.raises(LimitError, match=f"^{count} statements exceed bound {count - 1} "):
         enumerate_statements(wi_cpt, kinds, limits)
     with pytest.raises(Checked):
-        enumerate_statements(wi_cpt, kinds, replace(limits, max_statements=count - 1))
+        enumerate_statements(wi_cpt, kinds, limits._replace(max_statements=count - 1))
     with pytest.raises(LimitError):
-        enumerate_statements(wi_cpt, kinds, replace(limits, max_statements=count))
+        enumerate_statements(wi_cpt, kinds, limits._replace(max_statements=count))
+
+
+@pytest.mark.parametrize("field, bound", [
+    ("max_contexts", -1), ("max_statements", -1), ("max_statements", -20_001),
+    ("max_contexts", 1.5),
+])
+def test_enumerate_refuses_a_bad_limit_before_the_first_check(monkeypatch, wi_cpt, field, bound):
+    """A limit that is not a nonnegative integer is refused with one line naming
+    it before any check, not by ``islice`` once the checks have begun."""
+    _stub_checks(monkeypatch)
+    with pytest.raises(LimitError, match=rf"^{field} must be a nonnegative integer or None, "
+                                         rf"not {bound!r}$"):
+        enumerate_statements(wi_cpt, independence.STATEMENT_KINDS, Limits(**{field: bound}))
 
 
 @pytest.mark.parametrize("size, refused", [
