@@ -267,11 +267,10 @@ def _plain_attributes(table: Table) -> tuple[Variable, ...]:
     return table.schema.variables
 
 
-def _weighted(table: Table | NestedTable) -> tuple[tuple[AnyAttribute, ...], int, dict]:
-    """Attributes, ``L`` and the rows' integer weights over ``L``: a ``Table``'s ``weights``."""
+def _weighted(table: Table | NestedTable) -> tuple[tuple[AnyAttribute, ...], int, list[int]]:
+    """Attributes, ``L`` and the rows' weights over ``L`` in row order: ``Table.weights``."""
     if isinstance(table, NestedTable):
-        lcm, weights = common_weights(table.rows.values())
-        return table.attributes, lcm, dict(zip(table.rows, weights))
+        return table.attributes, *common_weights(table.rows.values())
     return _plain_attributes(table), *table.weights
 
 
@@ -286,7 +285,7 @@ def nest(
     The new attribute takes the position of the first coarsened attribute.
     Groups are summed, and cells made, on the rows' integer weights.
     """
-    attributes, lcm, rows = _weighted(table)
+    attributes, lcm, weights = _weighted(table)
     wanted = set(names)
     order = [a.name for a in attributes]
     present = set(order)
@@ -302,7 +301,7 @@ def nest(
 
     # Input keys are distinct, so each (outer, inner) split occurs once.
     groups: dict[RowKey, dict[RowKey, int]] = {}
-    for key, w in rows.items():
+    for key, w in zip(table.rows, weights):
         groups.setdefault(outer_of(key), {})[inner_of(key)] = w
 
     new_attrs = list(outer_of(attributes))
@@ -406,7 +405,7 @@ def nest_commutes(
         raise SchemaError("both attribute sets must be nonempty")
     if xs & zs:
         raise SchemaError("attribute sets overlap")
-    attributes, _, rows = _weighted(table)
+    attributes, _, weights = _weighted(table)
     order = [a.name for a in attributes]
     present = set(order)
     for names in (zs, xs):
@@ -414,7 +413,7 @@ def nest_commutes(
             raise SchemaError(f"unknown attributes: {sorted(names - present)}")
     x_of, y_of, z_of = (projector(order, s) for s in (xs, present - xs - zs, zs))
     by_xy, by_zy = {}, {}
-    for key, w in rows.items():
+    for key, w in zip(table.rows, weights):
         x_key, y_key, z_key = x_of(key), y_of(key), z_of(key)
         by_xy.setdefault((x_key, y_key), {})[z_key] = w
         by_zy.setdefault((z_key, y_key), {})[x_key] = w

@@ -255,21 +255,20 @@ def _strong_check(
     context: Mapping[str, str],
 ) -> tuple[bool, StrongCertificate]:
     schema = table.schema
-    ctx_of = projector(schema.names, context)
-    in_context = ctx_of(tuple(map(context.get, schema.names)))
-    rows = [c for c in table.rows if ctx_of(c) == in_context]
-    context_in_support = not context or bool(rows)
+    support = restrict_context(table.support(), context)
+    context_in_support = not context or len(support) > 0
     # The context's rows grouped y -> z -> x -> value: a joint table's integer
     # weights, summed over the variables an embedded statement leaves out, or a
     # conditional-shaped table's stored values (X, Y, the context and Z cover
     # its schema, so each row is one cell).
-    values = table.weights[1] if table.kind == JOINT else table.rows
+    values = (map(table.weights[1].__getitem__, support.positions) if table.kind == JOINT
+              else map(table.rows.__getitem__, support.configs))
     y_of, z_of, x_of = (projector(schema.names, v) for v in (y_vars, z_vars, x_vars))
     cells: dict[Config, dict[Config, dict[Config, int | Fraction]]] = {}
-    for cfg in rows:
+    for cfg, value in zip(support.configs, values):
         at = cells.setdefault(y_of(cfg), {}).setdefault(z_of(cfg), {})
         x_cfg = x_of(cfg)
-        at[x_cfg] = at.get(x_cfg, 0) + values[cfg]
+        at[x_cfg] = at.get(x_cfg, 0) + value
 
     # A cell can differ only at a supported y and z, and at an x with a row at
     # that y: elsewhere both sides read zero. Both counts come from the domain
@@ -388,17 +387,17 @@ def _class_report(
     # table the class's own, as its table-wide one may pass the digit cap.
     x_of = projector(support.variables, x_vars)
     z_of = projector(support.variables, z_vars)
-    configs = [support.rows[i][1] for i in block]
+    configs = [support.configs[i] for i in block]
     if table.kind == JOINT:
-        lcm, weights = table.weights
+        lcm, table_weights = table.weights
+        weights = [table_weights[support.positions[i]] for i in block]
     else:
-        lcm, scaled = common_weights(map(table.rows.__getitem__, configs))
-        weights = dict(zip(configs, scaled))
+        lcm, weights = common_weights(map(table.rows.__getitem__, configs))
     cells: dict[tuple[Config, Config], int] = {}
     mass_x: dict[Config, int] = {}
     mass_z: dict[Config, int] = {}
-    for cfg in configs:
-        w, xv, zv = weights[cfg], x_of(cfg), z_of(cfg)
+    for cfg, w in zip(configs, weights):
+        xv, zv = x_of(cfg), z_of(cfg)
         cells[xv, zv] = w
         mass_x[xv] = mass_x.get(xv, 0) + w
         mass_z[zv] = mass_z.get(zv, 0) + w
@@ -453,7 +452,7 @@ def _weak_certificate(
     if not result.commutes:
         assert result.witness is not None
         i, k = result.witness
-        witness = (support.rows[i][0], support.rows[k][0])
+        witness = (support.labels[i], support.labels[k])
         return WeakCertificate(support.labels, False, witness, (), False)
     assert result.join is not None
     classes = tuple(

@@ -1,8 +1,8 @@
 """Equivalence relations on support sets and their composition.
 
-Support rows are indexed densely from 0 and keep their original text labels
-(``t1``, ``t2``, ...) so that certificates stay readable after a context
-restriction re-indexes the rows.
+A support lists configurations and their positions in their table's rows; its
+indices run densely from 0, and row ``i`` is labelled ``t{positions[i] + 1}``, so
+certificates stay readable after a context restriction re-indexes the rows.
 
 ``projector`` is the package's one row projector: every reader of a
 row's values on a variable subset (``theta``, context restriction,
@@ -13,6 +13,7 @@ projected domains, the strong and class checks, table validation and
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -41,28 +42,32 @@ def projector(
 
 
 class SupportSet(Frozen):
-    """Ordered, indexed list of distinct positive-probability configurations."""
+    """Ordered, indexed list of distinct positive-probability configurations, each
+    with its position in its table's rows; a table's own support holds ``0 .. n-1``."""
 
-    _fields = ("variables", "rows")
+    _fields = ("variables", "configs", "positions")
     variables: tuple[str, ...]
-    rows: tuple[tuple[str, Config], ...]  # (label, config), index = position
+    configs: tuple[Config, ...]
+    positions: tuple[int, ...]
 
-    def __init__(self, variables: tuple[str, ...],
-                 rows: tuple[tuple[str, Config], ...]) -> None:
-        for _, cfg in rows:
-            if len(cfg) != len(variables):
-                raise SchemaError("support row arity does not match variables")
-        vars(self).update(variables=variables, rows=rows)
+    def __init__(self, variables: tuple[str, ...], configs: tuple[Config, ...],
+                 positions: tuple[int, ...]) -> None:
+        if not set(map(len, configs)) <= {len(variables)}:
+            raise SchemaError("support row arity does not match variables")
+        if len(positions) != len(configs):
+            raise SchemaError("support positions do not match its rows")
+        vars(self).update(variables=variables, configs=configs, positions=positions)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.configs)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.rows)
+        """``t1``, ``t2``, ... by table position, made once per support."""
+        return tuple(f"t{p + 1}" for p in self.positions)
 
     def label_block(self, block: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.rows[i][0] for i in sorted(block))
+        return tuple(map(self.labels.__getitem__, sorted(block)))
 
     @cached_property
     def thetas(self) -> dict[frozenset[str], Partition]:
@@ -110,21 +115,22 @@ def theta(support: SupportSet, names: Iterable[str]) -> Partition:
     """
     key = projector(support.variables, names)
     numbers: dict[Config, int] = {}  # by first occurrence: in order of minimum
-    return Partition(tuple(numbers.setdefault(key(cfg), len(numbers)) for _, cfg in support.rows))
+    return Partition(tuple(numbers.setdefault(key(cfg), len(numbers)) for cfg in support.configs))
 
 
 def restrict_context(support: SupportSet, context: Mapping[str, str]) -> SupportSet:
     """Sub-support of rows matching a partial configuration.
 
-    Rows are re-indexed densely but keep their original labels. A context
-    value outside the variable's observed range simply matches nothing.
+    Rows are re-indexed densely but keep their table positions, so their labels.
+    A context value outside the variable's observed range simply matches nothing.
     """
     if not context:
         return support
     key = projector(support.variables, context)
     wanted = key(tuple(map(context.get, support.variables)))
-    rows = tuple(row for row in support.rows if key(row[1]) == wanted)
-    return SupportSet(support.variables, rows)
+    matches = [k == wanted for k in map(key, support.configs)]
+    return SupportSet(support.variables, tuple(compress(support.configs, matches)),
+                      tuple(compress(support.positions, matches)))
 
 
 def join(p: Partition, q: Partition) -> Partition:
@@ -182,5 +188,5 @@ def projected_domain(
     block: Iterable[int], support: SupportSet, names: Iterable[str]
 ) -> frozenset[Config]:
     """Distinct projections of a class's configs onto a variable subset."""
-    key, rows = projector(support.variables, names), support.rows
-    return frozenset(key(rows[i][1]) for i in block)
+    key, configs = projector(support.variables, names), support.configs
+    return frozenset(key(configs[i]) for i in block)

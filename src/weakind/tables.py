@@ -87,11 +87,7 @@ class VariableSchema(Frozen):
 
     def order(self, names: Iterable[str]) -> tuple[str, ...]:
         """The given subset in schema order."""
-        wanted = set(names)
-        unknown = wanted.difference(self.names)
-        if unknown:
-            raise SchemaError(f"unknown variables: {sorted(unknown)}")
-        return tuple(n for n in self.names if n in wanted)
+        return projector(self.names, names)(self.names)
 
     def check_config(self, config: Config) -> None:
         if len(config) != len(self.variables):
@@ -304,23 +300,20 @@ class Table(Frozen):
     # -- basic queries ----------------------------------------------------
 
     def total_mass(self) -> Fraction:
-        lcm, weights = self.weights
-        return _summed(lcm, weights.values())
+        return _summed(*self.weights)
 
     @cached_property
-    def weights(self) -> tuple[int, dict[Config, int]]:
-        """``common_weights`` of the rows, the weights keyed by configuration."""
-        lcm, weights = common_weights(self.rows.values())
-        return lcm, dict(zip(self.rows, weights))
+    def weights(self) -> tuple[int, list[int]]:
+        """``common_weights`` of the rows: the weights in row order."""
+        return common_weights(self.rows.values())
 
     def support(self) -> SupportSet:
-        """Positive rows in document order, labelled t1, t2, ...; built once."""
+        """Positive rows in document order, at positions 0, 1, ...; built once."""
         return self._support
 
     @cached_property
     def _support(self) -> SupportSet:
-        rows = tuple((f"t{i}", config) for i, config in enumerate(self.rows, 1))
-        return SupportSet(self.schema.names, rows)
+        return SupportSet(self.schema.names, tuple(self.rows), tuple(range(len(self.rows))))
 
     # -- validation --------------------------------------------------------
 
@@ -617,10 +610,10 @@ def uniform_joint_extension(table: Table) -> Table:
     if table.kind == JOINT:
         return table
     weights = table.weights[1]
-    total = sum(weights.values())
+    total = sum(weights)
     if not total:
         raise SchemaError("cannot extend a table with empty support")
-    rows = {config: Fraction(w, total) for config, w in weights.items()}
+    rows = {config: Fraction(w, total) for config, w in zip(table.rows, weights)}
     return Table._built(table.schema, rows, JOINT)
 
 

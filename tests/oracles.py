@@ -45,10 +45,12 @@ and looking each one up, instead of reading the rows already in hand. The
 strong twin walks the whole declared Y × Z × X product (Y × X × Z for a
 conditional-shaped table), counting each comparison and vacuous cell as it
 meets it; the package walks only the supported keys of its grouped rows
-and computes both counts from the domain sizes. They
-project configurations through this module's own ``_positions``, sorted
-into schema order, and share no projection code with the package's
-``partitions.projector``.
+and computes both counts from the domain sizes. They, ``ci_oracle`` and
+``cwi_oracle`` order names with this module's own ``_ordered``, walk declared
+products with ``_declared`` and project configurations through ``_positions``,
+sorted into schema order: they share no ordering or projection code with the
+package's ``partitions.projector``. ``naive_class_report`` formats its labels
+from the support's positions.
 ``naive_uniform_joint_extension`` regroups rows by given-configuration
 before it normalizes, where ``tables.uniform_joint_extension`` divides once
 by the total mass.
@@ -73,6 +75,12 @@ the same twin of ``granular.load_nested``: it reads each plain attribute as a
 public ``Variable``, builds every row, then the public ``NestedTable``
 constructor checks domains, attribute names and each cell again.
 
+``verify_weak_certificate`` checks a WI or CWI certificate, as encoded, against
+the definitions: it recomputes the support labels, the witness's membership in
+the two compositions, the classes as join blocks and their projected domains,
+and the verdict from the flags, from the table's rows alone. Unlike the twins
+it searches nothing, so it pins no choice of first witness or counterexample.
+
 The closure references reuse the package's literal rule functions but none
 of its fixed-point machinery: ``naive_closure`` tries every premise pair or
 triple for CIWI2, and ``missing_conclusions`` checks closedness by key
@@ -84,7 +92,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from weakind.axioms import (
     ALL_RULES,
@@ -304,6 +312,23 @@ def _positions(table, names):
     return [schema_names.index(v) for v in names]
 
 
+def _ordered(table, names):
+    """``names`` in schema order, by a scan of the declared variables."""
+    wanted = set(names)
+    declared = [v.name for v in table.schema.variables]
+    unknown = wanted.difference(declared)
+    if unknown:
+        raise SchemaError(f"unknown variables: {sorted(unknown)}")
+    return tuple(n for n in declared if n in wanted)
+
+
+def _declared(table, names):
+    """Every configuration over ``names`` in schema order, lexicographic in
+    domain order: the declared product."""
+    domains = {v.name: v.domain for v in table.schema.variables}
+    return product(*(domains[n] for n in _ordered(table, names)))
+
+
 def _matches(config, positions, wanted):
     return all(config[p] == w for p, w in zip(positions, wanted))
 
@@ -352,15 +377,14 @@ def cond_oracle(table, x_map, g_map):
 
 def ci_oracle(table, x_vars, z_vars, y_vars):
     """Strong conditional independence on a joint table, direct enumeration."""
-    schema = table.schema
-    for y_cfg in schema.configs(y_vars):
+    for y_cfg in _declared(table, y_vars):
         y_map = dict(zip(y_vars, y_cfg))
-        for z_cfg in schema.configs(z_vars):
+        for z_cfg in _declared(table, z_vars):
             z_map = dict(zip(z_vars, z_cfg))
             yz_map = {**y_map, **z_map}
             if _partial_mass(table, yz_map) == 0:
                 continue
-            for x_cfg in schema.configs(x_vars):
+            for x_cfg in _declared(table, x_vars):
                 x_map = dict(zip(x_vars, x_cfg))
                 lhs = cond_oracle(table, x_map, yz_map)
                 rhs = cond_oracle(table, x_map, y_map)
@@ -432,7 +456,7 @@ def wi_oracle(table, x_vars, z_vars, y_vars):
 
 
 def cwi_oracle(table, x_vars, z_vars, context):
-    ctx_vars = tuple(table.schema.order(context))
+    ctx_vars = _ordered(table, context)
     ctx_pos = _positions(table, ctx_vars)
     wanted = [context[v] for v in ctx_vars]
     rows = [cfg for cfg in table.rows if _matches(cfg, ctx_pos, wanted)]
@@ -453,6 +477,85 @@ def cwi_oracle(table, x_vars, z_vars, context):
     return witnesses > 0 or (len(classes) == 1 and satisfied[0])
 
 
+def verify_weak_certificate(table, verdict):
+    """Check a WI or CWI verdict's certificate against the definitions.
+
+    It reads the table's declared variables, its rows and
+    ``verdict.to_json_dict()``, and no checker, partition or nest code. An
+    ``AssertionError`` names the first claim the rows do not bear out:
+
+    * ``support`` lists ``t<k>`` for each row k that matches the context, in
+      document order; the certificate is ``vacuous`` iff there is none;
+    * a failing ``witness`` (a, b) lies in p∘q and not in q∘p, where p and q
+      relate rows with equal X∪Y and equal Y∪Z values: some row shares a's
+      X∪Y values and b's Y∪Z values, and none shares a's Y∪Z and b's X∪Y;
+    * commuting ``classes`` partition the support, each in document order.
+      Rows with equal X∪Y or Y∪Z values share a class, and each class's
+      (X∪Y, Y∪Z) cells form a full rectangle, so the classes are the join
+      blocks and the compositions agree. Each class has one Y-value;
+    * each class's x-, y- and z-values are its rows' projections in domain
+      order, and it is ``vacuous`` iff it has fewer than two z-values;
+    * ``holds`` follows from the flags by the kind's rule.
+    """
+    doc = verdict.to_json_dict()
+    statement, cert = doc["statement"], doc["certificate"]
+    kind, context = statement["kind"], statement["context"] or {}
+    assert kind in ("WI", "CWI"), f"not a weak statement: {kind}"
+    variables = table.schema.variables
+    names = [v.name for v in variables]
+    x, z = set(statement["x"]), set(statement["z"])
+    y = set(context) if kind == "CWI" else set(statement["y"])
+
+    def values(cfg, wanted):
+        return tuple(value for name, value in zip(names, cfg) if name in wanted)
+
+    fixed = [(names.index(n), value) for n, value in context.items()]
+    rows = {f"t{k}": cfg for k, cfg in enumerate(table.rows, 1)
+            if all(cfg[i] == value for i, value in fixed)}
+    assert cert["support"] == list(rows), "support labels"
+    assert cert["vacuous"] == (not rows), "vacuous flag of the support"
+    xy = {label: values(cfg, x | y) for label, cfg in rows.items()}
+    yz = {label: values(cfg, y | z) for label, cfg in rows.items()}
+    classes = cert["classes"]
+    if not cert["commutes"]:
+        assert not classes and not doc["holds"], "a failing certificate holds or has classes"
+        a, b = cert["witness"]
+        forward = any(xy[j] == xy[a] and yz[j] == yz[b] for j in rows)
+        backward = any(yz[j] == yz[a] and xy[j] == xy[b] for j in rows)
+        assert forward and not backward, f"witness {a}, {b} is not in p∘q alone"
+        return
+    assert cert["witness"] is None, "a commuting certificate has a witness"
+    members = [label for c in classes for label in c["rows"]]
+    assert sorted(members) == sorted(rows), "classes do not partition the support"
+    owner = {label: n for n, c in enumerate(classes) for label in c["rows"]}
+    for key in (xy, yz):
+        first = {}
+        for label in rows:
+            assert first.setdefault(key[label], owner[label]) == owner[label], \
+                "rows with equal X∪Y or Y∪Z values in two classes"
+    index = {v.name: {d: i for i, d in enumerate(v.domain)} for v in variables}
+    for c in classes:
+        assert c["rows"] == [label for label in rows if label in c["rows"]], "class row order"
+        configs = [rows[label] for label in c["rows"]]
+        cells = {(values(cfg, x | y), values(cfg, y | z)) for cfg in configs}
+        assert len(cells) == len({a for a, _ in cells}) * len({b for _, b in cells}), \
+            "class is not a rectangle of (X∪Y, Y∪Z) cells"
+        for field, wanted in (("x_values", x), ("y_values", y), ("z_values", z)):
+            columns = [index[n] for n in names if n in wanted]
+            found = sorted({values(cfg, wanted) for cfg in configs},
+                           key=lambda v: [col[value] for col, value in zip(columns, v)])
+            assert c[field] == [list(v) for v in found], field
+        assert len(c["y_values"]) == 1, "class spans several Y-values"
+        assert c["vacuous"] == (len(c["z_values"]) < 2), "vacuous flag of a class"
+    flags = [(c["class_ci"], c["vacuous"]) for c in classes]
+    if kind == "WI":
+        holds = all(ok for ok, _ in flags)
+    else:
+        holds = any(ok and not vacuous for ok, vacuous in flags) or (
+            len(flags) == 1 and flags[0][0])
+    assert doc["holds"] == (cert["vacuous"] or holds), "holds does not follow from the flags"
+
+
 # ---------------------------------------------------------------------------
 # naive twins of the checkers' inner steps
 # ---------------------------------------------------------------------------
@@ -470,7 +573,6 @@ def naive_strong_check(table, x_vars, z_vars, y_vars, context):
     maps and looks it up. Its cost is the declared product, so differential
     tests keep that product small.
     """
-    schema = table.schema
     context_in_support = True if not context else _partial_mass(table, context) > 0
     comparisons = 0
     vacuous = 0
@@ -492,9 +594,9 @@ def naive_strong_check(table, x_vars, z_vars, y_vars, context):
             mass_gzx[(gz, xv)] = mass_gzx.get((gz, xv), ZERO) + value
 
         ctx_vals = dict(context)
-        g_names = schema.order(tuple(y_vars) + tuple(ctx_vals))
-        gz_names = schema.order(tuple(g_names) + tuple(z_vars))
-        for y_cfg in schema.configs(y_vars):
+        g_names = _ordered(table, tuple(y_vars) + tuple(ctx_vals))
+        gz_names = _ordered(table, tuple(g_names) + tuple(z_vars))
+        for y_cfg in _declared(table, y_vars):
             y_map = dict(zip(y_vars, y_cfg))
             g_key = tuple({**y_map, **ctx_vals}[n] for n in g_names)
             pg = mass_g.get(g_key, ZERO)
@@ -503,16 +605,16 @@ def naive_strong_check(table, x_vars, z_vars, y_vars, context):
                 continue
             rhs = {
                 x_cfg: mass_gx.get((g_key, x_cfg), ZERO) / pg
-                for x_cfg in schema.configs(x_vars)
+                for x_cfg in _declared(table, x_vars)
             }
-            for z_cfg in schema.configs(z_vars):
+            for z_cfg in _declared(table, z_vars):
                 z_map = dict(zip(z_vars, z_cfg))
                 gz_key = tuple({**y_map, **ctx_vals, **z_map}[n] for n in gz_names)
                 pgz = mass_gz.get(gz_key, ZERO)
                 if pgz == 0:
                     vacuous += 1
                     continue
-                for x_cfg in schema.configs(x_vars):
+                for x_cfg in _declared(table, x_vars):
                     comparisons += 1
                     lhs = mass_gzx.get((gz_key, x_cfg), ZERO) / pgz
                     if lhs != rhs[x_cfg] and counterexample is None:
@@ -524,12 +626,12 @@ def naive_strong_check(table, x_vars, z_vars, y_vars, context):
         )
 
     given_support = {_project(table, cfg, table.givens) for cfg in table.rows}
-    for y_cfg in schema.configs(y_vars):
+    for y_cfg in _declared(table, y_vars):
         y_map = dict(zip(y_vars, y_cfg))
-        for x_cfg in schema.configs(x_vars):
+        for x_cfg in _declared(table, x_vars):
             x_map = dict(zip(x_vars, x_cfg))
             baseline = None
-            for z_cfg in schema.configs(z_vars):
+            for z_cfg in _declared(table, z_vars):
                 z_map = dict(zip(z_vars, z_cfg))
                 full = _merge(table, x_map, y_map, dict(context), z_map)
                 if (
@@ -556,14 +658,15 @@ def naive_class_report(table, support, block, x_vars, y_vars, z_vars):
     """Twin of ``independence._class_report``: every cell merged and looked up.
 
     Projected domains come from a direct scan of the block, and each
-    (x, z) cell is read from the table by its merged full configuration.
+    (x, z) cell is read from the table by its merged full configuration. Labels
+    are formatted here from the support's table positions.
     """
-    schema = table.schema
+    declared = {v.name: v.domain for v in table.schema.variables}
 
     def domain(names):
         pos = _positions(table, names)
-        values = {tuple(support.rows[i][1][p] for p in pos) for i in block}
-        domains = [schema.variable(n).domain for n in names]
+        values = {tuple(support.configs[i][p] for p in pos) for i in block}
+        domains = [declared[n] for n in names]
         return tuple(
             sorted(values, key=lambda c: [d.index(v) for d, v in zip(domains, c)])
         )
@@ -577,7 +680,7 @@ def naive_class_report(table, support, block, x_vars, y_vars, z_vars):
         x_pos, z_pos = _positions(table, x_vars), _positions(table, z_vars)
         mass_total, mass_x, mass_z = ZERO, {}, {}
         for i in block:
-            cfg = support.rows[i][1]
+            cfg = support.configs[i]
             value = _value(table, cfg)
             mass_total += value
             xv = tuple(cfg[p] for p in x_pos)
@@ -604,7 +707,7 @@ def naive_class_report(table, support, block, x_vars, y_vars, z_vars):
                     x_cfg, z_cfg, value, None, expected, "marginal"
                 )
     return ClassReport(
-        tuple(support.rows[i][0] for i in sorted(block)),
+        tuple(f"t{support.positions[i] + 1}" for i in sorted(block)),
         x_values,
         y_values,
         z_values,

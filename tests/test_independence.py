@@ -793,3 +793,14 @@ def test_conditional_shaped_classes_keep_their_own_denominator(kind):
         assert check_wi(_fresh(table), ("A",), ("B",), ()) == verdict
     assert verdict.holds and len(verdict.certificate.classes) == 2
     assert not check_ci(table, ("A",), ("B",), ()).holds
+
+
+@given(statements())
+@settings(max_examples=150, deadline=None)
+def test_weak_certificates_verify_against_the_rows(case):
+    """Every WI and CWI certificate passes ``oracles.verify_weak_certificate``,
+    which rebuilds its claims from the table's rows alone."""
+    table, groups, context = case
+    for verdict in _verdicts(table, groups, context, ("CWI", "WI")).values():
+        if not isinstance(verdict, str):
+            oracles.verify_weak_certificate(table, verdict)

@@ -48,6 +48,10 @@ def test_restrict_context(cwi_cpt):
     sup = cwi_cpt.support()
     restricted = restrict_context(sup, {"Y": "0"})
     assert restricted.labels == tuple(f"t{i}" for i in range(1, 13))
+    # Re-indexed from 0, the rows keep their table positions and so their labels.
+    rest = restrict_context(sup, {"Y": "1"})
+    assert rest.positions == (12, 13, 14) and rest.labels == ("t13", "t14", "t15")
+    assert rest.configs == sup.configs[12:] and rest.label_block({2, 0}) == ("t13", "t15")
     assert restrict_context(sup, {}) is sup
     assert len(restrict_context(sup, {"Y": "2"})) == 0
 
@@ -251,14 +255,11 @@ def test_full_support_wi_matches_nest_commutes():
 
 
 def random_support(rng, n_vars=3, n_rows=6):
-    seen = set()
-    rows = []
-    while len(rows) < n_rows:
-        cfg = tuple(str(rng.randint(0, 2)) for _ in range(n_vars))
-        if cfg not in seen:
-            seen.add(cfg)
-            rows.append((f"t{len(rows) + 1}", cfg))
-    return SupportSet(tuple(f"V{i}" for i in range(n_vars)), tuple(rows))
+    configs = {}
+    while len(configs) < n_rows:
+        configs[tuple(str(rng.randint(0, 2)) for _ in range(n_vars))] = None
+    return SupportSet(tuple(f"V{i}" for i in range(n_vars)), tuple(configs),
+                      tuple(range(n_rows)))
 
 
 def test_theta_refinement_property():
@@ -293,7 +294,7 @@ def test_theta_matches_agree_pairs():
     for n_vars, n_rows in ((1, 3), (2, 5), (3, 6), (3, 12), (4, 20)):
         for _ in range(10):
             sup = random_support(rng, n_vars, n_rows)
-            configs = [cfg for _, cfg in sup.rows]
+            configs = sup.configs
             for r in range(n_vars + 1):
                 for names in combinations(sup.variables, r):
                     positions = [sup.variables.index(v) for v in names]
@@ -302,7 +303,7 @@ def test_theta_matches_agree_pairs():
                     assert theta(sup, names) == oracles.partition_of(len(sup), expected)
 
 
-_SUP = SupportSet(("A", "B"), (("t1", ("0", "0")), ("t2", ("0", "1"))))
+_SUP = SupportSet(("A", "B"), (("0", "0"), ("0", "1")), (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -311,13 +312,15 @@ _SUP = SupportSet(("A", "B"), (("t1", ("0", "0")), ("t2", ("0", "1"))))
         lambda: theta(_SUP, ("A", "C")),
         lambda: restrict_context(_SUP, {"C": "0"}),
         lambda: projected_domain({0, 1}, _SUP, ("C",)),
-        lambda: SupportSet(("A", "B"), (("t1", ("0",)),)),
+        lambda: SupportSet(("A", "B"), (("0",),), (0,)),
+        lambda: SupportSet(("A", "B"), (("0", "0"), ("0", "1")), (0,)),
     ],
     ids=[
         "theta-unknown",
         "restrict-unknown",
         "domain-unknown",
         "row-arity",
+        "positions-length",
     ],
 )
 def test_schema_errors(make):
