@@ -20,7 +20,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import getitem, itemgetter
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -195,15 +195,19 @@ def _check_fields(schema: VariableSchema, kind: str, targets, givens) -> tuple:
 
 def common_weights(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     """``(L, [v * L for v in values])``, ``L`` the lcm of the denominators: masses
-    are summed and compared as integers over one denominator. ``LimitError``
-    once ``L`` passes ``MAX_LITERAL_DIGITS`` digits, before any weight."""
+    are summed and compared as integers over one denominator. Each distinct
+    object is weighted once. ``LimitError`` once ``L`` passes
+    ``MAX_LITERAL_DIGITS`` digits, before any weight."""
     values = list(values)
+    ids = list(map(id, values))
+    distinct = dict(zip(ids, values))  # ``values`` keeps each id's object alive
     lcm = 1
-    for den in {v.denominator for v in values}:
+    for den in {v.denominator for v in distinct.values()}:
         lcm = math.lcm(lcm, den)
         if lcm >= _DIGITS_CAP:
             raise LimitError(f"common denominator passes {MAX_LITERAL_DIGITS} digits")
-    return lcm, [v.numerator * (lcm // v.denominator) for v in values]
+    weight = {i: v.numerator * (lcm // v.denominator) for i, v in distinct.items()}
+    return lcm, list(map(weight.__getitem__, ids))
 
 
 def mass_sum(values: Iterable[Fraction]) -> Fraction:
@@ -551,21 +555,41 @@ def serialize_table(table: Table) -> str:
     order and the rows are sorted without a per-row key (``VariableSchema.canonical``).
     JSON is written directly, byte for byte ``json.dumps(doc, indent=2) + "\\n"``
     of the document ``load_table`` reads (``indent`` runs json's Python encoder).
+
+    Rows are built without a per-row expression: each distinct ``Fraction``
+    object (a loaded table shares one per literal) is formatted once, each
+    configuration is one ``str.join``, and one ``str.join`` interleaves them
+    with the fixed row text. Domain values go through per-column escape maps
+    only when some value has a JSON escape or is not ASCII.
     """
-    doc = {"variables": [{"name": v.name, "domain": v.domain}
-                         for v in table.schema.variables], "kind": table.kind}
+    variables = table.schema.variables
+    doc = {"variables": [{"name": v.name, "domain": v.domain} for v in variables],
+           "kind": table.kind}
     if table.kind != JOINT:
         doc.update(targets=table.targets, givens=table.givens)
-    encoded = [{d: _esc(d) for d in v.domain} for v in table.schema.variables]
-    head = '{\n      "config": ' + ("[\n        " if encoded else "[")
-    tail = ("\n      ]" if encoded else "]") + ',\n      "p": "'
-    lines = [
-        head + ",\n        ".join(map(getitem, encoded, config))
-        + tail + frac_str(table.rows[config]) + '"\n    }'
-        for config in table.schema.canonical(table.rows)
-    ]
-    # The document up to its closing "\n}", then its rows.
-    return write_json(doc)[:-2] + ',\n  "rows": ' + _json_array(lines, "  ") + "\n}\n"
+    front = write_json(doc)[:-2] + ',\n  "rows": '  # the document up to its closing "\n}"
+    if not table.rows:
+        return front + "[]\n}\n"
+    configs = table.schema.canonical(table.rows)
+    values = list(map(table.rows.__getitem__, configs))
+    ids = list(map(id, values))
+    distinct = dict(zip(ids, values))  # ``values`` keeps each id's object alive
+    texts = dict(zip(distinct, map(frac_str, distinct.values())))
+    encoded = [{d: _esc(d) for d in v.domain} for v in variables]
+    if all(e == f'"{d}"' for column in encoded for d, e in column.items()):
+        quote, cells = '"' if variables else "", configs
+    else:  # each value already encoded, quotes included
+        quote, cells = "", zip(*[map(column.__getitem__, map(itemgetter(i), configs))
+                                 for i, column in enumerate(encoded)])
+    open_, close = ("[\n        ", "\n      ]") if variables else ("[", "]")
+    head = '{\n      "config": ' + open_ + quote
+    parts = chain.from_iterable(zip(
+        repeat(",\n    " + head), map((quote + ",\n        " + quote).join, cells),
+        repeat(quote + close + ',\n      "p": "'), map(texts.__getitem__, ids),
+        repeat('"\n    }'),
+    ))
+    next(parts)  # the first row takes no separator
+    return "".join(chain((front, "[\n    ", head), parts, ("\n  ]\n}\n",)))
 
 
 def _json_array(items: Sequence[str], indent: str, brackets: str = "[]") -> str:

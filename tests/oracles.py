@@ -55,13 +55,18 @@ from the support's positions.
 before it normalizes, where ``tables.uniform_joint_extension`` divides once
 by the total mass.
 
+``naive_common_weights`` is the twin of ``tables.common_weights``: it reads
+every row's denominator and scales every row on its own, where the package
+weights each distinct ``Fraction`` object once and maps the weights back.
+
 ``naive_serialize_table`` is the twin of ``tables.serialize_table``: it sorts
 rows by ``domain.index`` per value, where the package sorts configurations
 as plain tuples whenever every domain is listed in ``str`` order. For JSON
-it builds the canonical document as dicts and lists and runs
-``json.dumps(doc, indent=2)``, where the package writes the same bytes
-directly. Its CSV form, which the package reads but never writes, feeds
-the CSV loader's round trip. ``naive_write_json`` is
+it builds the canonical document as dicts and lists, formats every row's
+fraction, and runs ``json.dumps(doc, indent=2)``, where the package writes
+the same bytes directly, formatting each distinct ``Fraction`` object once.
+Its CSV form, which the package reads but never writes, feeds the CSV
+loader's round trip. ``naive_write_json`` is
 ``json.dumps(doc, indent=2)`` itself, the twin of ``tables.write_json``,
 which writes every report.
 
@@ -90,6 +95,7 @@ lookups over a finished statement set.
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -132,6 +138,7 @@ from weakind.independence import (
 from weakind.partitions import CommutationResult, Partition
 from weakind.tables import (
     JOINT,
+    MAX_LITERAL_DIGITS,
     RAW,
     Table,
     Variable,
@@ -739,6 +746,18 @@ def naive_uniform_joint_extension(table):
             rows[config] = value / count
     total = sum(rows.values(), ZERO)
     return Table(table.schema, {c: v / total for c, v in rows.items()}, JOINT)
+
+
+def naive_common_weights(values):
+    """Twin of ``tables.common_weights``: the lcm over every row's denominator,
+    then each row's weight on its own; the same ``LimitError`` past the cap."""
+    values = list(values)
+    lcm = 1
+    for value in values:
+        lcm = math.lcm(lcm, value.denominator)
+        if lcm >= 10**MAX_LITERAL_DIGITS:
+            raise LimitError(f"common denominator passes {MAX_LITERAL_DIGITS} digits")
+    return lcm, [int(value * lcm) for value in values]
 
 
 def naive_serialize_table(table, format="json"):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from weakind import granular, tables
 from weakind.cli import main
 from weakind.errors import ParseError, SchemaError, WeakindError
 
-from oracles import naive_load_nested
+from oracles import naive_load_nested, naive_load_table, naive_serialize_table
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -70,6 +71,30 @@ def test_check_pretty_smoke():
     )
     assert result.exit_code == 0
     assert "holds" in result.output and "class 1" in result.output
+
+
+def test_check_digest_of_a_non_canonical_document(tmp_path):
+    """``table_digest`` is the sha256 of the canonical form, whatever the input's
+    row order, literal spelling, zero rows and escapes."""
+    doc = {
+        "variables": [{"name": "A\"", "domain": ["b\"", "a\n"]},
+                      {"name": "B", "domain": ["\u00e9", "0\\"]}],
+        "rows": [  # domain order is (b", é), (b", 0\), (a\n, é), (a\n, 0\)
+            {"config": ["a\n", "0\\"], "p": 0.25},
+            {"config": ["b\"", "\u00e9"], "p": "2/4"},
+            {"config": ["a\n", "\u00e9"], "p": "0"},
+            {"config": ["b\"", "0\\"], "p": "1/4"},
+        ],
+    }
+    text = json.dumps(doc)
+    path = tmp_path / "messy.json"
+    path.write_text(text)
+    result = run("check", "--kind", "wi", "--x", "A\"", "--z", "B", str(path))
+    assert result.exit_code == 0, result.output
+    canonical = naive_serialize_table(naive_load_table(text))
+    assert canonical.count('"config"') == 3 and '"p": "1/2"' in canonical
+    digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
+    assert json.loads(result.output)["table_digest"] == digest
 
 
 def test_validate_reports_violations(tmp_path):

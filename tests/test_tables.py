@@ -21,6 +21,7 @@ from weakind.errors import (
 )
 
 import oracles
+import util
 from conftest import load_fixture
 
 
@@ -273,6 +274,22 @@ def test_str_order_is_decided_per_schema():
     assert _uniform().schema.str_ordered
 
 
+def _shared(*domains, kind=tables.JOINT):
+    """``_uniform``'s table with every row holding one ``Fraction`` object, as the
+    rows of a loaded table share one per literal; a conditional-shaped one takes
+    ``V0`` as its target."""
+    table = _uniform(*domains)
+    rows = dict.fromkeys(table.rows, Fraction(1, len(table.rows)))
+    names = table.schema.names
+    if kind == tables.JOINT:
+        return tables.Table(table.schema, rows)
+    return tables.Table(table.schema, rows, kind, names[:1], names[1:])
+
+
+# Domain values with JSON escapes or outside ASCII, the row separator among them.
+ESCAPED = ['"', "\\", "\n", "\x7f", "\u00e9", '",\n        "']
+
+
 @given(any_tables())
 @settings(max_examples=300, deadline=None)
 @example(tables.Table(EMPTY, {}))
@@ -283,11 +300,30 @@ def test_str_order_is_decided_per_schema():
 @example(_uniform(["0", "\u00e9"]))
 @example(_uniform(["0", "1"], ["9", "10"], ["0", "\u00e9"], ["b", "a"]))
 @example(_uniform(["0", "1"], ["0", "\u00e9"]))
+@example(_uniform(ESCAPED))  # equal masses held as distinct objects
+@example(_uniform(["0", "1"], ESCAPED[::-1]))
+@example(_shared(["0", "1"], ["a", "b"]))
+@example(_shared(ESCAPED, ["0", "1"], kind=tables.RAW))
+@example(_shared(["b", "a"], ["0", "\u00e9"], kind=tables.CONDITIONAL))
+@example(tables.Table(_uniform(ESCAPED).schema, {}))
+@example(tables.Table(_uniform(["0", "1"]).schema, {}, tables.RAW, ("V0",), ()))
 def test_serialize_matches_json_dumps_twin(table):
     text = tables.serialize_table(table)
     assert text == oracles.naive_serialize_table(table)
     assert table.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert tables.load_table(text, check=False) == table
+
+
+def test_serialize_full_support_table_matches_twin():
+    """6 variables of domain 4, every row supported: 4,096 rows, each its own
+    ``Fraction`` object, and again as loaded, one object per literal."""
+    table = util.full_support_table()
+    text = tables.serialize_table(table)
+    assert len(table.rows) == 4096
+    assert text == oracles.naive_serialize_table(table)
+    loaded = tables.load_table(text)
+    assert len(set(map(id, loaded.rows.values()))) < len(loaded.rows)
+    assert tables.serialize_table(loaded) == text
 
 
 @given(st.lists(st.sampled_from(IN_ORDER + OUT_OF_ORDER), max_size=4), st.data())
@@ -411,6 +447,34 @@ def test_common_weights_scale_to_lcm(values):
     )
     table = tables.Table(schema, {(str(i),): v for i, v in enumerate(positive)})
     assert table.total_mass() == sum(positive, Fraction(0))
+
+
+# Two masses, each printable, whose common denominator passes the digit cap.
+PAST_CAP = [Fraction(1, 10**2200 + 1), Fraction(1, 10**2200 + 3)]
+
+
+@st.composite
+def row_masses(draw):
+    """Row values as a loaded table holds them: a few objects, each read by any
+    number of rows, and equal masses copied into distinct objects."""
+    pool = draw(st.lists(st.one_of(MASS, st.sampled_from(PAST_CAP)), min_size=1, max_size=5))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=30))
+    return [Fraction(v.numerator, v.denominator) if copy else v for v, copy in picks]
+
+
+HALF = Fraction(1, 2)
+
+
+@given(row_masses())
+@settings(max_examples=300, deadline=None)
+@example([HALF, HALF, HALF])  # one object read by every row
+@example([HALF, Fraction(1, 2), Fraction(2, 4)])  # equal masses, distinct objects
+@example([PAST_CAP[0], HALF, PAST_CAP[0], PAST_CAP[1]])  # the digit cap refuses
+def test_common_weights_match_per_row_twin(values):
+    got = _outcome(tables.common_weights, values)
+    assert got == _outcome(oracles.naive_common_weights, values)
+    if not isinstance(got[0], type):
+        assert all(type(w) is int for w in got[1])
 
 
 def test_common_denominator_bound():

@@ -79,6 +79,20 @@ def random_factorized_table(rng, names, max_dom=3):
     return tables.Table(schema, rows, "joint")
 
 
+def full_support_table(seed=7):
+    """A seeded joint table over V0..V5 of domain 4 with every row supported
+    (weights 1-9): 4,096 rows. Each row holds its own ``Fraction`` object, so
+    equal masses are distinct objects."""
+    rng = random.Random(seed)
+    schema = tables.VariableSchema(
+        tuple(tables.Variable(f"V{i}", tuple("0123")) for i in range(6))
+    )
+    configs = list(schema.configs())
+    weights = [rng.randint(1, 9) for _ in configs]
+    total = sum(weights)
+    return tables.Table(schema, {c: Fraction(w, total) for c, w in zip(configs, weights)})
+
+
 def make_table(variables, rows, kind="joint", targets=None, givens=None):
     schema = tables.VariableSchema(
         tuple(tables.Variable(n, tuple(d)) for n, d in variables)
