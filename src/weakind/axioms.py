@@ -569,13 +569,17 @@ def soundness_probe(
     closure statement is canonical, so a derived statement outside that set
     fails, unless it is degenerate (an empty independent set), which is
     vacuously true. Closure statements are already repaired, so ``repaired``
-    is always 0. The report is deterministic for a fixed seed. A negative
-    ``variables`` or ``trials``, a ``domain_size`` below 1, a universe past
-    ``MAX_UNIVERSE``, tables of more than ``MAX_PROBE_CONFIGS``
-    configurations, or more than ``MAX_PROBE_WORK`` statement checks over one
-    configuration each (a trial checks at most 2·3^variables statements)
-    raise ``LimitError`` at once.
+    is always 0. The report is deterministic for a fixed seed. A count or seed
+    that is not an ``int`` (a ``bool`` is not), a negative ``variables`` or
+    ``trials``, a ``domain_size`` below 1, a universe past ``MAX_UNIVERSE``,
+    tables of more than ``MAX_PROBE_CONFIGS`` configurations, or more than
+    ``MAX_PROBE_WORK`` statement checks over one configuration each (a trial
+    checks at most 2·3^variables statements) raise ``LimitError`` at once.
     """
+    for name, count in zip(("variables", "domain_size", "trials", "seed"),
+                           (variables, domain_size, trials, seed)):
+        if type(count) is not int:  # refuses a bool
+            raise LimitError(f"{name} must be an integer, not {count!r}")
     if variables < 0 or trials < 0:
         raise LimitError(f"negative count: {variables} variables, {trials} trials")
     if domain_size < 1:

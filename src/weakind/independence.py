@@ -385,19 +385,18 @@ def _class_report(
     # are read here, as integer weights over one denominator: a joint table's
     # cached ones, which its sum check also uses, or for a conditional-shaped
     # table the class's own, as its table-wide one may pass the digit cap.
-    x_of = projector(support.variables, x_vars)
-    z_of = projector(support.variables, z_vars)
-    configs = [support.configs[i] for i in block]
     if table.kind == JOINT:
         lcm, table_weights = table.weights
         weights = [table_weights[support.positions[i]] for i in block]
     else:
-        lcm, weights = common_weights(map(table.rows.__getitem__, configs))
+        lcm, weights = common_weights([table.rows[support.configs[i]] for i in block])
+    # Each row's x- and z-values: the keys of its blocks in the support's thetas.
+    x_of, z_of = (map(part.keys.__getitem__, map(part.ids.__getitem__, block))
+                  for part in (theta(support, x_vars), theta(support, z_vars)))
     cells: dict[tuple[Config, Config], int] = {}
     mass_x: dict[Config, int] = {}
     mass_z: dict[Config, int] = {}
-    for cfg, w in zip(configs, weights):
-        xv, zv = x_of(cfg), z_of(cfg)
+    for xv, zv, w in zip(x_of, z_of, weights):
         cells[xv, zv] = w
         mass_x[xv] = mass_x.get(xv, 0) + w
         mass_z[zv] = mass_z.get(zv, 0) + w
@@ -424,15 +423,9 @@ def _class_report(
             )
             break
 
-    return ClassReport(
-        support.label_block(block),
-        tuple(x_values),
-        tuple(y_values),
-        tuple(z_values),
-        counterexample is None,
-        len(z_values) < 2,
-        counterexample,
-    )
+    return ClassReport(support.label_block(block), tuple(x_values), tuple(y_values),
+                       tuple(z_values), counterexample is None, len(z_values) < 2,
+                       counterexample)
 
 
 def _weak_certificate(
@@ -442,13 +435,10 @@ def _weak_certificate(
     y_vars: Sequence[str],
     z_vars: Sequence[str],
 ) -> WeakCertificate:
-    """The certificate over ``support``, whose ``theta`` partitions it keeps."""
+    """The certificate over ``support``, composing its thetas of X∪Y and Y∪Z."""
     if len(support) == 0:
         return WeakCertificate((), True, None, (), True)
-    keys = frozenset((*x_vars, *y_vars)), frozenset((*y_vars, *z_vars))
-    thetas = support.thetas
-    p, q = (thetas.get(k) or thetas.setdefault(k, theta(support, k)) for k in keys)
-    result = commutes(p, q)
+    result = commutes(theta(support, (*x_vars, *y_vars)), theta(support, (*y_vars, *z_vars)))
     if not result.commutes:
         assert result.witness is not None
         i, k = result.witness
@@ -544,7 +534,7 @@ def enumerate_statements(
     in domain order. Statements that a conditional-shaped table cannot
     express (X not equal to its target-set) are skipped. A table of more
     than ``MAX_UNIVERSE`` variables, or a limit that is not a nonnegative
-    integer or ``None``, raises ``LimitError`` before any vector.
+    ``int`` (not a ``bool``) or ``None``, raises ``LimitError`` before any vector.
     So do more than ``MAX_STATEMENTS`` statements, counted from the vectors
     and their declared context products (each capped at ``max_contexts``)
     before the first check, unless ``max_statements`` is at most that bound.
@@ -560,7 +550,7 @@ def enumerate_statements(
     domain = {v.name: v.domain for v in schema.variables}
     cap, most = limits.max_contexts, limits.max_statements
     for field, bound in zip(Limits._fields, limits):
-        if bound is not None and not (isinstance(bound, int) and bound >= 0):
+        if bound is not None and not (type(bound) is int and bound >= 0):  # refuses a bool
             raise LimitError(f"{field} must be a nonnegative integer or None, not {bound!r}")
     # (checker, sets by role, context variables in schema order) per vector.
     vectors = []

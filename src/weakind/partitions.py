@@ -4,10 +4,10 @@ A support lists configurations and their positions in their table's rows; its
 indices run densely from 0, and row ``i`` is labelled ``t{positions[i] + 1}``, so
 certificates stay readable after a context restriction re-indexes the rows.
 
-``projector`` is the package's one row projector: every reader of a
-row's values on a variable subset (``theta``, context restriction,
-projected domains, the strong and class checks, table validation and
-``granular``'s nest) takes them, in schema order, through it.
+``theta`` is a support's one cached grouping: context restriction, projected
+domains and the class checks read its block ids and keys. ``projector`` is
+the package's one row projector, used by ``theta``, the strong check, table
+validation and ``granular``'s nest; it yields values in schema order.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ class SupportSet(Frozen):
     variables: tuple[str, ...]
     configs: tuple[Config, ...]
     positions: tuple[int, ...]
+    thetas: dict[frozenset[str], Partition]  # ``theta`` per variable set, kept by it
 
     def __init__(self, variables: tuple[str, ...], configs: tuple[Config, ...],
                  positions: tuple[int, ...]) -> None:
@@ -56,7 +57,7 @@ class SupportSet(Frozen):
             raise SchemaError("support row arity does not match variables")
         if len(positions) != len(configs):
             raise SchemaError("support positions do not match its rows")
-        vars(self).update(variables=variables, configs=configs, positions=positions)
+        vars(self).update(variables=variables, configs=configs, positions=positions, thetas={})
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -69,11 +70,6 @@ class SupportSet(Frozen):
     def label_block(self, block: Iterable[int]) -> tuple[str, ...]:
         return tuple(map(self.labels.__getitem__, sorted(block)))
 
-    @cached_property
-    def thetas(self) -> dict[frozenset[str], Partition]:
-        """``theta`` of this support per variable set, filled by ``independence``."""
-        return {}
-
 
 class Partition(Frozen):
     """A partition of the support indices ``0 .. n-1`` as a block-id array.
@@ -81,13 +77,15 @@ class Partition(Frozen):
     ``ids[i]`` is index i's block number, with blocks numbered from 0 in
     order of their minimum, so equal partitions have equal ``ids``.
     ``blocks`` lists the same blocks as sets of indices, in that order.
+    ``keys[b]`` is a ``theta`` block's values (``None`` for a ``join``), not a field.
     """
 
     _fields = ("ids",)
     ids: tuple[int, ...]
+    keys: tuple[Config, ...] | None
 
-    def __init__(self, ids: tuple[int, ...]) -> None:
-        vars(self)["ids"] = ids
+    def __init__(self, ids: tuple[int, ...], keys: tuple[Config, ...] | None = None) -> None:
+        vars(self).update(ids=ids, keys=keys)
 
     @property
     def n(self) -> int:
@@ -111,24 +109,28 @@ def theta(support: SupportSet, names: Iterable[str]) -> Partition:
     """Partition grouping indices whose configs agree on every variable given.
 
     The empty variable set yields a single block; the full set yields
-    singletons because support configs are distinct.
+    singletons because support configs are distinct. Kept in ``support.thetas``
+    per variable set, it is built once whatever the order of the names.
     """
-    key = projector(support.variables, names)
-    numbers: dict[Config, int] = {}  # by first occurrence: in order of minimum
-    return Partition(tuple(numbers.setdefault(key(cfg), len(numbers)) for cfg in support.configs))
+    names = frozenset(names)
+    if names not in support.thetas:
+        key, numbers = projector(support.variables, names), {}  # by first occurrence
+        ids = tuple([numbers.setdefault(k, len(numbers)) for k in map(key, support.configs)])
+        support.thetas[names] = Partition(ids, tuple(numbers))
+    return support.thetas[names]
 
 
 def restrict_context(support: SupportSet, context: Mapping[str, str]) -> SupportSet:
-    """Sub-support of rows matching a partial configuration.
+    """Sub-support of rows matching a partial configuration, read from ``theta``.
 
     Rows are re-indexed densely but keep their table positions, so their labels.
     A context value outside the variable's observed range simply matches nothing.
     """
     if not context:
         return support
-    key = projector(support.variables, context)
-    wanted = key(tuple(map(context.get, support.variables)))
-    matches = [k == wanted for k in map(key, support.configs)]
+    part = theta(support, context)
+    wanted = tuple(context[n] for n in support.variables if n in context)
+    matches = list(map(wanted.__eq__, map(part.keys.__getitem__, part.ids)))
     return SupportSet(support.variables, tuple(compress(support.configs, matches)),
                       tuple(compress(support.positions, matches)))
 
@@ -166,7 +168,7 @@ def commutes(p: Partition, q: Partition) -> CommutationResult:
     the join, the composition in both orders. A failing one carries the
     first pair (i, k), i < k, of sorted members of the first non-rectangular
     join block that lies in exactly one composition, oriented as in p∘q;
-    rectangular blocks hold no such pair.
+    rectangular blocks hold no such pair. That search is quadratic in the block.
     """
     joined = join(p, q)
     p_id, q_id = p.ids, q.ids
@@ -184,9 +186,8 @@ def commutes(p: Partition, q: Partition) -> CommutationResult:
     return CommutationResult(True, joined, None)
 
 
-def projected_domain(
-    block: Iterable[int], support: SupportSet, names: Iterable[str]
-) -> frozenset[Config]:
+def projected_domain(block: Iterable[int], support: SupportSet,
+                     names: Iterable[str]) -> frozenset[Config]:
     """Distinct projections of a class's configs onto a variable subset."""
-    key, configs = projector(support.variables, names), support.configs
-    return frozenset(key(configs[i]) for i in block)
+    part = theta(support, names)
+    return frozenset(map(part.keys.__getitem__, map(part.ids.__getitem__, block)))

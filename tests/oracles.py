@@ -82,8 +82,9 @@ constructor checks domains, attribute names and each cell again.
 
 ``verify_weak_certificate`` checks a WI or CWI certificate, as encoded, against
 the definitions: it recomputes the support labels, the witness's membership in
-the two compositions, the classes as join blocks and their projected domains,
-and the verdict from the flags, from the table's rows alone. Unlike the twins
+the two compositions, the classes as join blocks, their projected domains and
+their ``class_ci`` flags, and the verdict from the flags, from the table's rows
+alone. Unlike the twins
 it searches nothing, so it pins no choice of first witness or counterexample.
 
 The closure references reuse the package's literal rule functions but none
@@ -502,6 +503,10 @@ def verify_weak_certificate(table, verdict):
       blocks and the compositions agree. Each class has one Y-value;
     * each class's x-, y- and z-values are its rows' projections in domain
       order, and it is ``vacuous`` iff it has fewer than two z-values;
+    * ``class_ci`` holds, and the class has no counterexample, iff inside the
+      class x and z are independent: in a joint table each cell's mass times
+      the class's equals the product of its x- and z-masses; in a
+      conditional-shaped one each x's stored value is the same at every z;
     * ``holds`` follows from the flags by the kind's rule.
     """
     doc = verdict.to_json_dict()
@@ -554,6 +559,18 @@ def verify_weak_certificate(table, verdict):
             assert c[field] == [list(v) for v in found], field
         assert len(c["y_values"]) == 1, "class spans several Y-values"
         assert c["vacuous"] == (len(c["z_values"]) < 2), "vacuous flag of a class"
+        # One Y-value and X, Y, Z covering the schema: (x, z) names a class row.
+        cell = {(values(cfg, x), values(cfg, z)): table.rows[cfg] for cfg in configs}
+        xs, zs = {a for a, _ in cell}, {b for _, b in cell}
+        if table.kind == JOINT:  # P(x | z) = P(x) inside the class, for every (x, z)
+            total = sum(cell.values())
+            m_x = {a: sum(cell.get((a, b), 0) for b in zs) for a in xs}
+            m_z = {b: sum(cell.get((a, b), 0) for a in xs) for b in zs}
+            ci = all(cell.get((a, b), 0) * total == m_x[a] * m_z[b] for a in xs for b in zs)
+        else:  # the stored value of each x is the same at every z, absent reading 0
+            ci = all(len({cell.get((a, b), 0) for b in zs}) == 1 for a in xs)
+        assert c["class_ci"] == ci, "class_ci flag"
+        assert (c["counterexample"] is None) == ci, "class counterexample"
     flags = [(c["class_ci"], c["vacuous"]) for c in classes]
     if kind == "WI":
         holds = all(ok for ok, _ in flags)

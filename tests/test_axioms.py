@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -469,6 +470,20 @@ def test_probe_negative_counts(monkeypatch, variables, trials, domain_size, mess
     monkeypatch.setattr(axioms, "random_joint_table", None)
     with pytest.raises(LimitError, match=message):
         soundness_probe(variables, domain_size, trials, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("variables", True), ("domain_size", True), ("trials", False), ("seed", True),
+    ("variables", 2.0), ("domain_size", 2.5), ("trials", "3"), ("seed", None),
+])
+def test_probe_refuses_a_count_that_is_not_an_int(monkeypatch, field, value):
+    """A ``bool`` or non-integer count or seed is refused with one line naming
+    it, before any table is drawn; ``True`` no longer passes as 1."""
+    monkeypatch.setattr(axioms, "random_joint_table", None)
+    counts = {"variables": 2, "domain_size": 2, "trials": 1, "seed": 0, field: value}
+    message = f"{field} must be an integer, not {value!r}"
+    with pytest.raises(LimitError, match=f"^{re.escape(message)}$"):
+        soundness_probe(**counts)
 
 
 def test_probe_reads_verdicts_by_membership(monkeypatch):

@@ -577,11 +577,12 @@ def test_enumerate_counts_before_the_first_check(monkeypatch, wi_cpt, limits, co
 
 @pytest.mark.parametrize("field, bound", [
     ("max_contexts", -1), ("max_statements", -1), ("max_statements", -20_001),
-    ("max_contexts", 1.5),
+    ("max_contexts", 1.5), ("max_statements", True), ("max_contexts", False),
 ])
 def test_enumerate_refuses_a_bad_limit_before_the_first_check(monkeypatch, wi_cpt, field, bound):
     """A limit that is not a nonnegative integer is refused with one line naming
-    it before any check, not by ``islice`` once the checks have begun."""
+    it before any check, not by ``islice`` once the checks have begun. A
+    ``bool`` is not taken for 0 or 1."""
     _stub_checks(monkeypatch)
     with pytest.raises(LimitError, match=rf"^{field} must be a nonnegative integer or None, "
                                          rf"not {bound!r}$"):
@@ -721,9 +722,8 @@ CACHED = {"weights", "_support"}  # the cached properties of a Table
 def _cached(table):
     """A table's cached properties by name, and its support's ``thetas``."""
     found = {name: vars(table)[name] for name in CACHED & vars(table).keys()}
-    support = found.get("_support")
-    if support is not None and "thetas" in vars(support):
-        found["thetas"] = support.thetas
+    if "_support" in found:
+        found["thetas"] = found["_support"].thetas
     return found
 
 
@@ -760,17 +760,22 @@ def test_verdicts_same_on_cold_and_warm_views(case):
 
 
 def test_wi_reuses_theta_per_variable_set(wi_cpt):
-    """``check_wi`` keeps ``theta`` of the full support per variable set, and
-    the partitions it keeps are the ones ``theta`` computes afresh."""
+    """``theta`` keeps its partitions of the full support per variable set: the
+    compositions' X∪Y and Y∪Z, and the class reports' X, Y and Z. A second
+    ``check_wi`` builds no projection, and each kept partition, keys included,
+    is the one ``theta`` builds on a fresh copy of the support."""
     table = _fresh(wi_cpt)
     first = check_wi(table, ("X",), ("Z", "W"), ("Y",))
-    thetas = dict(table.support().thetas)
-    assert set(thetas) == {frozenset({"X", "Y"}), frozenset({"Y", "Z", "W"})}
-    with mock.patch.object(independence, "theta", side_effect=AssertionError):
-        again = check_wi(table, ("X",), ("Z", "W"), ("Y",))
-    assert again == first
     support = table.support()
-    assert all(part == partitions.theta(support, key) for key, part in thetas.items())
+    thetas = dict(support.thetas)
+    assert set(thetas) == set(map(frozenset, ("XY", "YZW", "X", "Y", "ZW")))
+    with mock.patch.object(partitions, "projector", side_effect=AssertionError):
+        again = check_wi(table, ("X",), ("Z", "W"), ("Y",))
+    assert again == first and support.thetas == thetas
+    copy = partitions.SupportSet(support.variables, support.configs, support.positions)
+    for names, part in thetas.items():
+        built = partitions.theta(copy, names)
+        assert (built, built.keys) == (part, part.keys) and built is not part
 
 
 @pytest.mark.parametrize("kind", ["conditional", "raw"])

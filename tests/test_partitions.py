@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +43,51 @@ def test_theta_empty_and_full(cwi_cpt):
     assert len(theta(sup, ()).blocks) == 1
     singletons = theta(sup, sup.variables)
     assert all(len(b) == 1 for b in singletons.blocks)
+
+
+@st.composite
+def supports_with_names(draw):
+    """A support of up to 12 distinct rows over 1-4 variables of domain 1-3, with
+    any table positions; a subset of its variables in any order; and a run of
+    values of that subset, some held by no row and one outside every domain."""
+    variables = tuple(f"V{i}" for i in range(draw(st.integers(1, 4))))
+    domains = [[str(d) for d in range(draw(st.integers(1, 3)))] for _ in variables]
+    cells = list(product(*domains))
+    configs = tuple(draw(st.lists(st.sampled_from(cells), max_size=12, unique=True)))
+    positions = tuple(sorted(draw(st.lists(st.integers(0, 40), min_size=len(configs),
+                                           max_size=len(configs), unique=True))))
+    names = draw(st.permutations(sorted(draw(st.sets(st.sampled_from(variables))))))
+    wanted = [d for v, d in zip(variables, domains) if v in names]
+    values = draw(st.lists(st.sampled_from(list(product(*wanted))), max_size=4))
+    return SupportSet(variables, configs, positions), names, values + [("9",) * len(names)]
+
+
+@given(supports_with_names())
+@settings(max_examples=200, deadline=None)
+def test_theta_keys_and_context_restriction_match_the_rows(case):
+    """``theta`` keys each block by its rows' values, is kept per variable set
+    whatever the order of the names, and ``restrict_context`` on its blocks
+    keeps exactly the rows a naive filter keeps, with their positions and
+    labels, for every value of one variable set in a row."""
+    support, names, values = case
+    part = theta(support, names)
+    columns = [i for i, v in enumerate(support.variables) if v in names]
+    assert [part.keys[b] for b in part.ids] == [
+        tuple(cfg[i] for i in columns) for cfg in support.configs]
+    assert len(set(part.keys)) == len(part.keys) == len(set(part.ids))
+    assert theta(support, names[::-1]) is part and theta(support, set(names)) is part
+    for value in values:
+        by_schema = dict(zip(sorted(names, key=support.variables.index), value))
+        context = {v: by_schema[v] for v in names}  # in the drawn order
+        # theta of the context's variables is kept above: restricting only reads it.
+        with mock.patch.object(partitions, "projector", side_effect=AssertionError):
+            restricted = restrict_context(support, context)
+        kept = [k for k, cfg in enumerate(support.configs)
+                if all(cfg[support.variables.index(v)] == d for v, d in context.items())]
+        assert restricted.configs == tuple(support.configs[k] for k in kept)
+        assert restricted.positions == tuple(support.positions[k] for k in kept)
+        assert restricted.labels == tuple(support.labels[k] for k in kept)
+        assert restricted is support or names
 
 
 def test_restrict_context(cwi_cpt):
