@@ -12,6 +12,7 @@ validation and ``granular``'s nest; it yields values in schema order.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
@@ -168,7 +169,10 @@ def commutes(p: Partition, q: Partition) -> CommutationResult:
     the join, the composition in both orders. A failing one carries the
     first pair (i, k), i < k, of sorted members of the first non-rectangular
     join block that lies in exactly one composition, oriented as in p∘q;
-    rectangular blocks hold no such pair. That search is quadratic in the block.
+    rectangular blocks hold no such pair. Inside a block (i, k) is in p∘q iff
+    p-block(i) meets q-block(k), so that i is the first member whose p-block
+    misses a q-block of the block or whose q-block misses a p-block (a
+    partner before it would be one too): counts find it, one scan its partner.
     """
     joined = join(p, q)
     p_id, q_id = p.ids, q.ids
@@ -176,13 +180,15 @@ def commutes(p: Partition, q: Partition) -> CommutationResult:
         cells = {(p_id[i], q_id[i]) for i in block}
         if len(cells) == len({c[0] for c in cells}) * len({c[1] for c in cells}):
             continue
-        # (i, k) is in p∘q iff p-block(i) meets q-block(k) inside this block.
+        # Row i has a partner iff its p-block misses a q-block here, or its q-block a p-block.
+        per_p, per_q = Counter(map(itemgetter(0), cells)), Counter(map(itemgetter(1), cells))
         members = sorted(block)
-        for a, i in enumerate(members):
-            for k in members[a + 1 :]:
-                fwd = (p_id[i], q_id[k]) in cells
-                if fwd != ((p_id[k], q_id[i]) in cells):
-                    return CommutationResult(False, None, (i, k) if fwd else (k, i))
+        i = next(i for i in members
+                 if per_p[p_id[i]] < len(per_q) or per_q[q_id[i]] < len(per_p))
+        for k in members:
+            fwd = (p_id[i], q_id[k]) in cells
+            if fwd != ((p_id[k], q_id[i]) in cells):
+                return CommutationResult(False, None, (i, k) if fwd else (k, i))
     return CommutationResult(True, joined, None)
 
 

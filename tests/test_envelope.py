@@ -2,12 +2,14 @@
 
 Each case runs ``weakind`` in a child process under its own address-space
 limit (``RLIMIT_AS``) and CPU-time limit (``RLIMIT_CPU``), and must finish
-inside them with its pinned report. A child that passes its CPU limit is
-killed by ``SIGXCPU``; one that passes its memory limit exits on
+inside them with its pinned report. A child that reaches its CPU limit is
+killed by a signal (the soft and hard limits are equal, so ``SIGKILL`` can
+come with ``SIGXCPU``); one that passes its memory limit exits on
 ``MemoryError``; either fails the case.
 
 So far the cases are the ``check`` verb's, one-row tables whose declared
-products run to millions of cells (``util.hostile_tables``), an
+products run to millions of cells (``util.hostile_tables``) and a WI check on
+a 16,383-row grid whose one join block fails (``util.grid_document``), an
 ``enumerate`` whose statement count passes its bound, and JSON inputs that
 the parser cannot read: nested too deep, or an integer past Python's digit cap.
 """
@@ -82,6 +84,23 @@ def test_check_on_wide_declared_products(name):
         "version": __version__, "command": "check", "table_digest": digest,
         "statement": {"kind": "CI", "x": list(x), "z": list(z), "y": [], "context": None},
         "holds": holds, "certificate": certificate,
+    }
+
+
+def test_check_wi_on_a_grid_whose_corner_classes_come_last():
+    """``check --kind wi`` on the 128 x 128 grid less its corner: the block's
+    first 16,129 rows have no partner, so a witness search that probes pairs
+    in row order makes some 10^8 probes; the witness comes from cell counts."""
+    result = run_limited(["check", "--kind", "wi", "--x", "X", "--z", "Z", "-"],
+                         util.grid_document(128))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout) == {
+        "version": __version__, "command": "check",
+        "table_digest": "9b60be43e49e35d07b7e138b201dc7cb1bd145f750a9d152ecc257c04b0c836e",
+        "statement": {"kind": "WI", "x": ["X"], "z": ["Z"], "y": [], "context": None},
+        "holds": False,
+        "certificate": {"support": [f"t{k}" for k in range(1, 16_384)], "commutes": False,
+                        "witness": ["t16130", "t16257"], "classes": [], "vacuous": False},
     }
 
 

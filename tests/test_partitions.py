@@ -247,10 +247,41 @@ def segmented_pairs(draw):
     )
 
 
-@given(st.one_of(few_label_pairs(), segmented_pairs()))
+@st.composite
+def defective_grids(draw):
+    """A k x k grid of (p, q) cells, k <= 6, less some drawn cells, with the
+    rows of the p- and q-classes that lost a cell last, so that the first rows
+    of a failing block mostly have no partner. Sometimes a second segment of arbitrary cells, with
+    labels of its own, has its rows inserted among the grid's."""
+    k = draw(st.integers(2, 6))
+    grid = list(product(range(k), repeat=2))
+    missing = draw(st.sets(st.sampled_from(grid), min_size=1, max_size=k))
+    short_p, short_q = {a for a, _ in missing}, {b for _, b in missing}
+    cells = sorted((c for c in grid if c not in missing),
+                   key=lambda c: c[0] in short_p or c[1] in short_q)
+    if draw(st.booleans()):
+        segment = list(product(("a", "b", "c"), repeat=2))
+        for cell in draw(st.lists(st.sampled_from(segment), min_size=1, max_size=6)):
+            cells.insert(draw(st.integers(0, len(cells))), cell)
+    return (
+        labels_to_partition([a for a, _ in cells]),
+        labels_to_partition([b for _, b in cells]),
+    )
+
+
+@given(st.one_of(few_label_pairs(), segmented_pairs(), defective_grids()))
 @example((  # a 2x2 rectangle, then the three-element failure
     labels_to_partition([0, 0, 1, 1, 2, 2, 3]),
     labels_to_partition([0, 1, 0, 1, 2, 3, 3]),
+))
+@example((  # row 0 meets every block on both sides; the witness is (1, 5)
+    labels_to_partition(list("AAABBCC")),
+    labels_to_partition([1, 2, 3, 1, 2, 1, 3]),
+))
+@example((  # those seven cells at rows 0 and 3-8, and a second failing block at
+    # rows 1, 2 and 9 whose row 2 has a partner: the witness is still (3, 7)
+    labels_to_partition(list("ADEAABBCCD")),
+    labels_to_partition([1, 4, 4, 2, 3, 1, 2, 1, 3, 5]),
 ))
 @settings(max_examples=300, deadline=None)
 def test_commutes_matches_pairscan(pair):

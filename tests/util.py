@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -91,6 +92,22 @@ def full_support_table(seed=7):
     weights = [rng.randint(1, 9) for _ in configs]
     total = sum(weights)
     return tables.Table(schema, {c: Fraction(w, total) for c, w in zip(configs, weights)})
+
+
+def grid_document(k):
+    """JSON of a joint table over X and Z, each of domain ``0 .. k-1``, with one
+    row of equal mass per (X, Z) cell but the (k-1, k-1) corner: one join
+    block for WI of X and Z, which fails. The rows of the corner's X- and
+    Z-classes come last, each part in row-major order, so the block's first
+    rows are those whose classes meet every class of the other side."""
+    domain = [str(d) for d in range(k)]
+    cells = [c for c in product(domain, repeat=2) if domain[-1] not in c]
+    cells += [c for c in product(domain, repeat=2) if domain[-1] in c][:-1]
+    return json.dumps({
+        "variables": [{"name": v, "domain": domain} for v in ("X", "Z")],
+        "kind": "joint",
+        "rows": [{"config": list(c), "p": f"1/{len(cells)}"} for c in cells],
+    })
 
 
 def make_table(variables, rows, kind="joint", targets=None, givens=None):
