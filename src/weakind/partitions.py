@@ -4,17 +4,16 @@ A support lists configurations and their positions in their table's rows; its
 indices run densely from 0, and row ``i`` is labelled ``t{positions[i] + 1}``, so
 certificates stay readable after a context restriction re-indexes the rows.
 
-``theta`` is a support's one cached grouping: context restriction, projected
-domains and the class checks read its block ids and keys. ``projector`` is
-the package's one row projector, used by ``theta``, the strong check, table
-validation and ``granular``'s nest; it yields values in schema order.
+``theta`` is a support's one cached grouping: context restriction reads the
+context's block, projected domains and the class checks its ids and keys.
+``projector`` is the package's one row projector, used by ``theta``, the strong
+check, table validation and ``granular``'s nest; it yields values in schema order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -122,7 +121,7 @@ def theta(support: SupportSet, names: Iterable[str]) -> Partition:
 
 
 def restrict_context(support: SupportSet, context: Mapping[str, str]) -> SupportSet:
-    """Sub-support of rows matching a partial configuration, read from ``theta``.
+    """Sub-support of rows matching a partial configuration: its ``theta`` block.
 
     Rows are re-indexed densely but keep their table positions, so their labels.
     A context value outside the variable's observed range simply matches nothing.
@@ -131,9 +130,9 @@ def restrict_context(support: SupportSet, context: Mapping[str, str]) -> Support
         return support
     part = theta(support, context)
     wanted = tuple(context[n] for n in support.variables if n in context)
-    matches = list(map(wanted.__eq__, map(part.keys.__getitem__, part.ids)))
-    return SupportSet(support.variables, tuple(compress(support.configs, matches)),
-                      tuple(compress(support.positions, matches)))
+    rows = sorted(part.blocks[part.keys.index(wanted)]) if wanted in part.keys else ()
+    return SupportSet(support.variables, tuple(map(support.configs.__getitem__, rows)),
+                      tuple(map(support.positions.__getitem__, rows)))
 
 
 def join(p: Partition, q: Partition) -> Partition:

@@ -199,6 +199,21 @@ def test_traces_replay():
     assert all(replay_trace(t) for t in result.traces)
 
 
+def test_wi2_traces_replay_and_a_tampered_literal_does_not():
+    """A hand-built WI2 trace replays on either branch. One that holds the other
+    branch's literal does not, though that literal repairs to the same statement
+    with the same removal."""
+    premise = statement("WI", ("A",), ("B",), U4)
+    literals = apply_wi2(premise, ("B",))
+    for branch, literal, other in zip(("first", "second"), literals, literals[::-1]):
+        fixed, removed = repair(literal)
+        trace = axioms.DerivationTrace(fixed, literal, "WI2", (premise,),
+                                       (("W", ("B",)), ("branch", (branch,))), removed)
+        assert (fixed, removed) == repair(other) == (premise, ("B",)) and other != literal
+        assert replay_trace(trace)
+        assert not replay_trace(trace._replace(literal=other))
+
+
 def test_closure_rule_restriction():
     premise = statement("WI", ("A",), ("B",), U4)
     result = closure([premise], U4, rules=("WI3",))

@@ -385,6 +385,18 @@ def test_click_usage_errors_are_one_line(args, message):
     assert result.output.count("\n") == 1, result.output
 
 
+def test_context_skips_empty_assignments():
+    """An empty pair in ``--context`` is skipped, whatever surrounds it."""
+    plain, *padded = (
+        run("check", "--kind", "cwi", "--x", "X", "--z", "Z", "--context", context,
+            str(DATA / "cwi_cpt.json"))
+        for context in ("Y=0,W=1", "Y=0,,W=1", ",Y=0, ,W=1,")
+    )
+    assert json.loads(plain.output)["statement"]["context"] == {"Y": "0", "W": "1"}
+    for result in padded:
+        assert (result.exit_code, result.output) == (plain.exit_code, plain.output)
+
+
 @pytest.mark.parametrize("kind, option, value", [
     ("ci", "--context", "Y=0"),
     ("wi", "--context", "Q=0"),

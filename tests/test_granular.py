@@ -303,6 +303,7 @@ def test_nested_cell_hash_and_equality():
         assert other == made and hash(other) == hash(made)
     assert made != cell((a, b), {("0", "1"): "1/4", ("1", "0"): "3/4"})
     assert made != NestedCell((b, a), dict(made.rows))
+    assert made.__eq__(dict(made.rows)) is NotImplemented and made != dict(made.rows)
     assert "_hash" not in repr(made) and str(made._hash) not in repr(made)
     assert "_hash" not in serialize_nested(nested)
 

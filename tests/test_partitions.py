@@ -11,6 +11,7 @@ from weakind import granular, partitions
 from weakind.errors import SchemaError
 from weakind.independence import check_wi
 from weakind.partitions import (
+    Partition,
     SupportSet,
     commutes,
     join,
@@ -100,6 +101,37 @@ def test_restrict_context(cwi_cpt):
     assert rest.configs == sup.configs[12:] and rest.label_block({2, 0}) == ("t13", "t15")
     assert restrict_context(sup, {}) is sup
     assert len(restrict_context(sup, {"Y": "2"})) == 0
+
+
+class _Counted(tuple):
+    """A tuple that counts the elements read from it by iterating or indexing."""
+
+    reads = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            _Counted.reads += 1
+            yield item
+
+    def __getitem__(self, index):
+        _Counted.reads += 1
+        return super().__getitem__(index)
+
+
+def test_restriction_reads_only_the_contexts_rows():
+    """Once theta of the context variables is built, restricting to a context
+    reads a configuration and a position of each of its rows, and no other row
+    of those or of theta's block ids."""
+    configs = tuple(product(*(tuple(map(str, range(k))) for k in (4, 4, 8))))
+    support = SupportSet(("A", "B", "C"), _Counted(configs), _Counted(range(len(configs))))
+    restrict_context(support, {"C": "0"})
+    part = support.thetas[frozenset("C")]
+    counted = support.thetas[frozenset("C")] = Partition(_Counted(part.ids), part.keys)
+    assert counted.blocks == part.blocks  # built before the count starts
+    _Counted.reads = 0
+    restricted = restrict_context(support, {"C": "5"})
+    assert restricted.configs == tuple(c for c in configs if c[2] == "5")
+    assert len(restricted) == 16 and _Counted.reads == 2 * len(restricted)
 
 
 def test_compose_context_zero(cwi_cpt):

@@ -818,6 +818,20 @@ def test_column_checks_report_what_the_row_loop_reports(data):
             assert _load_outcome(load, text, False) == got
 
 
+def test_column_checks_hand_an_unhashable_value_to_the_row_loop():
+    """A configuration that holds a list makes the column checks give up, and
+    ``load_table`` reports the row-by-row loop's fault."""
+    doc = {"variables": [{"name": "A", "domain": ["0", "1"]}],
+           "rows": [{"config": ["0"], "p": "1/2"}, {"config": [["1"]], "p": "1/2"}]}
+    schema = tables.VariableSchema((tables.Variable("A", ("0", "1")),))
+    assert tables._column_rows(schema, [("0",), (["1"],)], ["1/2", "1/2"]) is None
+    text = json.dumps(doc)
+    got = _load_outcome(tables.load_table, text, False)
+    assert got == (SchemaError, "value \"['1']\" outside domain of variable 'A'")
+    with mock.patch.object(tables, "_column_rows", return_value=None):
+        assert _load_outcome(tables.load_table, text, False) == got
+
+
 @pytest.mark.parametrize("first, second", [
     (1, True), (0, False), ("1", True), (1, "1"), (0.5, "1/2"), (2, [2]),
 ], ids=repr)

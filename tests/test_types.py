@@ -115,6 +115,7 @@ def test_records_with_a_pair_of_fields_equal_only_their_own_type():
     assert stmt != fields and not stmt == fields
     assert tuple(stmt) not in {stmt} and stmt not in {tuple(stmt)}
     assert variable == tables.Variable("A", ("0", "1"))
+    assert hash(variable) == hash(tables.Variable("A", ("0", "1")))
     assert attribute == granular.Attribute("A", ("0", "1"))
     assert stmt == axioms.statement("WI", ["A"], ["B"], "CBA") and not stmt != stmt
     assert hash(stmt) == hash(axioms.statement("WI", "A", "B", "ABC"))
